@@ -4,7 +4,6 @@ cross-checks between them."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -215,24 +214,26 @@ def superchar_leading_shift(module: SWModuleId, order: RatLike = 10) -> Fraction
     return lead - (module_weight(module) - cd.c / 24)
 
 
-def _integrality_report(
-    identity_id: str, params: dict, s: QSeries, started: float
-) -> VerificationReport:
-    mismatch = None
+def _integrality(s: QSeries) -> tuple[Fraction, tuple[Fraction, Fraction, Fraction] | None]:
+    """(order, first coefficient that is not a nonnegative integer, as
+    (exponent, coefficient, nearest nonnegative integer), or None)."""
     for e, c in s.terms():
         if c.denominator != 1 or c < 0:
-            nearest = Fraction(max(0, round(c)))
-            mismatch = (e, c, nearest)
-            break
-    ms = (time.perf_counter() - started) * 1000.0
-    return VerificationReport(
-        identity_id,
-        params,
-        s.order,
-        "pass" if mismatch is None else "fail",
-        mismatch,
-        ms,
+            return s.order, (e, c, Fraction(max(0, round(c))))
+    return s.order, None
+
+
+def _pair_sum(m: int, i: int, order: Fraction) -> tuple[QSeries, QSeries]:
+    lam = sw_char(SWModuleId(m, "lambda", i + 1), order)
+    pi = sw_char(SWModuleId(m, "pi", m - i), order)
+    rhs = qs.truncate(
+        qs.mul(
+            f_over_eta(order + 1),
+            forms.theta(ThetaParams(m - i, Fraction(2 * m + 1, 2)), order + 2),
+        ),
+        order,
     )
+    return qs.add(lam, pi), rhs
 
 
 def verify_character_suite(m: int, order: RatLike) -> list[VerificationReport]:
@@ -243,48 +244,24 @@ def verify_character_suite(m: int, order: RatLike) -> list[VerificationReport]:
     reports = []
     for i in range(m + 1):
         module = SWModuleId(m, "lambda", i + 1)
-        t0 = time.perf_counter()
-        lhs = char_by_decomposition(module, order_f)
-        rhs = sw_char(module, order_f)
         reports.append(
             qs.compare_report(
                 "char-decomposition",
                 {"m": m, "module": module.label},
-                lhs,
-                rhs,
+                lambda: (char_by_decomposition(module, order_f), sw_char(module, order_f)),
                 order_f,
-                started=t0,
             )
         )
     for i in range(m):
-        t0 = time.perf_counter()
-        lam = sw_char(SWModuleId(m, "lambda", i + 1), order_f)
-        pi = sw_char(SWModuleId(m, "pi", m - i), order_f)
-        rhs = qs.truncate(
-            qs.mul(
-                f_over_eta(order_f + 1),
-                forms.theta(ThetaParams(m - i, Fraction(2 * m + 1, 2)), order_f + 2),
-            ),
-            order_f,
-        )
         reports.append(
-            qs.compare_report(
-                "char-pair-sum",
-                {"m": m, "i": i},
-                qs.add(lam, pi),
-                rhs,
-                order_f,
-                started=t0,
-            )
+            qs.compare_report("char-pair-sum", {"m": m, "i": i}, lambda: _pair_sum(m, i, order_f), order_f)
         )
     for module in all_module_ids(m):
-        t0 = time.perf_counter()
         reports.append(
-            _integrality_report(
+            qs.run_check(
                 "char-integrality",
                 {"m": m, "module": module.label},
-                sw_char(module, order_f),
-                t0,
+                lambda: _integrality(sw_char(module, order_f)),
             )
         )
     return reports

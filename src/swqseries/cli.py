@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -23,12 +22,11 @@ from typing import IO
 from . import characters, fermionic, forms, gmverify, numeric, zhupoly
 from .characters import SWModuleId
 from .numeric import TauPoint
-from .qseries import VerificationReport
+from .qseries import VerificationReport, run_check
 
 __all__ = ["RunConfig", "UsageError", "run", "emit_report", "main"]
 
 _COMMANDS = ("char", "superchar", "verify", "gm", "zhu", "numeric")
-_SUITES = ("forms", "characters", "warnaar", "aux", "zhu", "gm", "numeric")
 _DEFAULT_TAUS = ((0.0, 1.0), (0.3, 1.1), (-0.4, 0.9))
 _CSV_HEADER = [
     "identity_id",
@@ -62,7 +60,7 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise UsageError(f"unknown command {self.command!r}")
-        if self.suite not in ("all",) + _SUITES:
+        if self.suite not in ("all", *_SUITES):
             raise UsageError(f"unknown suite {self.suite!r}")
         if self.format not in ("json", "csv"):
             raise UsageError(f"unknown format {self.format!r}")
@@ -122,42 +120,50 @@ def _rank_taus(n: int) -> list[TauPoint]:
 
 
 def _rank_report(m: int, order: Fraction, tol: float) -> VerificationReport:
-    t0 = time.perf_counter()
     n = 3 * m + 1
-    rank, smallest = numeric.ns_space_rank(m, _rank_taus(n), order, tol)
-    return VerificationReport(
-        identity_id="ns-space-rank",
-        params={"m": m, "rank": rank, "min_singular": float(f"{smallest:.6g}")},
-        order=Fraction(order),
-        status="pass" if rank == n else "fail",
-        first_mismatch=None if rank == n else (Fraction(0), Fraction(rank), Fraction(n)),
-        runtime_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    params: dict[str, object] = {"m": m}
+
+    def check():
+        rank, smallest = numeric.ns_space_rank(m, _rank_taus(n), order, tol)
+        params.update(rank=rank, min_singular=float(f"{smallest:.6g}"))
+        return order, None if rank == n else (Fraction(0), Fraction(rank), Fraction(n))
+
+    return run_check("ns-space-rank", params, check)
+
+
+def _gm_reports(m: int) -> list[VerificationReport]:
+    reports = [gmverify.verify_gm_conjecture(m)]
+    if gmverify._is_prime(2 * m + 1):
+        reports.append(gmverify.gm_mod_p(m))
+    return reports
+
+
+def _numeric_reports(
+    m: int, order: Fraction, tol: float, taus: tuple[tuple[float, float], ...]
+) -> list[VerificationReport]:
+    points = [TauPoint(re, im) for re, im in taus]
+    return [*numeric.verify_s_t_laws(points, order, tol), _rank_report(m, order, tol)]
+
+
+# Suite name -> reports for (m, order, tol, taus); `--suite all` runs
+# them in this order.
+_SUITES = {
+    "forms": lambda m, order, tol, taus: forms.verify_form_identities(order),
+    "characters": lambda m, order, tol, taus: characters.verify_character_suite(m, order),
+    "warnaar": lambda m, order, tol, taus: fermionic.verify_warnaar(2 * m + 1, order),
+    "aux": lambda m, order, tol, taus: fermionic.verify_aux_identities(order),
+    "zhu": lambda m, order, tol, taus: [
+        *zhupoly.verify_phi_identities(m),
+        zhupoly.verify_s_properties(m),
+    ],
+    "gm": lambda m, order, tol, taus: _gm_reports(m),
+    "numeric": _numeric_reports,
+}
 
 
 def _suite_reports(task: tuple) -> list[VerificationReport]:
-    name, m, order, tol, taus = task
-    if name == "forms":
-        return forms.verify_form_identities(order)
-    if name == "characters":
-        return characters.verify_character_suite(m, order)
-    if name == "warnaar":
-        return fermionic.verify_warnaar(2 * m + 1, order)
-    if name == "aux":
-        return fermionic.verify_aux_identities(order)
-    if name == "zhu":
-        return [*zhupoly.verify_phi_identities(m), zhupoly.verify_s_properties(m)]
-    if name == "gm":
-        reports = [gmverify.verify_gm_conjecture(m)]
-        if gmverify._is_prime(2 * m + 1):
-            reports.append(gmverify.gm_mod_p(m))
-        return reports
-    if name == "numeric":
-        points = [TauPoint(re, im) for re, im in taus]
-        reports = numeric.verify_s_t_laws(points, order, tol)
-        reports.append(_rank_report(m, order, tol))
-        return reports
-    raise UsageError(f"unknown suite {name!r}")
+    name, *args = task
+    return _SUITES[name](*args)
 
 
 def _worker_count() -> int:
@@ -179,8 +185,8 @@ def _dispatch(tasks: list[tuple]) -> list[list[VerificationReport]]:
         try:
             with ProcessPoolExecutor(max_workers=n) as pool:
                 return list(pool.map(_suite_reports, tasks))
-        except (OSError, BrokenProcessPool):
-            pass
+        except (OSError, BrokenProcessPool) as exc:
+            print(f"warning: process pool failed ({exc!r}); running suites sequentially", file=sys.stderr)
     return [_suite_reports(t) for t in tasks]
 
 
@@ -263,7 +269,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def numeric_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--tol", type=float, default=1e-8, help="numeric residual tolerance")
-        p.add_argument("--tau", nargs="*", help="upper half-plane points, e.g. 0.3+1.1j")
+        p.add_argument(
+            "--tau",
+            nargs="*",
+            help="upper half-plane points, e.g. 0.3+1.1j; quote a point with a leading "
+            "minus in parentheses, e.g. '(-0.4+0.9j)', so it is not read as a flag",
+        )
 
     for name in ("char", "superchar"):
         p = sub.add_parser(name, help=f"print one {name}acter expansion")
@@ -272,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p, "20")
-    p.add_argument("--suite", choices=("all",) + _SUITES, default="all")
+    p.add_argument("--suite", choices=("all", *_SUITES), default="all")
     numeric_flags(p)
 
     p = sub.add_parser("gm", help="shortcut for verify --suite gm")

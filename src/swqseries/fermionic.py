@@ -4,11 +4,9 @@ characters, and the auxiliary single- and double-sum identities."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
 from math import lcm
 
 from . import characters, forms, qseries as qs
@@ -188,52 +186,6 @@ def _multi_sum(
     return qs._normalized(den, {k: Fraction(v) for k, v in acc.items()}, order)
 
 
-@lru_cache(maxsize=None)
-def _inv_poch_u(v: int, s: int, order: Fraction) -> QSeries:
-    return qs.invert(qs.pochhammer(Fraction(1, s), Fraction(1, s), -1, v, order))
-
-
-def _naive_multi_sum(
-    Q: tuple[tuple[Fraction, ...], ...],
-    lin: list[Fraction],
-    const: Fraction,
-    parity: int | None,
-    order: Fraction,
-    s: int,
-) -> QSeries:
-    """Oracle enumerator: per-coordinate box bounds, then brute force."""
-    p = len(Q)
-    mins = [_one_d_min(Q[i][i], lin[i]) for i in range(p)]
-    big = order - min(Fraction(0), const + sum(mins))
-    boxes = []
-    for i in range(p):
-        rest = const + sum(mins) - mins[i]
-        v, last_ok, prev = 0, -1, None
-        while True:
-            bnd = Q[i][i] * v * v + lin[i] * v + rest
-            if bnd <= order:
-                last_ok = v
-            elif (prev is not None and bnd >= prev) or (prev is None and lin[i] >= 0):
-                break
-            prev = bnd
-            v += 1
-        boxes.append(last_ok + 1)
-    total = qs.zero(order)
-    for n in iproduct(*[range(b) for b in boxes]):
-        if parity is not None and (n[p - 2] + n[p - 1]) % 2 != parity:
-            continue
-        e = const + sum(lin[i] * n[i] for i in range(p))
-        e += sum(Q[i][j] * n[i] * n[j] for i in range(p) for j in range(p))
-        if e > order:
-            continue
-        term = qs.one(big)
-        for v in n:
-            if v:
-                term = qs.mul(term, _inv_poch_u(v, s, big))
-        total = qs.add(total, qs.shift(qs.truncate(term, order - e), e))
-    return total
-
-
 # -- one-parameter sum families ------------------------------------------------
 
 
@@ -292,17 +244,12 @@ def verify_warnaar(p: int, order: RatLike) -> list[VerificationReport]:
         for lam in range(p + 1):
             for sig in (0, 1):
                 spec = FermionicSumSpec(p, lam, sig, variant, parity=sig)
-                t0 = time.perf_counter()
-                lhs = warnaar_lhs(spec, order_f)
-                rhs = warnaar_rhs(spec, order_f)
                 reports.append(
                     qs.compare_report(
                         f"warnaar-v{variant}",
                         {"p": p, "lambda": lam, "sigma": sig},
-                        lhs,
-                        rhs,
+                        lambda: (warnaar_lhs(spec, order_f), warnaar_rhs(spec, order_f)),
                         order_f,
-                        started=t0,
                     )
                 )
     return reports
@@ -341,19 +288,19 @@ def fermionic_sw_char(module: SWModuleId, order: RatLike) -> tuple[QSeries, Frac
 
 
 def fermionic_char_report(module: SWModuleId, order: RatLike) -> VerificationReport:
-    """Compare the multi-sum form against q^{shift} * sw_char."""
+    """Compare the multi-sum form against q^{shift} * sw_char; the
+    derived shift is reported in params."""
     order_f = Fraction(order)
-    t0 = time.perf_counter()
-    series, shift = fermionic_sw_char(module, order_f)
-    shifted = qs.shift(characters.sw_char(module, order_f), shift)
-    return qs.compare_report(
-        "fermionic-char",
-        {"m": module.m, "module": module.label, "shift": shift},
-        series,
-        shifted,
-        min(order_f, order_f + shift),
-        started=t0,
-    )
+    params: dict[str, object] = {"m": module.m, "module": module.label}
+
+    def check():
+        series, shift = fermionic_sw_char(module, order_f)
+        params["shift"] = shift
+        shifted = qs.shift(characters.sw_char(module, order_f), shift)
+        at = min(order_f, order_f + shift)
+        return at, qs.compare(series, shifted, at)
+
+    return qs.run_check("fermionic-char", params, check)
 
 
 # -- auxiliary identities ---------------------------------------------------
@@ -477,6 +424,14 @@ def _theta_double_sum(order: Fraction) -> QSeries:
     return qs.shift(qs.truncate(qs.mul(total, inv_inf), inner_order), lead)
 
 
+def _f_over_eta_times(theta, order: Fraction) -> QSeries:
+    # (f/eta) * theta(ThetaParams(1, 3/2)) for theta = forms.theta or forms.dtheta
+    return qs.truncate(
+        qs.mul(characters.f_over_eta(order + 1), theta(ThetaParams(1, Fraction(3, 2)), order + 2)),
+        order,
+    )
+
+
 def verify_aux_identities(order: RatLike) -> list[VerificationReport]:
     """Durfee rectangle sums (both forms, k = 0..3), the alternating-sum
     form of eta, and the two m=1 double-sum identities."""
@@ -490,59 +445,39 @@ def verify_aux_identities(order: RatLike) -> list[VerificationReport]:
         order_f,
     )
     for k in range(4):
-        t0 = time.perf_counter()
         reports.append(
-            qs.compare_report(
-                "durfee-half", {"k": k}, _durfee_half(k, order_f), half_inf, order_f, started=t0
-            )
+            qs.compare_report("durfee-half", {"k": k}, lambda: (_durfee_half(k, order_f), half_inf), order_f)
         )
-        t0 = time.perf_counter()
         reports.append(
-            qs.compare_report(
-                "durfee-mixed", {"k": k}, _durfee_mixed(k, order_f), half_inf, order_f, started=t0
-            )
+            qs.compare_report("durfee-mixed", {"k": k}, lambda: (_durfee_mixed(k, order_f), half_inf), order_f)
         )
-
-    t0 = time.perf_counter()
     reports.append(
-        qs.compare_report(
-            "euler-eta", {}, _euler_eta_sum(order_f), forms.eta(order_f), order_f, started=t0
-        )
+        qs.compare_report("euler-eta", {}, lambda: (_euler_eta_sum(order_f), forms.eta(order_f)), order_f)
     )
 
     double_product = qs.truncate(
         qs.mul(forms.eta_scaled(2, order_f + 1), forms.eta_scaled(Fraction(1, 2), order_f + 1)),
         order_f,
     )
-    t0 = time.perf_counter()
-    lhs = qs.truncate(
-        qs.mul(
-            characters.f_over_eta(order_f + 1),
-            forms.dtheta(ThetaParams(1, Fraction(3, 2)), order_f + 2),
-        ),
-        order_f,
-    )
-    reports.append(
-        qs.compare_report("dtheta-eta-double-product", {}, lhs, double_product, order_f, started=t0)
-    )
-    t0 = time.perf_counter()
     reports.append(
         qs.compare_report(
-            "eta-double-sum", {}, _eta_double_sum(order_f), double_product, order_f, started=t0
+            "dtheta-eta-double-product",
+            {},
+            lambda: (_f_over_eta_times(forms.dtheta, order_f), double_product),
+            order_f,
         )
     )
-
-    t0 = time.perf_counter()
-    lhs = qs.truncate(
-        qs.mul(
-            characters.f_over_eta(order_f + 1),
-            forms.theta(ThetaParams(1, Fraction(3, 2)), order_f + 2),
-        ),
-        order_f,
+    reports.append(
+        qs.compare_report(
+            "eta-double-sum", {}, lambda: (_eta_double_sum(order_f), double_product), order_f
+        )
     )
     reports.append(
         qs.compare_report(
-            "theta-double-sum", {}, _theta_double_sum(order_f), lhs, order_f, started=t0
+            "theta-double-sum",
+            {},
+            lambda: (_theta_double_sum(order_f), _f_over_eta_times(forms.theta, order_f)),
+            order_f,
         )
     )
     return reports

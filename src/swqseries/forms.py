@@ -4,7 +4,6 @@ with an exact identity suite relating them."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -21,7 +20,6 @@ __all__ = [
     "dtheta",
     "eta_scaled",
     "verify_form_identities",
-    "FORM_IDENTITY_IDS",
 ]
 
 
@@ -229,26 +227,12 @@ def _suite(order: Fraction) -> list[tuple[str, dict, Callable[[], tuple[QSeries,
     return items
 
 
-FORM_IDENTITY_IDS = [
-    "dtheta-eta-weber-cube",
-    "weber-eta-quotient",
-    "odd-even-split",
-    "eta-half-inverse",
-    "theta-half-level",
-    "dtheta-half-level",
-    "theta-symmetry-negate",
-    "theta-symmetry-reflect",
-]
-
-
 def verify_form_identities(order: RatLike) -> list[VerificationReport]:
     """Run the fixed identity suite at the given order."""
     order_f = Fraction(order)
     if order_f < 10:
         raise ValueError("order must be at least 10")
-    reports = []
-    for identity_id, params, build in _suite(order_f):
-        t0 = time.perf_counter()
-        lhs, rhs = build()
-        reports.append(qs.compare_report(identity_id, params, lhs, rhs, order_f, started=t0))
-    return reports
+    return [
+        qs.compare_report(identity_id, params, build, order_f)
+        for identity_id, params, build in _suite(order_f)
+    ]

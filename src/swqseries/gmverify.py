@@ -6,11 +6,10 @@ residue check at t = 3m+1."""
 from __future__ import annotations
 
 import math
-import time
 from fractions import Fraction
 
 from . import zhupoly as zp
-from .qseries import VerificationReport
+from .qseries import VerificationReport, run_check
 from .zhupoly import RatPoly
 
 __all__ = [
@@ -18,7 +17,6 @@ __all__ = [
     "gm_poly",
     "verify_gm_conjecture",
     "gm_mod_p",
-    "extract_Am",
 ]
 
 
@@ -74,10 +72,12 @@ def gm_poly(m: int) -> RatPoly:
 def verify_gm_conjecture(m: int) -> VerificationReport:
     """gm_poly against binom(2m,m)^2 binom(t+m,4m+1), coefficient by
     coefficient."""
-    t0 = time.perf_counter()
-    g = gm_poly(m)
-    closed = zp.scale(zp.binom_poly(4 * m + 1, arg_shift=m), math.comb(2 * m, m) ** 2)
-    return zp.poly_report("gm-conjecture", {"m": m}, g, closed, t0)
+
+    def build():
+        g = gm_poly(m)
+        return g, zp.scale(zp.binom_poly(4 * m + 1, arg_shift=m), math.comb(2 * m, m) ** 2)
+
+    return zp.poly_report("gm-conjecture", {"m": m}, build)
 
 
 def _is_prime(n: int) -> bool:
@@ -98,24 +98,13 @@ def gm_mod_p(m: int) -> VerificationReport:
     p = 2 * m + 1
     if not _is_prime(p):
         raise ValueError("mod-p argument requires prime 2m+1")
-    t0 = time.perf_counter()
-    value = gm_value(m, 3 * m + 1)
-    if value.denominator % p == 0:
-        raise AssertionError("value is not p-integral")
-    residue = value.numerator * pow(value.denominator, -1, p) % p
-    return VerificationReport(
-        identity_id="gm-mod-p",
-        params={"m": m, "p": p},
-        order=Fraction(3 * m + 1),
-        status="pass" if residue == 1 else "fail",
-        first_mismatch=None
-        if residue == 1
-        else (Fraction(3 * m + 1), Fraction(residue), Fraction(1)),
-        runtime_ms=(time.perf_counter() - t0) * 1000.0,
-    )
 
+    def check():
+        value = gm_value(m, 3 * m + 1)
+        if value.denominator % p == 0:
+            raise AssertionError("value is not p-integral")
+        residue = value.numerator * pow(value.denominator, -1, p) % p
+        at = Fraction(3 * m + 1)
+        return at, None if residue == 1 else (at, Fraction(residue), Fraction(1))
 
-def extract_Am(m: int) -> Fraction:
-    """The value at t = 3m+1, where the closed form's binomial factor
-    is 1; conjecturally binom(2m,m)^2."""
-    return gm_value(m, 3 * m + 1)
+    return run_check("gm-mod-p", {"m": m, "p": p}, check)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +23,6 @@ __all__ = [
     "eval_series",
     "verify_s_t_laws",
     "ns_space_rank",
-    "t_map_ratios",
 ]
 
 # Smallest tolerance double-precision residuals can certify.
@@ -96,26 +94,45 @@ def eval_series(a: QSeries, tau: TauPoint, tol: float | None = None) -> tuple[co
     return value, tail
 
 
-def _law_report(
-    identity_id: str,
-    params: dict,
-    order: Fraction,
-    checks: list[tuple[int, float]],
-    tol: float,
-    started: float,
-) -> VerificationReport:
-    """checks holds (position, residual + tail) per sub-check; the first
-    entry at or above tol fails the law and lands in first_mismatch as
-    (position, achieved error, tolerance)."""
-    bad = next((c for c in checks if not c[1] < tol), None)
-    return VerificationReport(
-        identity_id=identity_id,
-        params=params,
-        order=order,
-        status="pass" if bad is None else "fail",
-        first_mismatch=None if bad is None else (Fraction(bad[0]), Fraction(bad[1]), Fraction(tol)),
-        runtime_ms=(time.perf_counter() - started) * 1000.0,
-    )
+def _first_over(errors: list[float], tol: float) -> tuple[Fraction, Fraction, Fraction] | None:
+    """errors holds residual + tail per sub-check; the first one at or
+    above tol fails the law, as (position, achieved error, tolerance)."""
+    for idx, err in enumerate(errors):
+        if not err < tol:
+            return Fraction(idx), Fraction(err), Fraction(tol)
+    return None
+
+
+def _s_law(series: list[QSeries], taus: list[TauPoint], k: int, weighted: bool, tol: float) -> list[float]:
+    """Residual + tails of the S-law of series[j], j = 0..k, at each tau;
+    series holds the level-k sums for j' = 0..2k-1."""
+    errors = []
+    for t in taus:
+        ti = _neg_inv(t)
+        tv = [eval_series(s, t, tol) for s in series]
+        rtail = sum(v[1] for v in tv)
+        pref = cmath.sqrt(-1j * t.tau / (2 * k))
+        if weighted:
+            pref = -t.tau * pref
+        for j in range(k + 1):
+            phases = [cmath.exp(1j * math.pi * j * jp / k) for jp in range(2 * k)]
+            lv, lt = eval_series(series[j], ti, tol)
+            rv = sum(p * v[0] for p, v in zip(phases, tv))
+            errors.append(abs(lv - pref * rv) + lt + abs(pref) * rtail)
+    return errors
+
+
+def _t2_law(series: list[QSeries], taus: list[TauPoint], k: int, tol: float) -> list[float]:
+    """Residual + tails of the tau -> tau+2 law of series[j], j = 0..k."""
+    errors = []
+    for t in taus:
+        t2 = _shifted(t, 2.0)
+        for j in range(k + 1):
+            ph = cmath.exp(1j * math.pi * j * j / k)
+            lv, lt = eval_series(series[j], t2, tol)
+            rv, rt = eval_series(series[j], t, tol)
+            errors.append(abs(lv - ph * rv) + lt + rt)
+    return errors
 
 
 def verify_s_t_laws(taus: list[TauPoint], order: RatLike, tol: float) -> list[VerificationReport]:
@@ -134,72 +151,37 @@ def verify_s_t_laws(taus: list[TauPoint], order: RatLike, tol: float) -> list[Ve
     order = Fraction(order)
     if not tol >= _TOL_FLOOR:
         raise ValueError(f"tolerance must be at least {_TOL_FLOOR}")
-    reports: list[VerificationReport] = []
 
-    started = time.perf_counter()
+    def law(identity_id: str, params: dict, errors) -> VerificationReport:
+        return qs.run_check(identity_id, params, lambda: (order, _first_over(errors(), tol)))
+
     eta = forms.eta(order)
-    checks = []
-    for idx, t in enumerate(taus):
-        lv, lt = eval_series(eta, _neg_inv(t), tol)
-        rv, rt = eval_series(eta, t, tol)
-        pref = cmath.sqrt(-1j * t.tau)
-        checks.append((idx, abs(lv - pref * rv) + lt + abs(pref) * rt))
-    reports.append(_law_report("eta-s-law", {}, order, checks, tol, started))
 
-    started = time.perf_counter()
+    def eta_law(image, factor) -> list[float]:
+        # eta(image(tau)) = factor(tau) eta(tau)
+        errors = []
+        for t in taus:
+            lv, lt = eval_series(eta, image(t), tol)
+            rv, rt = eval_series(eta, t, tol)
+            f = factor(t)
+            errors.append(abs(lv - f * rv) + lt + abs(f) * rt)
+        return errors
+
     phase = cmath.exp(1j * math.pi / 12)
-    checks = []
-    for idx, t in enumerate(taus):
-        lv, lt = eval_series(eta, _shifted(t, 1.0), tol)
-        rv, rt = eval_series(eta, t, tol)
-        checks.append((idx, abs(lv - phase * rv) + lt + abs(phase) * rt))
-    reports.append(_law_report("eta-t-law", {}, order, checks, tol, started))
-
+    reports = [
+        law("eta-s-law", {}, lambda: eta_law(_neg_inv, lambda t: cmath.sqrt(-1j * t.tau))),
+        law("eta-t-law", {}, lambda: eta_law(lambda t: _shifted(t, 1.0), lambda t: phase)),
+    ]
     for k in _S_LEVELS:
         kf = Fraction(k)
         ths = [forms.theta(ThetaParams(jp, kf), order) for jp in range(2 * k)]
         dths = [forms.dtheta(ThetaParams(jp, kf), order) for jp in range(2 * k)]
-
-        started = time.perf_counter()
-        s_checks, ds_checks = [], []
-        idx = 0
-        for t in taus:
-            ti = _neg_inv(t)
-            tv = [eval_series(s, t, tol) for s in ths]
-            dtv = [eval_series(s, t, tol) for s in dths]
-            rtail = sum(v[1] for v in tv)
-            drtail = sum(v[1] for v in dtv)
-            pref = cmath.sqrt(-1j * t.tau / (2 * k))
-            dpref = -t.tau * pref
-            for j in range(k + 1):
-                phases = [cmath.exp(1j * math.pi * j * jp / k) for jp in range(2 * k)]
-                lv, lt = eval_series(ths[j], ti, tol)
-                rv = sum(p * v[0] for p, v in zip(phases, tv))
-                s_checks.append((idx, abs(lv - pref * rv) + lt + abs(pref) * rtail))
-                lv, lt = eval_series(dths[j], ti, tol)
-                rv = sum(p * v[0] for p, v in zip(phases, dtv))
-                ds_checks.append((idx, abs(lv - dpref * rv) + lt + abs(dpref) * drtail))
-                idx += 1
-        reports.append(_law_report("theta-s-law", {"k": k}, order, s_checks, tol, started))
-        reports.append(_law_report("dtheta-s-law", {"k": k}, order, ds_checks, tol, started))
-
-        started = time.perf_counter()
-        t_checks, dt_checks = [], []
-        idx = 0
-        for t in taus:
-            t2 = _shifted(t, 2.0)
-            for j in range(k + 1):
-                ph = cmath.exp(1j * math.pi * j * j / k)
-                lv, lt = eval_series(ths[j], t2, tol)
-                rv, rt = eval_series(ths[j], t, tol)
-                t_checks.append((idx, abs(lv - ph * rv) + lt + rt))
-                lv, lt = eval_series(dths[j], t2, tol)
-                rv, rt = eval_series(dths[j], t, tol)
-                dt_checks.append((idx, abs(lv - ph * rv) + lt + rt))
-                idx += 1
-        reports.append(_law_report("theta-t2-law", {"k": k}, order, t_checks, tol, started))
-        reports.append(_law_report("dtheta-t2-law", {"k": k}, order, dt_checks, tol, started))
-
+        reports += [
+            law("theta-s-law", {"k": k}, lambda: _s_law(ths, taus, k, False, tol)),
+            law("dtheta-s-law", {"k": k}, lambda: _s_law(dths, taus, k, True, tol)),
+            law("theta-t2-law", {"k": k}, lambda: _t2_law(ths, taus, k, tol)),
+            law("dtheta-t2-law", {"k": k}, lambda: _t2_law(dths, taus, k, tol)),
+        ]
     return reports
 
 
@@ -232,21 +214,3 @@ def ns_space_rank(
     sv = np.linalg.svd(mat, compute_uv=False)
     rank = int(np.sum(sv > 1e-6 * sv[0]))
     return rank, float(sv[-1])
-
-
-def t_map_ratios(
-    m: int, tau: TauPoint, order: RatLike, tol: float | None = None
-) -> dict[str, complex]:
-    """Empirical ratio character(tau+1) / supercharacter(tau) for each
-    module.  The shift by one maps the character span into the
-    supercharacter span module by module; the scalars are reported for
-    inspection and asserted nowhere.
-    """
-    order = Fraction(order)
-    shifted = _shifted(tau, 1.0)
-    out: dict[str, complex] = {}
-    for mod in characters.all_module_ids(m):
-        num, _ = eval_series(characters.sw_char(mod, order), shifted, tol)
-        den, _ = eval_series(characters.sw_superchar_theta(mod, order), tau, tol)
-        out[mod.label] = num / den
-    return out

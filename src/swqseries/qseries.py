@@ -13,7 +13,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 RatLike = Union[int, str, Fraction]
 
@@ -33,6 +33,7 @@ __all__ = [
     "substitute_power",
     "pochhammer",
     "compare",
+    "run_check",
     "compare_report",
 ]
 
@@ -345,17 +346,19 @@ class VerificationReport:
             raise ValueError("status must be 'pass' exactly when there is no mismatch")
 
 
-def compare_report(
+def run_check(
     identity_id: str,
     params: dict[str, object],
-    a: QSeries,
-    b: QSeries,
-    order: RatLike,
-    started: Optional[float] = None,
+    check: Callable[[], tuple[RatLike, Optional[tuple[Fraction, Fraction, Fraction]]]],
 ) -> VerificationReport:
-    """Compare two series and wrap the outcome in a VerificationReport."""
-    t0 = time.perf_counter() if started is None else started
-    mismatch = compare(a, b, order)
+    """Run one identity check and wrap its outcome in a VerificationReport.
+
+    check() builds both sides, compares them and returns (order, first
+    mismatch or None); runtime_ms is the time it takes.  A check may add
+    data it computes to params while it runs.
+    """
+    t0 = time.perf_counter()
+    order, mismatch = check()
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(
         identity_id=identity_id,
@@ -365,3 +368,18 @@ def compare_report(
         first_mismatch=mismatch,
         runtime_ms=runtime_ms,
     )
+
+
+def compare_report(
+    identity_id: str,
+    params: dict[str, object],
+    build: Callable[[], tuple[QSeries, QSeries]],
+    order: RatLike,
+) -> VerificationReport:
+    """Build (lhs, rhs) with build() and compare them up to order."""
+
+    def check():
+        lhs, rhs = build()
+        return order, compare(lhs, rhs, order)
+
+    return run_check(identity_id, params, check)

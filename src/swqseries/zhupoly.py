@@ -8,13 +8,12 @@ the sign recursion that certifies its nonvanishing."""
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import characters
-from .qseries import RatLike, VerificationReport
+from .qseries import RatLike, VerificationReport, run_check
 
 __all__ = [
     "RatPoly",
@@ -149,22 +148,25 @@ def lagrange(points: Sequence[tuple[RatLike, RatLike]]) -> RatPoly:
     return acc
 
 
-def poly_report(
-    identity_id: str, params: dict[str, object], a: RatPoly, b: RatPoly, started: float
-) -> VerificationReport:
-    mismatch = None
+def _first_difference(a: RatPoly, b: RatPoly) -> tuple[Fraction, Fraction, Fraction] | None:
+    """(index, a-coeff, b-coeff) of the lowest differing coefficient."""
     for k in range(max(len(a.coeffs), len(b.coeffs))):
         if a.coeff(k) != b.coeff(k):
-            mismatch = (Fraction(k), a.coeff(k), b.coeff(k))
-            break
-    return VerificationReport(
-        identity_id=identity_id,
-        params=params,
-        order=Fraction(max(a.degree(), b.degree(), 0)),
-        status="pass" if mismatch is None else "fail",
-        first_mismatch=mismatch,
-        runtime_ms=(time.perf_counter() - started) * 1000.0,
-    )
+            return Fraction(k), a.coeff(k), b.coeff(k)
+    return None
+
+
+def poly_report(
+    identity_id: str, params: dict[str, object], build: Callable[[], tuple[RatPoly, RatPoly]]
+) -> VerificationReport:
+    """Build (a, b) with build() and compare them coefficient by
+    coefficient; the report order is the larger degree."""
+
+    def check():
+        a, b = build()
+        return max(a.degree(), b.degree(), 0), _first_difference(a, b)
+
+    return run_check(identity_id, params, check)
 
 
 # -- singlet curve and weight polynomials -------------------------------------
@@ -260,15 +262,21 @@ def verify_phi_identities(m: int) -> list[VerificationReport]:
     if m < 1:
         raise ValueError("m must be positive")
     phi = phi_tilde(m)
-    t0 = time.perf_counter()
-    product = scale(
-        mul(binom_poly(3 * m + 1), binom_poly(3 * m + 1, arg_shift=m)), a_bar_constant(m)
-    )
-    reports = [poly_report("phi-binom-product", {"m": m}, phi, product, t0)]
-    t0 = time.perf_counter()
-    composition = scale(compose(f_m_poly(m), _x_param(m)), b_constant(m))
-    reports.append(poly_report("phi-fm-composition", {"m": m}, phi, composition, t0))
-    return reports
+    return [
+        poly_report(
+            "phi-binom-product",
+            {"m": m},
+            lambda: (
+                phi,
+                scale(mul(binom_poly(3 * m + 1), binom_poly(3 * m + 1, arg_shift=m)), a_bar_constant(m)),
+            ),
+        ),
+        poly_report(
+            "phi-fm-composition",
+            {"m": m},
+            lambda: (phi, scale(compose(f_m_poly(m), _x_param(m)), b_constant(m))),
+        ),
+    ]
 
 
 # -- interpolation polynomial and the sign recursion --------------------------
@@ -332,46 +340,38 @@ def verify_s_properties(m: int) -> VerificationReport:
     for a vanishing interpolant value."""
     if m < 1:
         raise ValueError("m must be positive")
-    t0 = time.perf_counter()
-    params: dict[str, object] = {"m": m}
-    r = r_poly(m)
-    den = _s_denominator(m)
-    r1, den1 = shift_arg(r, -1), shift_arg(den, -1)
-    r2, den2 = shift_arg(r, -2), shift_arg(den, -2)
 
-    lhs_w = mul(poly([m, 1]), mul(poly([2 * m + 1, -1]), poly([2 * m + 1, -1])))
-    mid_w = scale(
-        mul(poly([m + 1, -1]), poly([2 * m * m - 2, 2 * m + 2, -1])), 2
-    )
-    last_w = mul(mul(poly([-1, 1]), poly([-1, 1])), poly([3 * m + 2, -1]))
+    def check():
+        r = r_poly(m)
+        den = _s_denominator(m)
+        r1, den1 = shift_arg(r, -1), shift_arg(den, -1)
+        r2, den2 = shift_arg(r, -2), shift_arg(den, -2)
 
-    lhs = mul(mul(lhs_w, r), mul(den1, den2))
-    rhs = add(
-        mul(mul(mid_w, r1), mul(den, den2)),
-        mul(mul(last_w, r2), mul(den, den1)),
-    )
-
-    def report(mismatch):
-        return VerificationReport(
-            identity_id="s-properties",
-            params=params,
-            order=Fraction(max(lhs.degree(), rhs.degree(), 0)),
-            status="pass" if mismatch is None else "fail",
-            first_mismatch=mismatch,
-            runtime_ms=(time.perf_counter() - t0) * 1000.0,
+        lhs_w = mul(poly([m, 1]), mul(poly([2 * m + 1, -1]), poly([2 * m + 1, -1])))
+        mid_w = scale(
+            mul(poly([m + 1, -1]), poly([2 * m * m - 2, 2 * m + 2, -1])), 2
         )
+        last_w = mul(mul(poly([-1, 1]), poly([-1, 1])), poly([3 * m + 2, -1]))
 
-    for k in range(max(len(lhs.coeffs), len(rhs.coeffs))):
-        if lhs.coeff(k) != rhs.coeff(k):
-            return report((Fraction(k), lhs.coeff(k), rhs.coeff(k)))
-    for t in (0, 1):
-        value = r(t) / den(t)
-        if not value < 0:
-            return report((Fraction(t), value, Fraction(0)))
-    L = interpolation_L(m)
-    cd = characters.central_data(m)
-    for i in range(m + 1):
-        w = cd.h(2 * i + 1, 1)
-        if L(w) == 0:
-            return report((w, Fraction(0), Fraction(0)))
-    return report(None)
+        lhs = mul(mul(lhs_w, r), mul(den1, den2))
+        rhs = add(
+            mul(mul(mid_w, r1), mul(den, den2)),
+            mul(mul(last_w, r2), mul(den, den1)),
+        )
+        order = max(lhs.degree(), rhs.degree(), 0)
+        mismatch = _first_difference(lhs, rhs)
+        if mismatch is not None:
+            return order, mismatch
+        for t in (0, 1):
+            value = r(t) / den(t)
+            if not value < 0:
+                return order, (Fraction(t), value, Fraction(0))
+        L = interpolation_L(m)
+        cd = characters.central_data(m)
+        for i in range(m + 1):
+            w = cd.h(2 * i + 1, 1)
+            if L(w) == 0:
+                return order, (w, Fraction(0), Fraction(0))
+        return order, None
+
+    return run_check("s-properties", {"m": m}, check)

@@ -81,8 +81,7 @@ def test_criterion_05_character_internal_consistency():
             report = qs.compare_report(
                 "acceptance-decomposition",
                 {"m": m, "module": module.label},
-                characters.char_by_decomposition(module, 15),
-                characters.sw_char(module, 15),
+                lambda: (characters.char_by_decomposition(module, 15), characters.sw_char(module, 15)),
                 F(15),
             )
             assert report.status == "pass", (m, module.label, report.first_mismatch)

@@ -210,5 +210,5 @@ class TestSuite:
         wrong = qs.truncate(
             qs.mul(f_over_eta(11), theta(ThetaParams(0, F(3, 2)), 12)), 10
         )
-        rep = qs.compare_report("char-pair-sum", {}, qs.add(lam, pi), wrong, 10)
+        rep = qs.compare_report("char-pair-sum", {}, lambda: (qs.add(lam, pi), wrong), 10)
         assert rep.status == "fail"

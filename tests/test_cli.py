@@ -185,6 +185,42 @@ class TestRun:
         monkeypatch.delenv("SWQ_WORKERS")
         assert seq == collect()
 
+    @pytest.mark.parametrize("failure", [OSError("no processes"), cli.BrokenProcessPool("worker died")])
+    def test_pool_failure_falls_back_and_says_so(self, monkeypatch, capsys, failure):
+        def collect():
+            sink = io.StringIO()
+            cfg = cli.RunConfig(command="verify", m=1, order=F(10))
+            assert cli.run(cfg, sink) == 1
+            return [
+                {k: v for k, v in r.items() if k != "runtime_ms"}
+                for r in json.loads(sink.getvalue())
+            ]
+
+        monkeypatch.setenv("SWQ_WORKERS", "1")
+        seq = collect()
+        assert capsys.readouterr().err == ""
+
+        class BrokenPool:
+            def __init__(self, max_workers):
+                if isinstance(failure, OSError):
+                    raise failure
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                raise failure
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setenv("SWQ_WORKERS", "2")
+        assert collect() == seq
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "process pool failed" in err and "sequentially" in err
+
     def test_bad_workers_env(self, monkeypatch, capsys):
         monkeypatch.setenv("SWQ_WORKERS", "many")
         sink = io.StringIO()
@@ -209,6 +245,12 @@ class TestMain:
     def test_bad_tau_exits_2(self, capsys):
         assert cli.main(["numeric", "--m", "1", "--tau", "0.3-1.1j"]) == 2
         capsys.readouterr()
+
+    def test_documented_tau_form_exits_0(self, capsys):
+        # a point with a leading minus is parenthesized, as the README shows
+        argv = ["numeric", "--m", "1", "--order", "60", "--tol", "1e-8", "--tau", "0.3+1.1j", "(-0.4+0.9j)"]
+        assert cli.main(argv) == 0
+        assert all(r["status"] == "pass" for r in json.loads(capsys.readouterr().out))
 
     def test_unknown_command_exits_2(self, capsys):
         assert cli.main(["frobnicate"]) == 2

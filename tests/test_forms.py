@@ -149,6 +149,6 @@ class TestIdentitySuite:
         bad = qs.add(e, qs.make_series([(F(25, 24), 2)], n))
         f = weber("f", n)
         rhs = qs.mul(qs.mul(qs.mul(bad, e), e), qs.invert(qs.mul(f, f)))
-        rep = qs.compare_report("dtheta-eta-weber-cube", {}, lhs, rhs, 10)
+        rep = qs.compare_report("dtheta-eta-weber-cube", {}, lambda: (lhs, rhs), 10)
         assert rep.status == "fail"
         assert rep.first_mismatch is not None

@@ -83,7 +83,7 @@ class TestConjecture:
 
     def test_extract_Am(self):
         for m in (1, 2, 3):
-            assert gv.extract_Am(m) == math.comb(2 * m, m) ** 2
+            assert gv.gm_value(m, 3 * m + 1) == math.comb(2 * m, m) ** 2
 
 
 class TestModP:

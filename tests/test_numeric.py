@@ -83,9 +83,8 @@ class TestLaws:
             nm.verify_s_t_laws([nm.TauPoint(0.0, 1.0)], 50, 1e-30)
 
     def test_law_report_failure_shape(self):
-        rep = nm._law_report("eta-s-law", {}, F(10), [(0, 1e-12), (1, 2e-9)], 1e-9, 0.0)
-        assert rep.status == "fail"
-        assert rep.first_mismatch == (F(1), F(2e-9), F(1e-9))
+        assert nm._first_over([1e-12, 2e-9], 1e-9) == (F(1), F(2e-9), F(1e-9))
+        assert nm._first_over([1e-12, 5e-10], 1e-9) is None
 
     def test_reports_carry_order_and_runtime(self):
         reports = nm.verify_s_t_laws([nm.TauPoint(0.0, 1.0)], 60, 1e-8)
@@ -116,10 +115,3 @@ class TestRank:
     def test_bad_m_rejected(self):
         with pytest.raises(ValueError):
             nm.ns_space_rank(0, [], 100)
-
-
-class TestTMapRatios:
-    def test_reports_one_ratio_per_module(self):
-        out = nm.t_map_ratios(1, nm.TauPoint(0.3, 1.1), 120)
-        assert sorted(out) == ["lambda:1", "lambda:2", "pi:1"]
-        assert all(abs(v) > 0 and abs(v) < 1e6 for v in out.values())

@@ -187,7 +187,7 @@ def test_report_status_consistency():
     with pytest.raises(ValueError):
         qs.VerificationReport("x", {}, F(5), "fail", None)
     rep = qs.compare_report(
-        "t", {}, qs.one(5), qs.make_series([(0, 1), (2, 1)], 5), 5
+        "t", {}, lambda: (qs.one(5), qs.make_series([(0, 1), (2, 1)], 5)), 5
     )
     assert rep.status == "fail"
     assert rep.first_mismatch == (F(2), F(0), F(1))

@@ -164,7 +164,7 @@ def test_verify_phi_identities(m):
 
 
 def testpoly_report_mismatch():
-    rep = zp.poly_report("x", {}, zp.poly([1, 2]), zp.poly([1, 3]), 0.0)
+    rep = zp.poly_report("x", {}, lambda: (zp.poly([1, 2]), zp.poly([1, 3])))
     assert rep.status == "fail"
     assert rep.first_mismatch == (F(1), F(2), F(3))
 
