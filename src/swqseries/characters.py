@@ -24,6 +24,7 @@ __all__ = [
     "sw_superchar_theta",
     "char_by_decomposition",
     "superchar_leading_shift",
+    "ns_space_exact_rank",
     "verify_character_suite",
 ]
 
@@ -212,6 +213,25 @@ def superchar_leading_shift(module: SWModuleId, order: RatLike = 10) -> Fraction
     sc = sw_superchar_theta(module, order)
     lead, _ = sc.leading()
     return lead - (module_weight(module) - cd.c / 24)
+
+
+def ns_space_exact_rank(m: int, order: RatLike) -> int:
+    """Exact rank of the 2m+1 characters together with the m functions
+    tau (f/eta) dTheta_{j,(2m+1)/2}, j = 1..m.
+
+    All exponents lie in (1/D)Z for one D, so F + tau G = 0 with F a
+    combination of characters and G one of the products gives, under
+    tau -> tau + D, D G = 0; hence G = 0 and F = 0, and the rank is the
+    rank of the characters plus the rank of the products.  Multiplying
+    by the invertible series f/eta keeps linear (in)dependence, so these
+    are the ranks of the theta combinations of the characters and of
+    the dTheta_{j,(2m+1)/2}, each certified on a prefix of exponents.
+    """
+    order_f = Fraction(order)
+    combos = [_char_combo(module, order_f) for module in all_module_ids(m)]
+    k = Fraction(2 * m + 1, 2)
+    dthetas = [forms.dtheta(ThetaParams(j, k), order_f) for j in range(1, m + 1)]
+    return qs.prefix_rank(combos) + qs.prefix_rank(dthetas)
 
 
 def _integrality(s: QSeries) -> tuple[Fraction, tuple[Fraction, Fraction, Fraction] | None]:

@@ -124,7 +124,9 @@ def _rank_report(m: int, order: Fraction, tol: float) -> VerificationReport:
     params: dict[str, object] = {"m": m}
 
     def check():
-        rank, smallest = numeric.ns_space_rank(m, _rank_taus(n), order, tol)
+        # the exact rank decides; the SVD's smallest value is reported as data
+        _, smallest = numeric.ns_space_rank(m, _rank_taus(n), order, tol)
+        rank = characters.ns_space_exact_rank(m, order)
         params.update(rank=rank, min_singular=float(f"{smallest:.6g}"))
         return order, None if rank == n else (Fraction(0), Fraction(rank), Fraction(n))
 
@@ -169,6 +171,9 @@ def _suite_reports(task: tuple) -> list[VerificationReport]:
 def _worker_count() -> int:
     env = os.environ.get("SWQ_WORKERS")
     if env is None:
+        # the CPUs this process may run on, not every CPU of the host
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         n = int(env)

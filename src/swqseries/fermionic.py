@@ -7,7 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from itertools import accumulate
+from math import floor, lcm
 
 from . import characters, forms, qseries as qs
 from .characters import SWModuleId
@@ -136,53 +137,56 @@ def _multi_sum(
     den = lcm(s, *[x.denominator for row in Q for x in row],
               *[x.denominator for x in lin], const.denominator)
     ustep = den // s
-    tail = [Fraction(0)] * (p + 1)
+    # exponents as integer numerators over den from here on
+    Qn = [[int(x * den) for x in row] for row in Q]
+    pair = [[Qn[d][i] + Qn[i][d] for i in range(p)] for d in range(p)]
+    tail = [0] * (p + 1)
     for i in range(p - 1, -1, -1):
-        tail[i] = tail[i + 1] + _one_d_min(Q[i][i], lin[i])
-    e_min = const + tail[0]
-    u_order = max(0, int((order - e_min) * s))
+        tail[i] = tail[i + 1] + int(_one_d_min(Q[i][i], lin[i]) * den)
+    top = floor(order * den)
+    u_order = max(0, (top - int(const * den) - tail[0]) // ustep)
 
     acc: dict[int, int] = {}
 
-    def leaf(e: Fraction, prod: list[int]) -> None:
-        a_max = int((order - e) * s)
-        e_num = int(e * den)
-        for a in range(a_max + 1):
+    def leaf(e: int, prod: list[int]) -> None:
+        for a in range((top - e) // ustep + 1):
             c = prod[a]
             if c:
-                key = e_num + a * ustep
+                key = e + a * ustep
                 acc[key] = acc.get(key, 0) + c
 
-    def rec(d: int, e_base: Fraction, cross: list[Fraction], prod: list[int], par: int) -> None:
+    def rec(d: int, e_base: int, cross: list[int], prod: list[int], par: int) -> None:
         if d == p:
             if parity is None or par == parity:
                 leaf(e_base, prod)
             return
-        qdd = Q[d][d]
+        qdd = Qn[d][d]
         cd = cross[d]
+        row = pair[d]
         in_pair = d >= p - 2
         v = 0
         cur = prod
         prev_e = None
         while True:
             e_v = e_base + qdd * v * v + cd * v
-            if e_v + tail[d + 1] > order:
+            if e_v + tail[d + 1] > top:
                 if prev_e is None:
                     if cd >= 0:
                         break
                 elif e_v >= prev_e:
                     break
             else:
-                nxt = [cross[i] + (Q[d][i] + Q[i][d]) * v for i in range(p)]
+                nxt = [c + r * v for c, r in zip(cross, row)]
                 rec(d + 1, e_v, nxt, cur, (par + v) % 2 if in_pair else par)
             prev_e = e_v
             v += 1
             if cur is prod:
                 cur = prod[:]
-            for a in range(v, u_order + 1):
-                cur[a] += cur[a - v]
+            # divide by (1 - u^v): a running sum along each residue class mod v
+            for r in range(min(v, u_order + 1)):
+                cur[r::v] = accumulate(cur[r::v])
 
-    rec(0, const, list(lin), [1] + [0] * u_order, 0)
+    rec(0, int(const * den), [int(x * den) for x in lin], [1] + [0] * u_order, 0)
     return qs._normalized(den, {k: Fraction(v) for k, v in acc.items()}, order)
 
 

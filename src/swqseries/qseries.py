@@ -32,6 +32,7 @@ __all__ = [
     "invert",
     "substitute_power",
     "pochhammer",
+    "prefix_rank",
     "compare",
     "run_check",
     "compare_report",
@@ -155,7 +156,7 @@ def add(a: QSeries, b: QSeries) -> QSeries:
     """Sum, truncated to the smaller guarantee."""
     order = min(a.order, b.order)
     d, ca, cb = _on_common_grid(a, b)
-    limit = order * d
+    limit = math.floor(order * d)
     out = {k: v for k, v in ca.items() if k <= limit}
     for k, v in cb.items():
         if k <= limit:
@@ -188,7 +189,7 @@ def truncate(a: QSeries, order: RatLike) -> QSeries:
     order_f = Fraction(order)
     if order_f > a.order:
         raise ValueError(f"cannot raise order {a.order} to {order_f}")
-    limit = order_f * a.denom
+    limit = math.floor(order_f * a.denom)
     return _normalized(a.denom, {k: v for k, v in a.coeffs.items() if k <= limit}, order_f)
 
 
@@ -198,7 +199,13 @@ def truncate(a: QSeries, order: RatLike) -> QSeries:
 def mul(a: QSeries, b: QSeries) -> QSeries:
     """Product. Order: min(a.order + lead(b), b.order + lead(a)),
     where a zero factor counts as lead = +infinity; the result is then
-    the zero series at order zero.order + lead(other)."""
+    the zero series at order zero.order + lead(other).
+
+    Kronecker substitution: both operands go on their common exponent
+    grid, have their denominators cleared into one integer content each
+    and are packed into one big integer each; a single integer product
+    carries every coefficient of the truncated product as one signed
+    digit."""
     if a.is_zero() and b.is_zero():
         return QSeries(1, {}, a.order + b.order)
     if a.is_zero():
@@ -208,19 +215,58 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
     ea, eb = a.leading()[0], b.leading()[0]
     order = min(a.order + eb, b.order + ea)
     d, ca, cb = _on_common_grid(a, b)
-    limit = order * d
-    ia = sorted(ca.items())
-    ib = sorted(cb.items())
+    ka, kb = min(ca), min(cb)
+    stride = math.gcd(*(k - ka for k in ca), *(k - kb for k in cb)) or 1
+    base = ka + kb
+    n_out = (order * d - base) // stride + 1
+    if n_out <= 0:
+        return _normalized(d, {}, order)
+    da, va = _dense_ints(ca, ka, stride, n_out)
+    db, vb = _dense_ints(cb, kb, stride, n_out)
+    n_out = min(n_out, len(va) + len(vb) - 1)
+    bits = (
+        max(map(abs, va)).bit_length()
+        + max(map(abs, vb)).bit_length()
+        + min(len(ca), len(cb)).bit_length()
+        + 2
+    )
+    width = (bits + 7) // 8
+    half = 1 << (8 * width - 1)
+    # Biasing every digit by half makes it nonnegative, so the low
+    # n_out digits of the biased product are exactly its bytes.
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n_out, "little")
+    low = (_pack(va, width) * _pack(vb, width) + bias) & ((1 << (8 * width * n_out)) - 1)
+    buf = low.to_bytes(width * n_out, "little")
+    content = da * db
     out: dict[int, Fraction] = {}
-    for ka, va in ia:
-        if ka + ib[0][0] > limit:
-            break
-        for kb, vb in ib:
-            k = ka + kb
-            if k > limit:
-                break
-            out[k] = out.get(k, Fraction(0)) + va * vb
+    for n in range(n_out):
+        c = int.from_bytes(buf[n * width : (n + 1) * width], "little") - half
+        if c:
+            out[base + n * stride] = Fraction(c, content) if content != 1 else Fraction(c)
     return _normalized(d, out, order)
+
+
+def _dense_ints(coeffs: dict[int, Fraction], base: int, stride: int, length: int) -> tuple[int, list[int]]:
+    """(content, v) with coeffs[base + stride*i] = v[i] / content for
+    every i below length; v stops at the last term it holds."""
+    content = math.lcm(*(c.denominator for c in coeffs.values()))
+    top = (max(coeffs) - base) // stride + 1
+    v = [0] * min(length, top)
+    for k, c in coeffs.items():
+        i = (k - base) // stride
+        if i < length:
+            v[i] = c.numerator * (content // c.denominator)
+    return content, v
+
+
+def _pack(v: list[int], width: int) -> int:
+    """sum v[i] * 256^(width*i) for |v[i]| < 2^(8*width - 1)."""
+    zero = bytes(width)
+    pos = int.from_bytes(b"".join(x.to_bytes(width, "little") if x > 0 else zero for x in v), "little")
+    if min(v) >= 0:
+        return pos
+    neg = int.from_bytes(b"".join((-x).to_bytes(width, "little") if x < 0 else zero for x in v), "little")
+    return pos - neg
 
 
 def invert(a: QSeries) -> QSeries:
@@ -231,21 +277,27 @@ def invert(a: QSeries) -> QSeries:
     order = a.order - 2 * e0
     d = a.denom
     k0 = min(a.coeffs)
-    # monic tail: a = c0 q^{e0} (1 + sum t_k q^{k/d}),  solve (1+t) * s = 1
-    t = sorted((k - k0, v / c0) for k, v in a.coeffs.items() if k != k0)
     n_max = int((order + e0) * d)
-    s: dict[int, Fraction] = {0: Fraction(1)}
+    # monic tail: a = c0 q^{e0} (1 + sum t_k q^{k/d}),  solve (1+t) * s = 1;
+    # an integral t_k is kept as an int, so s stays integral with it
+    inv_c0 = 1 / Fraction(c0)
+    t = []
+    for k, v in sorted(a.coeffs.items()):
+        if 0 < k - k0 <= n_max:
+            tk = v * inv_c0
+            t.append((k - k0, tk.numerator if tk.denominator == 1 else tk))
+    s = [1] + [0] * max(n_max, 0)
     for n in range(1, n_max + 1):
-        acc = Fraction(0)
+        acc = 0
         for k, v in t:
             if k > n:
                 break
-            prev = s.get(n - k)
-            if prev is not None:
-                acc += v * prev
-        if acc:
-            s[n] = -acc
-    coeffs = {k - k0: v / c0 for k, v in s.items()}
+            acc += v * s[n - k]
+        s[n] = -acc
+    if inv_c0 == 1:
+        coeffs = {n - k0: Fraction(c) for n, c in enumerate(s) if c}
+    else:
+        coeffs = {n - k0: c * inv_c0 for n, c in enumerate(s) if c}
     return _normalized(d, coeffs, order)
 
 
@@ -286,23 +338,48 @@ def pochhammer(
     elif step_f < 0 and count > 1:
         raise ValueError("step must be nonnegative for finite products")
     d = math.lcm(start_f.denominator, step_f.denominator)
-    limit = order_f * d
-    out: dict[int, Fraction] = {0: Fraction(1)}
-    sgn = Fraction(sign)
-    for n in range(count):
-        ke = int((start_f + n * step_f) * d)
-        if ke > limit:
-            continue
-        extra: dict[int, Fraction] = {}
-        for k, v in out.items():
-            if k + ke <= limit:
-                extra[k + ke] = v * sgn
-        for k, v in extra.items():
-            out[k] = out.get(k, Fraction(0)) + v
-    return _normalized(d, out, order_f)
+    top = math.floor(order_f * d)
+    # dense coefficients of q^{k/d}, k = 0..top, updated in place per factor
+    out = [1] + [0] * max(top, 0)
+    ke, ke_step = int(start_f * d), int(step_f * d)
+    for _ in range(count):
+        if ke > top:
+            break
+        if sign > 0:
+            out[ke:] = [x + y for x, y in zip(out[ke:], out)]
+        else:
+            out[ke:] = [x - y for x, y in zip(out[ke:], out)]
+        ke += ke_step
+    return _normalized(d, {k: Fraction(c) for k, c in enumerate(out) if c}, order_f)
 
 
 # -- comparison and reporting ------------------------------------------------
+
+
+def prefix_rank(columns: list[QSeries]) -> int:
+    """Rank of the coefficient vectors of the given series, by exact
+    elimination over exponent rows taken in increasing order up to the
+    smallest guaranteed order.  Elimination stops once the rank equals
+    the number of series: full rank on a prefix of the rows already
+    certifies that the series are linearly independent."""
+    if not columns:
+        return 0
+    d = math.lcm(*(s.denom for s in columns))
+    grid = [{k * (d // s.denom): v for k, v in s.coeffs.items()} for s in columns]
+    limit = math.floor(min(s.order for s in columns) * d)
+    basis: list[tuple[int, list[Fraction]]] = []  # (pivot, row with 1 at pivot)
+    for key in sorted({k for c in grid for k in c if k <= limit}):
+        row = [c.get(key, Fraction(0)) for c in grid]
+        for pivot, b in basis:
+            f = row[pivot]
+            if f:
+                row = [x - f * y for x, y in zip(row, b)]
+        pivot = next((i for i, x in enumerate(row) if x), None)
+        if pivot is not None:
+            basis.append((pivot, [x / row[pivot] for x in row]))
+            if len(basis) == len(columns):
+                break
+    return len(basis)
 
 
 def compare(
@@ -319,7 +396,7 @@ def compare(
             f"order {order_f} exceeds the guaranteed truncation {guarantee}"
         )
     d, ca, cb = _on_common_grid(a, b)
-    limit = order_f * d
+    limit = math.floor(order_f * d)
     for k in sorted(set(ca) | set(cb)):
         if k > limit:
             break

@@ -1,11 +1,18 @@
 """The names the benchmark's tracer wraps and reads must exist in the
-package: a rename that breaks the traced benchmark run fails here."""
+package, and a traced run must see the kernels do their work: a rename
+or a rebinding that breaks the traced benchmark run fails here."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "swqbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "swqbench" / "tracer.py"
 
 
 def _tracer():
@@ -34,3 +41,34 @@ def test_traced_caches_report_statistics():
             if not callable(getattr(fn, "cache_info", None)):
                 missing.append(full)
     assert missing == []
+
+
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, SWQ_WORKERS="1", PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+
+def _without_runtime(stdout: str) -> list[dict]:
+    return [{k: v for k, v in r.items() if k != "runtime_ms"} for r in json.loads(stdout)]
+
+
+def test_traced_run_matches_plain_run_and_reaches_every_kernel(tmp_path):
+    # A kernel bound to another name before the tracer wraps it (say
+    # `from .qseries import mul` in a module the package imports
+    # eagerly, or an alias inside qseries) escapes the wrappers and
+    # reads as zero work; the traced run must see every kernel and both
+    # Pochhammer caches.
+    args = ["verify", "--suite", "all", "--m", "1", "--order", "12"]
+    out = tmp_path / "spans.jsonl"
+    traced = _python(str(TRACER), "--out", str(out), "--", *args)
+    plain = _python("-m", "swqseries.cli", *args)
+    assert traced.returncode == plain.returncode
+    assert _without_runtime(traced.stdout) == _without_runtime(plain.stdout)
+
+    trace = _tracer().read_trace(out)
+    names = Counter(span["name"] for span in trace["spans"])
+    for name in ("qseries.mul", "qseries.invert", "qseries.pochhammer", "fermionic._multi_sum"):
+        assert names[name] > 0, name
+    for name in ("fermionic._finite_poch", "fermionic._finite_poch_inv"):
+        hits, misses = trace["caches"][name]
+        assert hits + misses > 0, name

@@ -221,11 +221,60 @@ class TestRun:
         assert err.count("\n") == 1
         assert "process pool failed" in err and "sequentially" in err
 
+    def test_default_workers_follow_affinity_mask(self, monkeypatch):
+        class NoPool:
+            def __init__(self, max_workers):
+                raise AssertionError("a pool was created on one CPU")
+
+        monkeypatch.delenv("SWQ_WORKERS", raising=False)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+        assert cli._worker_count() == 1
+        assert cli.run(cli.RunConfig(command="verify", m=1, order=F(10)), io.StringIO()) == 1
+        monkeypatch.setenv("SWQ_WORKERS", "3")
+        assert cli._worker_count() == 3
+
+    def test_default_workers_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("SWQ_WORKERS", raising=False)
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        assert cli._worker_count() == 3
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._worker_count() == 1
+
     def test_bad_workers_env(self, monkeypatch, capsys):
         monkeypatch.setenv("SWQ_WORKERS", "many")
         sink = io.StringIO()
         assert cli.run(cli.RunConfig(command="verify", suite="gm"), sink) == 2
         assert "SWQ_WORKERS" in capsys.readouterr().err
+
+
+class TestRankReport:
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_numeric_exits_0_with_full_rank(self, capsys, m):
+        assert cli.main(["numeric", "--m", str(m)]) == 0
+        (rank,) = [r for r in json.loads(capsys.readouterr().out) if r["identity_id"] == "ns-space-rank"]
+        assert rank["status"] == "pass"
+        assert rank["order"] == "300"
+        assert rank["params"]["rank"] == 3 * m + 1
+        assert rank["params"]["min_singular"] > 0
+
+    def test_duplicated_character_column_fails(self, monkeypatch):
+        combo = characters._char_combo
+
+        def duplicated(module, order):
+            # pi:1 gets the theta combination, hence the character, of lambda:1
+            if module.kind == "pi" and module.index == 1:
+                module = characters.SWModuleId(module.m, "lambda", 1)
+            return combo(module, order)
+
+        monkeypatch.setattr(characters, "_char_combo", duplicated)
+        rep = cli._rank_report(2, F(60), 1e-8)
+        assert rep.status == "fail"
+        assert rep.params["rank"] == 6
+        assert rep.first_mismatch == (F(0), F(6), F(7))
+        assert rep.order == 60
 
 
 class TestMain:

@@ -4,6 +4,7 @@ character forms, and the auxiliary identities."""
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -117,6 +118,91 @@ def _naive_multi_sum(
                 term = qs.mul(term, _inv_poch_u(v, s, big))
         total = qs.add(total, qs.shift(qs.truncate(term, order - e), e))
     return total
+
+
+def _fraction_multi_sum(
+    Q: tuple[tuple[Fraction, ...], ...],
+    lin: list[Fraction],
+    const: Fraction,
+    parity: int | None,
+    order: Fraction,
+    s: int,
+) -> qs.QSeries:
+    """The enumerator as it was with Fraction exponents: the integer
+    enumerator must reproduce its output exactly."""
+    p = len(Q)
+    for row in Q:
+        for x in row:
+            if x < 0:
+                raise ValueError("enumerator requires elementwise nonnegative Q")
+
+    den = lcm(s, *[x.denominator for row in Q for x in row],
+              *[x.denominator for x in lin], const.denominator)
+    ustep = den // s
+    tail = [Fraction(0)] * (p + 1)
+    for i in range(p - 1, -1, -1):
+        tail[i] = tail[i + 1] + fm._one_d_min(Q[i][i], lin[i])
+    e_min = const + tail[0]
+    u_order = max(0, int((order - e_min) * s))
+
+    acc: dict[int, int] = {}
+
+    def leaf(e: Fraction, prod: list[int]) -> None:
+        a_max = int((order - e) * s)
+        e_num = int(e * den)
+        for a in range(a_max + 1):
+            c = prod[a]
+            if c:
+                key = e_num + a * ustep
+                acc[key] = acc.get(key, 0) + c
+
+    def rec(d: int, e_base: Fraction, cross: list[Fraction], prod: list[int], par: int) -> None:
+        if d == p:
+            if parity is None or par == parity:
+                leaf(e_base, prod)
+            return
+        qdd = Q[d][d]
+        cd = cross[d]
+        in_pair = d >= p - 2
+        v = 0
+        cur = prod
+        prev_e = None
+        while True:
+            e_v = e_base + qdd * v * v + cd * v
+            if e_v + tail[d + 1] > order:
+                if prev_e is None:
+                    if cd >= 0:
+                        break
+                elif e_v >= prev_e:
+                    break
+            else:
+                nxt = [cross[i] + (Q[d][i] + Q[i][d]) * v for i in range(p)]
+                rec(d + 1, e_v, nxt, cur, (par + v) % 2 if in_pair else par)
+            prev_e = e_v
+            v += 1
+            if cur is prod:
+                cur = prod[:]
+            for a in range(v, u_order + 1):
+                cur[a] += cur[a - v]
+
+    rec(0, const, list(lin), [1] + [0] * u_order, 0)
+    return qs._normalized(den, {k: Fraction(v) for k, v in acc.items()}, order)
+
+
+@pytest.mark.parametrize("order", [F(61, 2), F(77, 3)])
+@pytest.mark.parametrize("parity", [0, 1, None])
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("p", [3, 5])
+def test_enumerator_matches_fraction_enumerator(p, s, parity, order):
+    # variant 1 at lam = p has a negative linear coefficient; variant 2
+    # at lam = 1 shifts the chain coordinates
+    for spec in (fm.FermionicSumSpec(p, p, 1, 1, 1), fm.FermionicSumSpec(p, 1, 0, 2, 0)):
+        B, lin, const = fm._warnaar_data(spec)
+        Q = B if s == 1 else tuple(tuple(x / 2 for x in row) for row in B)
+        got = fm._multi_sum(Q, lin, const, parity, order, s)
+        want = _fraction_multi_sum(Q, lin, const, parity, order, s)
+        assert (got.denom, got.order) == (want.denom, want.order)
+        assert got.coeffs == want.coeffs
 
 
 @settings(max_examples=25, deadline=None)
