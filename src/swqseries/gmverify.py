@@ -30,39 +30,60 @@ def _binom(a: int, b: int) -> int:
 
 
 def gm_value(m: int, t: int) -> Fraction:
-    """Exact value of the quadruple sum at integer t."""
+    """Exact value of the quadruple sum at integer t.
+
+    The summand depends on its outer indices l and i only through
+    (-1)^l binom(p,l) and d = l - i, with p = 2m+1, so the sum over l
+    is done in closed form:
+    W_d = sum_{l=d}^{p} (-1)^l binom(p,l) = (-1)^d binom(p-1,d-1), and
+
+    G = sum_{d=1}^{p} W_d sum_{j<=p-d, k<d} a_j a_k binom(t,p-d-j)
+        binom(t,d-1-k) binom(2m-t,j+k+p)
+
+    with a_j = (-1)^j binom(-p,j) = binom(p+j-1,j).  The three binomial
+    rows are built once, so the sum costs O(p^3) integer products."""
     if m < 1:
         raise ValueError("m must be positive")
     p = 2 * m + 1
+    a = [math.comb(p + j - 1, j) for j in range(p)]
+    ct = [_binom(t, n) for n in range(p)]
+    cs = [_binom(2 * m - t, n + p) for n in range(p)]
     total = 0
-    for l in range(1, p + 1):
-        cl = math.comb(p, l)
-        for i in range(l):
-            for j in range(p + i - l + 1):
-                cj = _binom(-p, j)
-                for k in range(l - i):
-                    term = (
-                        cl
-                        * cj
-                        * _binom(-p, k)
-                        * _binom(2 * m - t, j + k + p)
-                        * _binom(t, i - j - l + p)
-                        * _binom(t, l - k - 1 - i)
-                    )
-                    if (j + k + l) % 2:
-                        total -= term
-                    else:
-                        total += term
+    for d in range(1, p + 1):
+        v = [a[k] * ct[d - 1 - k] for k in range(d)]
+        inner = 0
+        for j in range(p - d + 1):
+            u = a[j] * ct[p - d - j]
+            if u:
+                inner += u * sum(x * y for x, y in zip(v, cs[j:]))
+        total += (-1) ** d * math.comb(p - 1, d - 1) * inner
     return Fraction(total)
 
 
 def gm_poly(m: int) -> RatPoly:
     """The unique polynomial of degree at most 4m+1 through the values
-    at t = 0..4m+1, consistency-checked at t = 4m+2 and 4m+3."""
+    at t = 0..4m+1, consistency-checked at t = 4m+2 and 4m+3.
+
+    With n = 4m+1 and the forward differences D_k of the values at 0,
+    g(t) = sum_k D_k binom(t,k), so n! g(t) = sum_k D_k (n!/k!) t(t-1)...(t-k+1);
+    that integer polynomial is expanded in Newton-Horner form."""
     if m < 1:
         raise ValueError("m must be positive")
-    points = [(Fraction(t), gm_value(m, t)) for t in range(4 * m + 2)]
-    g = zp.lagrange(points)
+    n = 4 * m + 1
+    diffs = []
+    row = [gm_value(m, t).numerator for t in range(n + 1)]
+    while row:
+        diffs.append(row[0])
+        row = [y - x for x, y in zip(row, row[1:])]
+    # acc holds sum_{j>=k} D_j (n!/j!) (t-k)(t-k-1)...(t-j+1), lowest degree first
+    acc = [diffs[n]]
+    scale_k = 1
+    for k in range(n - 1, -1, -1):
+        scale_k *= k + 1
+        acc.append(0)
+        acc[1:] = [x - k * y for x, y in zip(acc, acc[1:])]
+        acc[0] = diffs[k] * scale_k - k * acc[0]
+    g = zp.poly([Fraction(c, scale_k) for c in acc])
     for t in (4 * m + 2, 4 * m + 3):
         if g(t) != gm_value(m, t):
             raise RuntimeError(f"degree bound violated at t = {t} for m = {m}")

@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import characters, forms
 from . import qseries as qs
 from .forms import ThetaParams
@@ -193,6 +191,8 @@ def ns_space_rank(
     j = 1..m, at 3m+1 distinct points.  Rank counts singular values
     above 1e-6 times the largest; the smallest is returned alongside.
     """
+    import numpy as np  # only the SVD needs it; every other command skips the import
+
     if m < 1:
         raise ValueError("m must be positive")
     n = 3 * m + 1

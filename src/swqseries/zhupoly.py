@@ -96,13 +96,31 @@ def scale(a: RatPoly, c: RatLike) -> RatPoly:
 
 
 def mul(a: RatPoly, b: RatPoly) -> RatPoly:
+    """Product: each operand's denominators are cleared into one integer
+    content, the integer vectors are convolved, and only the output
+    coefficients become Fractions again."""
     if a.is_zero() or b.is_zero():
         return poly([])
-    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
-            out[i + j] += x * y
-    return poly(out)
+    da, va = _clear_denominators(a)
+    db, vb = _clear_denominators(b)
+    out = [0] * (len(va) + len(vb) - 1)
+    for i, x in enumerate(va):
+        if x:
+            out[i : i + len(vb)] = [z + x * y for z, y in zip(out[i : i + len(vb)], vb)]
+    return _over(out, da * db)
+
+
+def _clear_denominators(a: RatPoly) -> tuple[int, list[int]]:
+    """(content, v) with a.coeffs[i] = v[i] / content."""
+    content = math.lcm(*(c.denominator for c in a.coeffs))
+    return content, [c.numerator * (content // c.denominator) for c in a.coeffs]
+
+
+def _over(v: list[int], content: int) -> RatPoly:
+    """The polynomial sum v[i] t^i / content, for v with a nonzero last entry."""
+    if content == 1:
+        return RatPoly(tuple(map(Fraction, v)))
+    return RatPoly(tuple(Fraction(c, content) for c in v))
 
 
 def compose(a: RatPoly, b: RatPoly) -> RatPoly:
@@ -119,11 +137,19 @@ def shift_arg(a: RatPoly, c: RatLike) -> RatPoly:
 
 
 def from_roots(roots: Sequence[RatLike]) -> RatPoly:
-    """Monic polynomial with the given roots (with multiplicity)."""
-    acc = poly([1])
+    """Monic polynomial with the given roots (with multiplicity): one
+    integer vector is multiplied in place by den*t - num for each root
+    num/den, and the product of the den is the content."""
+    acc = [1]
+    content = 1
     for r in roots:
-        acc = mul(acc, poly([-Fraction(r), 1]))
-    return acc
+        r = Fraction(r)
+        num, den = r.numerator, r.denominator
+        acc.append(0)
+        acc[1:] = [den * x - num * y for x, y in zip(acc, acc[1:])]
+        acc[0] *= -num
+        content *= den
+    return _over(acc, content)
 
 
 def binom_poly(r: int, arg_shift: RatLike = 0) -> RatPoly:

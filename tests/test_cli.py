@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import swqseries
 from swqseries import characters, cli
 from swqseries.qseries import VerificationReport
 
@@ -318,3 +322,25 @@ class TestMain:
         assert cli.main(["char", "--m", "1", "--module", "lambda:2", "--order", "4", "--format", "csv"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("exponent,coefficient\n")
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from swqseries import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in (["--help"], ["gm", "--m", "1"], ["zhu", "--m", "1"])]
+    before = "numpy" in sys.modules
+    codes.append(cli.main(["numeric", "--m", "1"]))
+print(json.dumps([codes, before, "numpy" in sys.modules]))
+"""
+
+
+def test_numpy_imported_only_by_numeric():
+    src = os.path.dirname(os.path.dirname(swqseries.__file__))
+    env = dict(os.environ, SWQ_WORKERS="1", PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    # every command exits 0, and only numeric pulls numpy in
+    assert json.loads(out) == [[0, 0, 0, 0], False, True]

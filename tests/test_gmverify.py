@@ -11,6 +11,32 @@ from swqseries import zhupoly as zp
 F = Fraction
 
 
+def _naive_gm_value(m, t):
+    """The quadruple sum term by term, straight from its definition: the
+    oracle for gm_value, which sums over l in closed form."""
+    p = 2 * m + 1
+    total = 0
+    for l in range(1, p + 1):
+        cl = math.comb(p, l)
+        for i in range(l):
+            for j in range(p + i - l + 1):
+                cj = gv._binom(-p, j)
+                for k in range(l - i):
+                    term = (
+                        cl
+                        * cj
+                        * gv._binom(-p, k)
+                        * gv._binom(2 * m - t, j + k + p)
+                        * gv._binom(t, i - j - l + p)
+                        * gv._binom(t, l - k - 1 - i)
+                    )
+                    if (j + k + l) % 2:
+                        total -= term
+                    else:
+                        total += term
+    return Fraction(total)
+
+
 class TestBinomHelper:
     def test_negative_lower_index_is_zero(self):
         assert gv._binom(5, -1) == 0
@@ -50,6 +76,18 @@ class TestGmValue:
         with pytest.raises(ValueError):
             gv.gm_value(0, 3)
 
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_matches_naive_sum(self, m):
+        # t < 0 and t > 2m give binomial rows with a negative top
+        for t in range(-4, 4 * m + 7):
+            assert gv.gm_value(m, t) == _naive_gm_value(m, t), t
+
+    def test_sum_over_l_closed_form(self):
+        for p in range(1, 16):
+            for d in range(1, p + 1):
+                w = sum((-1) ** l * math.comb(p, l) for l in range(d, p + 1))
+                assert w == (-1) ** d * math.comb(p - 1, d - 1)
+
 
 class TestGmPoly:
     def test_m1_closed_form(self):
@@ -70,6 +108,15 @@ class TestGmPoly:
         with pytest.raises(ValueError):
             gv.gm_poly(0)
 
+    @pytest.mark.parametrize("offset", [2, 3])
+    def test_degree_bound_violation_raises(self, monkeypatch, offset):
+        m = 2
+        bad = 4 * m + offset
+        exact = gv.gm_value
+        monkeypatch.setattr(gv, "gm_value", lambda m, t: exact(m, t) + (t == bad))
+        with pytest.raises(RuntimeError, match=f"degree bound violated at t = {bad} for m = 2"):
+            gv.gm_poly(m)
+
 
 class TestConjecture:
     def test_small_m_pass(self):
@@ -80,6 +127,17 @@ class TestConjecture:
             assert rep.status == "pass"
             assert rep.first_mismatch is None
             assert rep.order == F(4 * m + 1)
+
+    def test_perturbed_closed_form_mismatch(self, monkeypatch):
+        # closed side binom(t+m+1, 4m+1) in place of binom(t+m, 4m+1)
+        exact = zp.binom_poly
+        monkeypatch.setattr(
+            zp, "binom_poly", lambda r, arg_shift=0: exact(r, arg_shift=arg_shift + 1)
+        )
+        rep = gv.verify_gm_conjecture(2)
+        assert rep.status == "fail"
+        assert rep.order == F(9)
+        assert rep.first_mismatch == (F(1), F(1, 7), F(-1, 14))
 
     def test_extract_Am(self):
         for m in (1, 2, 3):

@@ -4,11 +4,51 @@ identities, and the interpolation/sign suite."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from swqseries import characters as ch
+from swqseries import gmverify as gv
 from swqseries import zhupoly as zp
 
 F = Fraction
+
+
+# -- Fraction oracles for the integer kernels ---------------------------------
+
+
+def _fraction_mul(a, b):
+    if a.is_zero() or b.is_zero():
+        return zp.poly([])
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return zp.poly(out)
+
+
+def _fraction_from_roots(roots):
+    acc = zp.poly([1])
+    for r in roots:
+        acc = _fraction_mul(acc, zp.poly([-Fraction(r), 1]))
+    return acc
+
+
+def _fraction_lagrange(points):
+    xs = [Fraction(x) for x, _ in points]
+    acc = zp.poly([])
+    for i, (_, y) in enumerate(points):
+        num = _fraction_from_roots([x for j, x in enumerate(xs) if j != i])
+        acc = zp.add(acc, zp.scale(num, Fraction(y) / num(xs[i])))
+    return acc
+
+
+# denominators mix small ones, coprime and shared ones, and ones above 2^64
+rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([1, 2, 3, 6, 7, 49, 2**64 + 13, 3**41, 10**30]),
+)
+polys = st.lists(rationals, max_size=9).map(zp.poly)
 
 
 # -- polynomial arithmetic ----------------------------------------------------
@@ -47,6 +87,43 @@ def test_from_roots():
     p = zp.from_roots([1, -1])
     assert p.coeffs == (F(-1), F(0), F(1))
     assert p(1) == 0 and p(-1) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, polys)
+@example(zp.poly([]), zp.poly([F(1, 3), 2]))
+@example(zp.poly([F(5, 2**64 + 13)]), zp.poly([F(-7, 3**41)]))
+@example(zp.poly([F(1, 6), 0, F(-1, 10**30)]), zp.poly([0, F(2**69, 7)]))
+def test_mul_matches_fraction_kernel(a, b):
+    assert zp.mul(a, b) == _fraction_mul(a, b)
+    assert zp.mul(b, a) == _fraction_mul(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(rationals, max_size=8))
+@example([])
+@example([0, 0, F(1, 2**64 + 13), F(-1, 2**64 + 13), F(5, 3)])
+def test_from_roots_matches_fraction_kernel(roots):
+    got = zp.from_roots(roots)
+    assert got == _fraction_from_roots(roots)
+    assert got.coeff(len(roots)) == 1
+    for r in roots:
+        assert got(r) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(rationals, rationals), max_size=6, unique_by=lambda xy: xy[0]))
+@example([])
+@example([(F(1, 3), 0)])
+@example([(F(-1, 2**64 + 13), F(1, 3**41)), (F(0), F(2)), (F(7, 6), F(-5, 49))])
+def test_lagrange_matches_fraction_kernel(points):
+    assert zp.lagrange(points) == _fraction_lagrange(points)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_gm_poly_matches_lagrange(m):
+    points = [(t, gv.gm_value(m, t)) for t in range(4 * m + 2)]
+    assert gv.gm_poly(m) == _fraction_lagrange(points)
 
 
 def test_binom_poly():
