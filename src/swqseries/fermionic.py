@@ -146,14 +146,15 @@ def _multi_sum(
     top = floor(order * den)
     u_order = max(0, (top - int(const * den) - tail[0]) // ustep)
 
-    acc: dict[int, int] = {}
+    # every exponent reached lies in [lo, top]: acc[i] is the coefficient
+    # of q^{(lo + i)/den}
+    lo = int(const * den) + tail[0]
+    acc = [0] * (top - lo + 1)
 
     def leaf(e: int, prod: list[int]) -> None:
-        for a in range((top - e) // ustep + 1):
-            c = prod[a]
-            if c:
-                key = e + a * ustep
-                acc[key] = acc.get(key, 0) + c
+        i = e - lo
+        j = i + (top - e) // ustep * ustep + 1
+        acc[i:j:ustep] = [x + c for x, c in zip(acc[i:j:ustep], prod)]
 
     def rec(d: int, e_base: int, cross: list[int], prod: list[int], par: int) -> None:
         if d == p:
@@ -187,7 +188,7 @@ def _multi_sum(
                 cur[r::v] = accumulate(cur[r::v])
 
     rec(0, int(const * den), [int(x * den) for x in lin], [1] + [0] * u_order, 0)
-    return qs._normalized(den, {k: Fraction(v) for k, v in acc.items()}, order)
+    return qs.from_slots(den, lo, 1, acc, 1, order)
 
 
 # -- one-parameter sum families ------------------------------------------------

@@ -77,9 +77,8 @@ def eval_series(a: QSeries, tau: TauPoint, tol: float | None = None) -> tuple[co
     log_q = 2.0 * math.pi * complex(-tau.im, tau.re)
     value = complex(0.0)
     big = 1.0
-    for e, c in a.terms():
-        cf = float(c)
-        value += cf * cmath.exp(log_q * float(e))
+    for cf, e in a.float_terms():
+        value += cf * cmath.exp(log_q * e)
         big = max(big, abs(cf))
     step = tau.q_abs ** (1.0 / a.denom)
     tail = big * tau.q_abs ** (float(a.order) + 1.0 / a.denom) / (1.0 - step)

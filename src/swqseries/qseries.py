@@ -5,6 +5,10 @@ carries an inclusive truncation order: all terms with exponent <= order are
 exactly represented, nothing is claimed beyond it.  Arithmetic propagates the
 guaranteed order, so a comparison can refuse to certify more than the operands
 support.
+
+A series is stored densely over exact integers: slot i of `vals` is the
+coefficient vals[i] / content at exponent (base + i*stride) / denom, so
+every kernel works on lists of Python ints and builds no Fraction.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ __all__ = [
     "QSeries",
     "VerificationReport",
     "make_series",
+    "from_slots",
     "zero",
     "one",
     "add",
@@ -42,28 +47,56 @@ __all__ = [
 class QSeries:
     """Finite q-expansion with exponents in (1/denom)*Z and a truncation order.
 
-    `coeffs` maps exponent numerators (exponent = numer/denom) to nonzero
-    rational coefficients.  Instances are treated as immutable.
+    Slot i of `vals` holds the coefficient vals[i] / content at exponent
+    (base + i*stride) / denom.  Every instance is normalised, so equal
+    series have equal fields: `vals` is empty (the zero series, with
+    denom 1) or starts and ends with a nonzero slot; content > 0 and
+    gcd(content, *vals) == 1, so content is the lcm of the coefficient
+    denominators; stride is the gcd of the exponent numerator
+    differences of the nonzero slots (1 for a single term); denom is
+    the gcd-reduced common denominator of the exponents.  Instances are
+    treated as immutable.
+
+    QSeries(denom, coeffs, order) builds a series from a dict mapping
+    exponent numerators (exponent = numer/denom) to rational
+    coefficients.  `coeffs` gives the nonzero coefficients back in that
+    form, as Fractions, built on first access; no kernel reads it.
     """
 
-    __slots__ = ("denom", "coeffs", "order")
+    __slots__ = ("denom", "base", "stride", "vals", "content", "order", "_coeffs")
 
     def __init__(self, denom: int, coeffs: dict[int, Fraction], order: Fraction):
-        self.denom = denom
-        self.coeffs = coeffs
-        self.order = order
+        coeffs = {k: c for k, c in coeffs.items() if c}
+        if not coeffs:
+            _set(self, *_normalise(denom, 0, 1, [], 1), order)
+            return
+        # slots on the lattice of the keys, so sparse exponents stay compact
+        base = min(coeffs)
+        stride = math.gcd(*(k - base for k in coeffs)) or 1
+        content = math.lcm(*(c.denominator for c in coeffs.values()))
+        vals = [0] * ((max(coeffs) - base) // stride + 1)
+        for k, c in coeffs.items():
+            vals[(k - base) // stride] = c.numerator * (content // c.denominator)
+        _set(self, *_normalise(denom, base, stride, vals, content), order)
+
+    @property
+    def coeffs(self) -> dict[int, Fraction]:
+        """Exponent numerator -> nonzero coefficient; do not mutate."""
+        if self._coeffs is None:
+            base, stride, content = self.base, self.stride, self.content
+            self._coeffs = {base + i * stride: Fraction(v, content) for i, v in enumerate(self.vals) if v}
+        return self._coeffs
 
     # -- inspection helpers -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.vals
 
     def leading(self) -> tuple[Fraction, Fraction]:
         """(exponent, coefficient) of the lowest-order term."""
-        if not self.coeffs:
+        if not self.vals:
             raise ValueError("zero series has no leading term")
-        k = min(self.coeffs)
-        return Fraction(k, self.denom), self.coeffs[k]
+        return Fraction(self.base, self.denom), Fraction(self.vals[0], self.content)
 
     def coeff(self, exponent: RatLike) -> Fraction:
         """Coefficient at the given exponent; raises beyond the guarantee."""
@@ -73,19 +106,38 @@ class QSeries:
         k = e * self.denom
         if k.denominator != 1:
             return Fraction(0)
-        return self.coeffs.get(int(k), Fraction(0))
+        i, r = divmod(int(k) - self.base, self.stride)
+        if r or not 0 <= i < len(self.vals):
+            return Fraction(0)
+        return Fraction(self.vals[i], self.content)
 
     def terms(self) -> list[tuple[Fraction, Fraction]]:
         """Sorted (exponent, coefficient) pairs."""
-        return [(Fraction(k, self.denom), c) for k, c in sorted(self.coeffs.items())]
+        base, stride, denom, content = self.base, self.stride, self.denom, self.content
+        return [
+            (Fraction(base + i * stride, denom), Fraction(v, content))
+            for i, v in enumerate(self.vals)
+            if v
+        ]
+
+    def float_terms(self) -> list[tuple[float, float]]:
+        """(coefficient, exponent) as floats for the nonzero terms, in
+        increasing exponent; int true division rounds correctly, so each
+        equals float() of the exact Fraction."""
+        base, stride, denom, content = self.base, self.stride, self.denom, self.content
+        return [(v / content, (base + i * stride) / denom) for i, v in enumerate(self.vals) if v]
+
+    def _key(self) -> tuple:
+        return (self.order, self.denom, self.base, self.stride, self.content, self.vals)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.order == other.order and self.terms() == other.terms()
+        # normalised fields are unique per series
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.order, tuple(self.terms())))
+        return hash((*self._key()[:-1], tuple(self.vals)))
 
     def __repr__(self) -> str:
         ts = self.terms()
@@ -95,26 +147,111 @@ class QSeries:
         return f"QSeries([{shown}]; order={self.order})"
 
 
-def _normalized(denom: int, coeffs: dict[int, Fraction], order: Fraction) -> QSeries:
-    """Drop zeros and reduce the exponent denominator by the common gcd."""
-    coeffs = {k: c for k, c in coeffs.items() if c}
-    g = denom
-    for k in coeffs:
-        g = math.gcd(g, k)
-        if g == 1:
-            break
+def _set(s: QSeries, denom: int, base: int, stride: int, vals: list[int], content: int, order) -> None:
+    s.denom, s.base, s.stride, s.vals, s.content, s.order = denom, base, stride, vals, content, order
+    s._coeffs = None
+
+
+def _new(denom: int, base: int, stride: int, vals: list[int], content: int, order) -> QSeries:
+    """A series from fields that are already normalised."""
+    s = QSeries.__new__(QSeries)
+    _set(s, denom, base, stride, vals, content, order)
+    return s
+
+
+def _zero(order) -> QSeries:
+    return _new(1, 0, 1, [], 1, order)
+
+
+def _span(a: QSeries) -> int:
+    """Exponent numerator step between slots; 0 when it is undetermined."""
+    return a.stride if len(a.vals) > 1 else 0
+
+
+def _normalise(denom: int, base: int, stride: int, vals: list[int], content: int) -> tuple:
+    """The normalised (denom, base, stride, vals, content) of the series
+    with coefficient vals[i] / content at exponent (base + i*stride) / denom;
+    content must be positive and vals may be returned as is."""
+    hi = len(vals)
+    while hi and not vals[hi - 1]:
+        hi -= 1
+    lo = 0
+    while lo < hi and not vals[lo]:
+        lo += 1
+    if lo == hi:
+        return 1, 0, 1, [], 1
+    if lo or hi < len(vals):
+        vals = vals[lo:hi]
+        base += lo * stride
+    if content != 1:
+        g = math.gcd(content, *vals)
+        if g > 1:
+            vals = [v // g for v in vals]
+            content //= g
+    if len(vals) > 2 and not vals[1]:
+        # the nonzero slots may sit on a coarser lattice
+        g = 0
+        for i, v in enumerate(vals):
+            if v:
+                g = math.gcd(g, i)
+                if g == 1:
+                    break
+        if g > 1:
+            vals = vals[::g]
+            stride *= g
+    # a single term has stride 1 and leaves only denom and base to reduce
+    span = stride if len(vals) > 1 else 0
+    g = math.gcd(denom, base, span)
     if g > 1:
-        coeffs = {k // g: c for k, c in coeffs.items()}
-        denom //= g
+        denom, base, span = denom // g, base // g, span // g
+    return denom, base, span or 1, vals, content
+
+
+def from_slots(denom: int, base: int, stride: int, vals: list[int], content: int, order) -> QSeries:
+    """The series with coefficient vals[i] / content at exponent
+    (base + i*stride) / denom and truncation order `order`, normalised.
+    content must be positive; vals may become the series' own list, so
+    the caller must not change it afterwards."""
+    return _new(*_normalise(denom, base, stride, vals, content), order)
+
+
+def _normalized(denom: int, coeffs: dict[int, Fraction], order: Fraction) -> QSeries:
+    """The series sum coeffs[k] q^{k/denom}, zeros dropped and the
+    exponent denominator reduced by the common gcd."""
     return QSeries(denom, coeffs, order)
 
 
-def _on_common_grid(a: QSeries, b: QSeries) -> tuple[int, dict[int, Fraction], dict[int, Fraction]]:
-    d = math.lcm(a.denom, b.denom)
-    ma, mb = d // a.denom, d // b.denom
-    ca = {k * ma: v for k, v in a.coeffs.items()} if ma != 1 else a.coeffs
-    cb = {k * mb: v for k, v in b.coeffs.items()} if mb != 1 else b.coeffs
-    return d, ca, cb
+def _on_common_lattice(series: list[QSeries], order) -> tuple[int, int, int, int, list[list[int]]]:
+    """(d, base, stride, content, dense) for series on their common
+    exponent grid (1/d) Z: dense[j][i] / content is the coefficient of
+    series[j] at exponent (base + i*stride) / d, for every such exponent
+    up to order, and base + i*stride runs over every key any of them
+    holds there."""
+    d = math.lcm(*(s.denom for s in series))
+    limit = order.numerator * d // order.denominator
+    live = [s for s in series if s.vals]
+    if not live:
+        return d, 0, 1, 1, [[] for _ in series]
+    bases = [s.base * (d // s.denom) for s in live]
+    spans = [_span(s) * (d // s.denom) for s in live]
+    base = min(bases)
+    stride = math.gcd(*(b - base for b in bases), *spans) or 1
+    top = min(limit, max(b + sp * (len(s.vals) - 1) for b, sp, s in zip(bases, spans, live)))
+    n = (top - base) // stride + 1 if top >= base else 0
+    content = math.lcm(*(s.content for s in live))
+    dense = []
+    for s in series:
+        v = [0] * n
+        m = d // s.denom
+        off = (s.base * m - base) // stride
+        if s.vals and off < n:
+            step = _span(s) * m // stride or 1
+            cnt = min(len(s.vals), (n - 1 - off) // step + 1)
+            f = content // s.content
+            part = s.vals[:cnt] if f == 1 else [x * f for x in s.vals[:cnt]]
+            v[off : off + (cnt - 1) * step + 1 : step] = part
+        dense.append(v)
+    return d, base, stride, content, dense
 
 
 # -- constructors -----------------------------------------------------------
@@ -142,11 +279,11 @@ def make_series(terms: Iterable[tuple[RatLike, RatLike]], order: RatLike) -> QSe
 
 
 def zero(order: RatLike) -> QSeries:
-    return QSeries(1, {}, Fraction(order))
+    return _zero(Fraction(order))
 
 
 def one(order: RatLike) -> QSeries:
-    return QSeries(1, {0: Fraction(1)}, Fraction(order))
+    return _new(1, 0, 1, [1], 1, Fraction(order))
 
 
 # -- linear operations ------------------------------------------------------
@@ -155,20 +292,16 @@ def one(order: RatLike) -> QSeries:
 def add(a: QSeries, b: QSeries) -> QSeries:
     """Sum, truncated to the smaller guarantee."""
     order = min(a.order, b.order)
-    d, ca, cb = _on_common_grid(a, b)
-    limit = math.floor(order * d)
-    out = {k: v for k, v in ca.items() if k <= limit}
-    for k, v in cb.items():
-        if k <= limit:
-            out[k] = out.get(k, Fraction(0)) + v
-    return _normalized(d, out, order)
+    d, base, stride, content, (va, vb) = _on_common_lattice([a, b], order)
+    return from_slots(d, base, stride, [x + y for x, y in zip(va, vb)], content, order)
 
 
 def scale(a: QSeries, c: RatLike) -> QSeries:
     c = Fraction(c)
     if not c:
-        return QSeries(1, {}, a.order)
-    return QSeries(a.denom, {k: v * c for k, v in a.coeffs.items()}, a.order)
+        return _zero(a.order)
+    vals = [v * c.numerator for v in a.vals] if c.numerator != 1 else a.vals
+    return from_slots(a.denom, a.base, a.stride, vals, a.content * c.denominator, a.order)
 
 
 def sub(a: QSeries, b: QSeries) -> QSeries:
@@ -179,9 +312,9 @@ def shift(a: QSeries, e: RatLike) -> QSeries:
     """Multiply by q^e; the guarantee moves with the terms."""
     e = Fraction(e)
     d = math.lcm(a.denom, e.denominator)
-    m, ke = d // a.denom, int(e * d)
-    coeffs = {k * m + ke: v for k, v in a.coeffs.items()}
-    return _normalized(d, coeffs, a.order + e)
+    m = d // a.denom
+    base = a.base * m + e.numerator * (d // e.denominator)
+    return from_slots(d, base, a.stride * m, a.vals, a.content, a.order + e)
 
 
 def truncate(a: QSeries, order: RatLike) -> QSeries:
@@ -189,8 +322,11 @@ def truncate(a: QSeries, order: RatLike) -> QSeries:
     order_f = Fraction(order)
     if order_f > a.order:
         raise ValueError(f"cannot raise order {a.order} to {order_f}")
-    limit = math.floor(order_f * a.denom)
-    return _normalized(a.denom, {k: v for k, v in a.coeffs.items() if k <= limit}, order_f)
+    limit = order_f.numerator * a.denom // order_f.denominator
+    n = (limit - a.base) // a.stride + 1 if limit >= a.base else 0
+    if n >= len(a.vals):
+        return _new(a.denom, a.base, a.stride, a.vals, a.content, order_f)
+    return from_slots(a.denom, a.base, a.stride, a.vals[:n], a.content, order_f)
 
 
 # -- multiplicative operations ----------------------------------------------
@@ -201,62 +337,54 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
     where a zero factor counts as lead = +infinity; the result is then
     the zero series at order zero.order + lead(other).
 
-    Kronecker substitution: both operands go on their common exponent
-    grid, have their denominators cleared into one integer content each
-    and are packed into one big integer each; a single integer product
-    carries every coefficient of the truncated product as one signed
-    digit."""
+    Kronecker substitution: both operands' slots go on their common
+    exponent lattice and are packed into one big integer each; a single
+    integer product carries every numerator of the truncated product
+    as one signed digit, over the content a.content * b.content."""
     if a.is_zero() and b.is_zero():
-        return QSeries(1, {}, a.order + b.order)
+        return _zero(a.order + b.order)
     if a.is_zero():
-        return QSeries(1, {}, a.order + b.leading()[0])
+        return _zero(a.order + b.leading()[0])
     if b.is_zero():
-        return QSeries(1, {}, b.order + a.leading()[0])
-    ea, eb = a.leading()[0], b.leading()[0]
-    order = min(a.order + eb, b.order + ea)
-    d, ca, cb = _on_common_grid(a, b)
-    ka, kb = min(ca), min(cb)
-    stride = math.gcd(*(k - ka for k in ca), *(k - kb for k in cb)) or 1
-    base = ka + kb
-    n_out = (order * d - base) // stride + 1
-    if n_out <= 0:
-        return _normalized(d, {}, order)
-    da, va = _dense_ints(ca, ka, stride, n_out)
-    db, vb = _dense_ints(cb, kb, stride, n_out)
-    n_out = min(n_out, len(va) + len(vb) - 1)
-    bits = (
-        max(map(abs, va)).bit_length()
-        + max(map(abs, vb)).bit_length()
-        + min(len(ca), len(cb)).bit_length()
-        + 2
+        return _zero(b.order + a.leading()[0])
+    oa, ob = a.order, b.order
+    order = min(
+        Fraction(oa.numerator * b.denom + b.base * oa.denominator, oa.denominator * b.denom),
+        Fraction(ob.numerator * a.denom + a.base * ob.denominator, ob.denominator * a.denom),
     )
+    d = math.lcm(a.denom, b.denom)
+    ma, mb = d // a.denom, d // b.denom
+    sa, sb = _span(a) * ma, _span(b) * mb
+    stride = math.gcd(sa, sb) or 1
+    base = a.base * ma + b.base * mb
+    n_out = (order.numerator * d - base * order.denominator) // (stride * order.denominator) + 1
+    if n_out <= 0:
+        return _zero(order)
+    va = _spread(a.vals, sa // stride, n_out)
+    vb = _spread(b.vals, sb // stride, n_out)
+    n_out = min(n_out, len(va) + len(vb) - 1)
+    # a digit sums at most min(nonzero terms of a, of b) products
+    terms = min(len(a.vals) - a.vals.count(0), len(b.vals) - b.vals.count(0))
+    bits = max(map(abs, va)).bit_length() + max(map(abs, vb)).bit_length() + terms.bit_length() + 2
     width = (bits + 7) // 8
-    half = 1 << (8 * width - 1)
     # Biasing every digit by half makes it nonnegative, so the low
-    # n_out digits of the biased product are exactly its bytes.
+    # n_out digits of the biased product are exactly its bytes; xor
+    # with the bias turns each into its two's complement.
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * n_out, "little")
     low = (_pack(va, width) * _pack(vb, width) + bias) & ((1 << (8 * width * n_out)) - 1)
-    buf = low.to_bytes(width * n_out, "little")
-    content = da * db
-    out: dict[int, Fraction] = {}
-    for n in range(n_out):
-        c = int.from_bytes(buf[n * width : (n + 1) * width], "little") - half
-        if c:
-            out[base + n * stride] = Fraction(c, content) if content != 1 else Fraction(c)
-    return _normalized(d, out, order)
+    buf = (low ^ bias).to_bytes(width * n_out, "little")
+    vals = [int.from_bytes(buf[i : i + width], "little", signed=True) for i in range(0, width * n_out, width)]
+    return from_slots(d, base, stride, vals, a.content * b.content, order)
 
 
-def _dense_ints(coeffs: dict[int, Fraction], base: int, stride: int, length: int) -> tuple[int, list[int]]:
-    """(content, v) with coeffs[base + stride*i] = v[i] / content for
-    every i below length; v stops at the last term it holds."""
-    content = math.lcm(*(c.denominator for c in coeffs.values()))
-    top = (max(coeffs) - base) // stride + 1
-    v = [0] * min(length, top)
-    for k, c in coeffs.items():
-        i = (k - base) // stride
-        if i < length:
-            v[i] = c.numerator * (content // c.denominator)
-    return content, v
+def _spread(vals: list[int], step: int, length: int) -> list[int]:
+    """vals placed every step slots (step 0 for a single slot), cut
+    below length and after the last slot it holds."""
+    if step <= 1:
+        return vals[:length]
+    v = [0] * min(length, (len(vals) - 1) * step + 1)
+    v[::step] = vals[: (len(v) - 1) // step + 1]
+    return v
 
 
 def _pack(v: list[int], width: int) -> int:
@@ -273,32 +401,36 @@ def invert(a: QSeries) -> QSeries:
     """Multiplicative inverse; order drops to a.order - 2*lead(a)."""
     if a.is_zero():
         raise ValueError("cannot invert the zero series")
-    e0, c0 = a.leading()
+    e0 = Fraction(a.base, a.denom)
     order = a.order - 2 * e0
-    d = a.denom
-    k0 = min(a.coeffs)
-    n_max = int((order + e0) * d)
-    # monic tail: a = c0 q^{e0} (1 + sum t_k q^{k/d}),  solve (1+t) * s = 1;
-    # an integral t_k is kept as an int, so s stays integral with it
-    inv_c0 = 1 / Fraction(c0)
-    t = []
-    for k, v in sorted(a.coeffs.items()):
-        if 0 < k - k0 <= n_max:
-            tk = v * inv_c0
-            t.append((k - k0, tk.numerator if tk.denominator == 1 else tk))
-    s = [1] + [0] * max(n_max, 0)
-    for n in range(1, n_max + 1):
+    span = _span(a)
+    top = max(int((order + e0) * a.denom), 0) // span if span else 0
+    # a = c0 q^{e0} (1 + sum_k t_k u^k) with u = q^{span/denom} and
+    # t_k = vals[k] / v0 = w_k / lcd; solve (1 + t) s = 1 through the
+    # integers r_n = s_n lcd^n: r_n = -sum_k w_k lcd^(k-1) r_{n-k}
+    vals = a.vals
+    v0 = vals[0]
+    g = math.gcd(v0, *vals[1 : top + 1])
+    lcd = abs(v0) // g
+    unit = v0 // lcd
+    w = [(k, vals[k] // unit * lcd ** (k - 1)) for k in range(1, min(top, len(vals) - 1) + 1) if vals[k]]
+    r = [1] + [0] * top
+    for n in range(1, top + 1):
         acc = 0
-        for k, v in t:
+        for k, x in w:
             if k > n:
                 break
-            acc += v * s[n - k]
-        s[n] = -acc
-    if inv_c0 == 1:
-        coeffs = {n - k0: Fraction(c) for n, c in enumerate(s) if c}
+            acc += x * r[n - k]
+        r[n] = -acc
+    # inverse coefficient at slot n: s_n / c0 = r_n a.content / (v0 lcd^n)
+    content = v0 * lcd**top
+    if lcd == 1:
+        out = r if a.content == 1 else [x * a.content for x in r]
     else:
-        coeffs = {n - k0: c * inv_c0 for n, c in enumerate(s) if c}
-    return _normalized(d, coeffs, order)
+        out = [x * a.content * lcd ** (top - n) for n, x in enumerate(r)]
+    if content < 0:
+        out, content = [-x for x in out], -content
+    return from_slots(a.denom, -a.base, a.stride, out, content, order)
 
 
 def substitute_power(a: QSeries, r: RatLike) -> QSeries:
@@ -306,9 +438,9 @@ def substitute_power(a: QSeries, r: RatLike) -> QSeries:
     r = Fraction(r)
     if r <= 0:
         raise ValueError("substitution power must be positive")
-    d = a.denom * r.denominator
-    coeffs = {k * r.numerator: v for k, v in a.coeffs.items()}
-    return _normalized(d, coeffs, a.order * r)
+    return from_slots(
+        a.denom * r.denominator, a.base * r.numerator, a.stride * r.numerator, a.vals, a.content, a.order * r
+    )
 
 
 def pochhammer(
@@ -330,27 +462,29 @@ def pochhammer(
     if count is None:
         if step_f <= 0:
             raise ValueError("infinite product needs positive step")
-        count = 0
-        while start_f + count * step_f <= order_f:
-            count += 1
     elif count < 0:
         raise ValueError("count must be nonnegative")
     elif step_f < 0 and count > 1:
         raise ValueError("step must be nonnegative for finite products")
     d = math.lcm(start_f.denominator, step_f.denominator)
-    top = math.floor(order_f * d)
-    # dense coefficients of q^{k/d}, k = 0..top, updated in place per factor
-    out = [1] + [0] * max(top, 0)
-    ke, ke_step = int(start_f * d), int(step_f * d)
-    for _ in range(count):
-        if ke > top:
-            break
+    top = order_f.numerator * d // order_f.denominator
+    ke, ke_step = start_f.numerator * (d // start_f.denominator), step_f.numerator * (d // step_f.denominator)
+    # factors beyond the order are 1; the exponents used never decrease
+    if ke > top:
+        count = 0
+    elif ke_step > 0:
+        below = (top - ke) // ke_step + 1
+        count = below if count is None else min(count, below)
+    # every exponent used is a multiple of g: slot i holds exponent i*g/d
+    g = (math.gcd(ke, ke_step) if count > 1 else ke) or 1
+    out = [1] + [0] * max(top // g, 0)
+    for n in range(count):
+        e = (ke + n * ke_step) // g
         if sign > 0:
-            out[ke:] = [x + y for x, y in zip(out[ke:], out)]
+            out[e:] = [x + y for x, y in zip(out[e:], out)]
         else:
-            out[ke:] = [x - y for x, y in zip(out[ke:], out)]
-        ke += ke_step
-    return _normalized(d, {k: Fraction(c) for k, c in enumerate(out) if c}, order_f)
+            out[e:] = [x - y for x, y in zip(out[e:], out)]
+    return from_slots(d, 0, g, out, 1, order_f)
 
 
 # -- comparison and reporting ------------------------------------------------
@@ -364,19 +498,22 @@ def prefix_rank(columns: list[QSeries]) -> int:
     certifies that the series are linearly independent."""
     if not columns:
         return 0
-    d = math.lcm(*(s.denom for s in columns))
-    grid = [{k * (d // s.denom): v for k, v in s.coeffs.items()} for s in columns]
-    limit = math.floor(min(s.order for s in columns) * d)
-    basis: list[tuple[int, list[Fraction]]] = []  # (pivot, row with 1 at pivot)
-    for key in sorted({k for c in grid for k in c if k <= limit}):
-        row = [c.get(key, Fraction(0)) for c in grid]
+    *_, dense = _on_common_lattice(columns, min(s.order for s in columns))
+    # fraction-free: rows are integer multiples of the exact rows, and a
+    # basis row is zero at the pivots of the rows before it
+    basis: list[tuple[int, list[int]]] = []
+    for row in zip(*dense):
+        if not any(row):
+            continue
         for pivot, b in basis:
             f = row[pivot]
             if f:
-                row = [x - f * y for x, y in zip(row, b)]
+                bp = b[pivot]
+                row = [x * bp - f * y for x, y in zip(row, b)]
         pivot = next((i for i, x in enumerate(row) if x), None)
         if pivot is not None:
-            basis.append((pivot, [x / row[pivot] for x in row]))
+            g = math.gcd(*row)
+            basis.append((pivot, [x // g for x in row]))
             if len(basis) == len(columns):
                 break
     return len(basis)
@@ -395,16 +532,11 @@ def compare(
         raise ValueError(
             f"order {order_f} exceeds the guaranteed truncation {guarantee}"
         )
-    d, ca, cb = _on_common_grid(a, b)
-    limit = math.floor(order_f * d)
-    for k in sorted(set(ca) | set(cb)):
-        if k > limit:
-            break
-        va = ca.get(k, Fraction(0))
-        vb = cb.get(k, Fraction(0))
-        if va != vb:
-            return (Fraction(k, d), va, vb)
-    return None
+    d, base, stride, content, (va, vb) = _on_common_lattice([a, b], order_f)
+    if va == vb:
+        return None
+    i = next(i for i, (x, y) in enumerate(zip(va, vb)) if x != y)
+    return Fraction(base + i * stride, d), Fraction(va[i], content), Fraction(vb[i], content)
 
 
 @dataclass

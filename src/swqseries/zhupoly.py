@@ -103,11 +103,16 @@ def mul(a: RatPoly, b: RatPoly) -> RatPoly:
         return poly([])
     da, va = _clear_denominators(a)
     db, vb = _clear_denominators(b)
+    return _over(_convolve(va, vb), da * db)
+
+
+def _convolve(va: list[int], vb: list[int]) -> list[int]:
+    """Coefficients of the product of two nonempty integer polynomials."""
     out = [0] * (len(va) + len(vb) - 1)
     for i, x in enumerate(va):
         if x:
             out[i : i + len(vb)] = [z + x * y for z, y in zip(out[i : i + len(vb)], vb)]
-    return _over(out, da * db)
+    return out
 
 
 def _clear_denominators(a: RatPoly) -> tuple[int, list[int]]:
@@ -137,7 +142,13 @@ def shift_arg(a: RatPoly, c: RatLike) -> RatPoly:
 
 
 def from_roots(roots: Sequence[RatLike]) -> RatPoly:
-    """Monic polynomial with the given roots (with multiplicity): one
+    """Monic polynomial with the given roots (with multiplicity)."""
+    content, acc = _root_product(roots)
+    return _over(acc, content)
+
+
+def _root_product(roots: Sequence[RatLike]) -> tuple[int, list[int]]:
+    """(content, v) with prod (t - r) = sum v[i] t^i / content: one
     integer vector is multiplied in place by den*t - num for each root
     num/den, and the product of the den is the content."""
     acc = [1]
@@ -149,7 +160,7 @@ def from_roots(roots: Sequence[RatLike]) -> RatPoly:
         acc[1:] = [den * x - num * y for x, y in zip(acc, acc[1:])]
         acc[0] *= -num
         content *= den
-    return _over(acc, content)
+    return content, acc
 
 
 def binom_poly(r: int, arg_shift: RatLike = 0) -> RatPoly:
@@ -262,11 +273,18 @@ def phi_tilde(m: int) -> RatPoly:
     """sum_{k=0}^{2m} (-1)^k binom(2m,k) binom(t,4m+1-k) binom(t,2m+1+k)."""
     if m < 1:
         raise ValueError("m must be positive")
-    acc = poly([])
+    # binom(t, r) = t(t-1)...(t-r+1) / r!: the integer products are summed
+    # over one common denominator and become Fractions once
+    dens = [math.factorial(4 * m + 1 - k) * math.factorial(2 * m + 1 + k) for k in range(2 * m + 1)]
+    common = math.lcm(*dens)
+    acc = [0] * (6 * m + 3)
     for k in range(2 * m + 1):
-        term = mul(binom_poly(4 * m + 1 - k), binom_poly(2 * m + 1 + k))
-        acc = add(acc, scale(term, (-1) ** k * math.comb(2 * m, k)))
-    return acc
+        term = _convolve(_root_product(range(4 * m + 1 - k))[1], _root_product(range(2 * m + 1 + k))[1])
+        c = (-1) ** k * math.comb(2 * m, k) * (common // dens[k])
+        acc = [x + c * y for x, y in zip(acc, term)]
+    while acc and not acc[-1]:
+        acc.pop()
+    return _over(acc, common)
 
 
 def a_bar_constant(m: int) -> Fraction:

@@ -1,9 +1,11 @@
 """Tests for floating-point evaluation and the transformation-law checks."""
 
 import cmath
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from swqseries import forms
 from swqseries import numeric as nm
@@ -28,8 +30,6 @@ class TestTauPoint:
             nm.TauPoint(float("inf"), 1.0)
 
     def test_q_abs(self):
-        import math
-
         assert nm.TauPoint(0.7, 1.0).q_abs == pytest.approx(math.exp(-2 * math.pi))
 
 
@@ -64,6 +64,49 @@ class TestEvalSeries:
     def test_tail_rejection_names_an_order(self):
         with pytest.raises(ValueError, match="would suffice"):
             nm.eval_series(forms.eta(10), nm.TauPoint(0.0, 0.05), 1e-8)
+
+
+def _fraction_eval_series(a, tau):
+    """eval_series as it was written over Fraction terms: the oracle for
+    bit-identical floats."""
+    log_q = 2.0 * math.pi * complex(-tau.im, tau.re)
+    value = complex(0.0)
+    big = 1.0
+    for k, c in sorted(a.coeffs.items()):
+        cf = float(c)
+        value += cf * cmath.exp(log_q * float(F(k, a.denom)))
+        big = max(big, abs(cf))
+    step = tau.q_abs ** (1.0 / a.denom)
+    tail = big * tau.q_abs ** (float(a.order) + 1.0 / a.denom) / (1.0 - step)
+    return value, tail
+
+
+@st.composite
+def _eval_series_inputs(draw):
+    d = draw(st.sampled_from([1, 2, 3, 12, 24, 48]))
+    stride = draw(st.sampled_from([1, 2, 5]))
+    lead = draw(st.integers(min_value=-d, max_value=3 * d))
+    steps = draw(st.lists(st.integers(min_value=0, max_value=40), min_size=0, max_size=12, unique=True))
+    content = draw(st.sampled_from([1, 3, 7, 2**64 + 13]))
+    nums = st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70))
+    coeffs = {lead + stride * i: F(draw(nums), content) for i in steps}
+    order = F(lead + stride * max(steps, default=0), d) + draw(st.fractions(0, 3, max_denominator=6))
+    tau = nm.TauPoint(draw(st.floats(-1, 1)), draw(st.floats(0.3, 2.5)))
+    return qs._normalized(d, coeffs, order), tau
+
+
+@settings(max_examples=300, deadline=None)
+@given(_eval_series_inputs())
+@example((qs.shift(forms.eta(10), F(-1, 24)), nm.TauPoint(0.3, 1.1)))
+@example(
+    (qs.make_series([(F(1, 3), F(2**70 + 1, 2**64 + 13)), (F(5, 48), F(-1, 3))], 2), nm.TauPoint(-0.4, 0.9))
+)
+@example((qs.zero(3), nm.TauPoint(0.0, 1.0)))
+def test_eval_series_floats_are_bit_identical(case):
+    a, tau = case
+    got = nm.eval_series(a, tau)
+    want = _fraction_eval_series(a, tau)
+    assert got[0] == want[0] and got[1] == want[1]
 
 
 class TestLaws:

@@ -3,6 +3,7 @@ the integer kernels against the dict kernels they replaced."""
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -279,22 +280,125 @@ def test_pochhammer_invert_round_trip(step, order):
 
 # -- integer kernels against the dict kernels they replace ----------------------
 #
-# _dict_mul, _dict_invert and _dict_pochhammer are the Fraction-dictionary
-# bodies of qs.mul, qs.invert and qs.pochhammer before the kernels moved to
-# exact integers; the integer kernels must reproduce their output exactly:
-# the same denom, the same coefficients (as Fractions) and the same order.
+# The _dict_* functions are the bodies of the qs kernels from when a series
+# was a dict mapping exponent numerators to Fractions.  They read their
+# operands only through .denom, .coeffs and .order, and return a DictSeries
+# normalised by _dict_normalized, so they share no code with the integer
+# kernels.  Each integer kernel must reproduce its oracle exactly: the same
+# denom, the same coefficients (as Fractions) and the same order.
 
 
-def _dict_mul(a: qs.QSeries, b: qs.QSeries) -> qs.QSeries:
-    if a.is_zero() and b.is_zero():
-        return qs.QSeries(1, {}, a.order + b.order)
-    if a.is_zero():
-        return qs.QSeries(1, {}, a.order + b.leading()[0])
-    if b.is_zero():
-        return qs.QSeries(1, {}, b.order + a.leading()[0])
-    ea, eb = a.leading()[0], b.leading()[0]
-    order = min(a.order + eb, b.order + ea)
-    d, ca, cb = qs._on_common_grid(a, b)
+class DictSeries(NamedTuple):
+    denom: int
+    coeffs: dict
+    order: F
+
+
+def _dict_normalized(denom: int, coeffs: dict, order) -> DictSeries:
+    coeffs = {k: c for k, c in coeffs.items() if c}
+    g = denom
+    for k in coeffs:
+        g = math.gcd(g, k)
+        if g == 1:
+            break
+    if g > 1:
+        coeffs = {k // g: c for k, c in coeffs.items()}
+        denom //= g
+    return DictSeries(denom, coeffs, order)
+
+
+def _dict_lead(a) -> F:
+    return F(min(a.coeffs), a.denom)
+
+
+def _dict_grid(a, b) -> tuple[int, dict, dict]:
+    d = math.lcm(a.denom, b.denom)
+    ma, mb = d // a.denom, d // b.denom
+    return d, {k * ma: v for k, v in a.coeffs.items()}, {k * mb: v for k, v in b.coeffs.items()}
+
+
+def _dict_add(a, b) -> DictSeries:
+    order = min(a.order, b.order)
+    d, ca, cb = _dict_grid(a, b)
+    limit = math.floor(order * d)
+    out = {k: v for k, v in ca.items() if k <= limit}
+    for k, v in cb.items():
+        if k <= limit:
+            out[k] = out.get(k, F(0)) + v
+    return _dict_normalized(d, out, order)
+
+
+def _dict_scale(a, c) -> DictSeries:
+    c = F(c)
+    if not c:
+        return DictSeries(1, {}, a.order)
+    return DictSeries(a.denom, {k: v * c for k, v in a.coeffs.items()}, a.order)
+
+
+def _dict_shift(a, e) -> DictSeries:
+    e = F(e)
+    d = math.lcm(a.denom, e.denominator)
+    m, ke = d // a.denom, int(e * d)
+    return _dict_normalized(d, {k * m + ke: v for k, v in a.coeffs.items()}, a.order + e)
+
+
+def _dict_truncate(a, order) -> DictSeries:
+    order_f = F(order)
+    if order_f > a.order:
+        raise ValueError(f"cannot raise order {a.order} to {order_f}")
+    limit = math.floor(order_f * a.denom)
+    return _dict_normalized(a.denom, {k: v for k, v in a.coeffs.items() if k <= limit}, order_f)
+
+
+def _dict_substitute_power(a, r) -> DictSeries:
+    r = F(r)
+    coeffs = {k * r.numerator: v for k, v in a.coeffs.items()}
+    return _dict_normalized(a.denom * r.denominator, coeffs, a.order * r)
+
+
+def _dict_compare(a, b, order):
+    d, ca, cb = _dict_grid(a, b)
+    limit = math.floor(F(order) * d)
+    for k in sorted(set(ca) | set(cb)):
+        if k > limit:
+            break
+        va = ca.get(k, F(0))
+        vb = cb.get(k, F(0))
+        if va != vb:
+            return (F(k, d), va, vb)
+    return None
+
+
+def _dict_prefix_rank(columns) -> int:
+    if not columns:
+        return 0
+    d = math.lcm(*(s.denom for s in columns))
+    grid = [{k * (d // s.denom): v for k, v in s.coeffs.items()} for s in columns]
+    limit = math.floor(min(s.order for s in columns) * d)
+    basis: list[tuple[int, list[F]]] = []
+    for key in sorted({k for c in grid for k in c if k <= limit}):
+        row = [c.get(key, F(0)) for c in grid]
+        for pivot, b in basis:
+            f = row[pivot]
+            if f:
+                row = [x - f * y for x, y in zip(row, b)]
+        pivot = next((i for i, x in enumerate(row) if x), None)
+        if pivot is not None:
+            basis.append((pivot, [x / row[pivot] for x in row]))
+            if len(basis) == len(columns):
+                break
+    return len(basis)
+
+
+def _dict_mul(a, b) -> DictSeries:
+    if not a.coeffs and not b.coeffs:
+        return DictSeries(1, {}, a.order + b.order)
+    if not a.coeffs:
+        return DictSeries(1, {}, a.order + _dict_lead(b))
+    if not b.coeffs:
+        return DictSeries(1, {}, b.order + _dict_lead(a))
+    order = min(a.order + _dict_lead(b), b.order + _dict_lead(a))
+    d, ca, cb = _dict_grid(a, b)
     limit = order * d
     ia = sorted(ca.items())
     ib = sorted(cb.items())
@@ -307,16 +411,16 @@ def _dict_mul(a: qs.QSeries, b: qs.QSeries) -> qs.QSeries:
             if k > limit:
                 break
             out[k] = out.get(k, F(0)) + va * vb
-    return qs._normalized(d, out, order)
+    return _dict_normalized(d, out, order)
 
 
-def _dict_invert(a: qs.QSeries) -> qs.QSeries:
-    if a.is_zero():
+def _dict_invert(a) -> DictSeries:
+    if not a.coeffs:
         raise ValueError("cannot invert the zero series")
-    e0, c0 = a.leading()
+    k0 = min(a.coeffs)
+    e0, c0 = F(k0, a.denom), a.coeffs[k0]
     order = a.order - 2 * e0
     d = a.denom
-    k0 = min(a.coeffs)
     # monic tail: a = c0 q^{e0} (1 + sum t_k q^{k/d}),  solve (1+t) * s = 1
     t = sorted((k - k0, v / c0) for k, v in a.coeffs.items() if k != k0)
     n_max = int((order + e0) * d)
@@ -332,10 +436,10 @@ def _dict_invert(a: qs.QSeries) -> qs.QSeries:
         if acc:
             s[n] = -acc
     coeffs = {k - k0: v / c0 for k, v in s.items()}
-    return qs._normalized(d, coeffs, order)
+    return _dict_normalized(d, coeffs, order)
 
 
-def _dict_pochhammer(start, step, sign, count, order) -> qs.QSeries:
+def _dict_pochhammer(start, step, sign, count, order) -> DictSeries:
     start_f, step_f, order_f = F(start), F(step), F(order)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -365,13 +469,30 @@ def _dict_pochhammer(start, step, sign, count, order) -> qs.QSeries:
                 extra[k + ke] = v * sgn
         for k, v in extra.items():
             out[k] = out.get(k, F(0)) + v
-    return qs._normalized(d, out, order_f)
+    return _dict_normalized(d, out, order_f)
 
 
-def assert_identical(got: qs.QSeries, want: qs.QSeries) -> None:
+def assert_normalised(s: qs.QSeries) -> None:
+    """The invariants every QSeries keeps, which make its fields unique."""
+    assert all(type(v) is int for v in s.vals)
+    if not s.vals:
+        assert (s.denom, s.base, s.stride, s.content) == (1, 0, 1, 1)
+        return
+    assert s.vals[0] and s.vals[-1]
+    assert s.content > 0 and math.gcd(s.content, *s.vals) == 1
+    if len(s.vals) == 1:
+        assert s.stride == 1 and math.gcd(s.denom, s.base) == 1
+    else:
+        assert s.stride > 0 and math.gcd(*(i for i, v in enumerate(s.vals) if v)) == 1
+        assert math.gcd(s.denom, s.base, s.stride) == 1
+
+
+def assert_identical(got: qs.QSeries, want: DictSeries) -> None:
+    assert_normalised(got)
     assert got.denom == want.denom
     assert got.order == want.order
     assert got.coeffs == want.coeffs
+    # what the benchmark tracer reads from .coeffs
     assert all(type(c) is F for c in got.coeffs.values())
 
 
@@ -496,3 +617,164 @@ def test_prefix_rank():
     assert qs.prefix_rank([a, b, a]) == 2
     # rows beyond the smallest guaranteed order do not count
     assert qs.prefix_rank([a, qs.truncate(qs.shift(b, 5), 6), qs.one(5)]) == 2
+
+
+# -- the linear kernels, compare and prefix_rank against their dict bodies ------
+
+# Edge series shared by the examples below.
+_ETA = qs.pochhammer(1, 1, -1, None, 6)
+_Q24 = qs.shift(_ETA, F(1, 24))  # q^{1/24} (q;q)_inf: grid 24, offset 1
+_Q548 = qs.shift(qs.pochhammer(F(1, 2), F(1, 2), 1, None, 6), F(5, 48))  # grid 48, offset 5
+_STRIDED = qs.pochhammer(F(2, 3), F(4, 3), -1, None, 9)  # slots 2/3 apart
+_NEG_LEAD = _series(2, F(9, 2), {-3: F(2, 3), -1: -1, 4: 7})
+_BIG = _series(3, F(17, 5), {1: F(1, 2**64 + 3), 4: F(-5, 2**65), 7: 2**70})  # content above 2^64
+_ZERO = qs.zero(F(5, 2))
+# leading terms cancel: the sum keeps only even keys, so base and denom move
+_CANCEL = (_series(2, 6, {-3: 1, -1: F(1, 3), 4: 1}), _series(2, 7, {-3: -1, -1: F(-1, 3), 8: 2}))
+
+_PAIRS = [(_Q24, _Q548), (_STRIDED, _NEG_LEAD), (_ZERO, _BIG), _CANCEL, (_BIG, _Q24), (_NEG_LEAD, _ZERO)]
+
+
+def _examples(*cases):
+    def deco(f):
+        for case in cases:
+            f = example(*case)(f)
+        return f
+
+    return deco
+
+
+def test_edge_series_have_the_shapes_the_examples_need():
+    assert (_Q24.denom, _Q24.base) == (24, 1)
+    assert (_Q548.denom, _Q548.base) == (48, 5)
+    assert _STRIDED.stride == 2 and _STRIDED.denom == 3
+    assert _NEG_LEAD.base < 0
+    assert _BIG.content > 2**64
+    s = qs.add(*_CANCEL)
+    assert s.base == 2 and s.denom == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=48),
+    st.integers(min_value=-20, max_value=20),
+    st.integers(min_value=1, max_value=6),
+    st.lists(st.integers(min_value=-6, max_value=6), max_size=12),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=4),
+)
+@example(24, 0, 1, [0, 0, 1, 0, 0, 0, -1, 0, 0], 1, 1)  # zero ends and a coarser lattice
+@example(6, 4, 2, [3, 0, 9], 6, 1)  # common factor of content and slots
+@example(4, 2, 3, [0, 5, 0], 1, 1)  # one term: stride 1
+@example(4, 2, 3, [0, 0], 1, 1)  # zero series
+def test_from_slots_matches_dict_normalisation(denom, base, stride, vals, content, mult):
+    vals = [v * mult for v in vals]
+    coeffs = {base + i * stride: F(v, content) for i, v in enumerate(vals)}
+    assert_identical(qs.from_slots(denom, base, stride, vals, content, F(7)), _dict_normalized(denom, coeffs, F(7)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_series(), kernel_series())
+@_examples(*_PAIRS)
+def test_add_sub_match_dict_kernels(a, b):
+    assert_identical(qs.add(a, b), _dict_add(a, b))
+    assert_identical(qs.sub(a, b), _dict_add(a, _dict_scale(b, -1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_series(), st.fractions(min_value=-3, max_value=3, max_denominator=2**66))
+@_examples(
+    (_Q24, F(-7, 5)), (_STRIDED, F(3, 2)), (_ZERO, 4), (_BIG, F(2**64 + 3, 7)), (_NEG_LEAD, 0), (_Q548, -1)
+)
+def test_scale_matches_dict_kernel(a, c):
+    assert_identical(qs.scale(a, c), _dict_scale(a, c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_series(), st.fractions(min_value=-3, max_value=3, max_denominator=48))
+@_examples(
+    (_Q24, F(-1, 24)),
+    (_Q548, F(-5, 48)),
+    (_STRIDED, F(1, 3)),
+    (_ZERO, F(1, 24)),
+    (_NEG_LEAD, F(3, 2)),
+    (_BIG, F(-2, 3)),
+)
+def test_shift_matches_dict_kernel(a, e):
+    assert_identical(qs.shift(a, e), _dict_shift(a, e))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_series(), st.fractions(min_value=0, max_value=6, max_denominator=12))
+@_examples(
+    (_NEG_LEAD, F(7, 2)),  # below the lead: nothing is kept
+    (_BIG, F(8, 5)),  # fractional orders; the term at 2**70 goes
+    (_STRIDED, F(3)),
+    (_Q24, F(47, 8)),
+    (_ZERO, 1),
+    (_CANCEL[0], F(7)),  # drops the slot that made the content 3
+)
+def test_truncate_matches_dict_kernel(a, drop):
+    assert_identical(qs.truncate(a, a.order - drop), _dict_truncate(a, a.order - drop))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_series(), st.fractions(min_value=F(1, 6), max_value=6, max_denominator=8))
+@_examples((_Q24, F(24)), (_Q548, F(2, 5)), (_STRIDED, F(3, 2)), (_ZERO, 2), (_NEG_LEAD, F(1, 2)), (_BIG, 3))
+def test_substitute_power_matches_dict_kernel(a, r):
+    assert_identical(qs.substitute_power(a, r), _dict_substitute_power(a, r))
+
+
+def _with_prefix(a, b, e):
+    """a plus b moved up by e, so the two agree below lead(b) + e."""
+    return qs.add(a, qs.shift(b, e)) if not b.is_zero() else a
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kernel_series(),
+    kernel_series(),
+    st.fractions(min_value=0, max_value=8, max_denominator=6),
+    st.fractions(min_value=0, max_value=4, max_denominator=6),
+    st.booleans(),
+)
+@_examples(*((a, b, F(1), F(0), True) for a, b in _PAIRS), (_BIG, _Q24, F(3), F(1, 2), False))
+def test_compare_matches_dict_kernel(a, b, e, drop, related):
+    if related:
+        b = _with_prefix(a, b, e)
+    order = min(a.order, b.order) - drop
+    got = qs.compare(a, b, order)
+    assert got == _dict_compare(a, b, order)
+    assert got is None or all(type(x) is F for x in got)
+    with pytest.raises(ValueError, match="guaranteed"):
+        qs.compare(a, b, min(a.order, b.order) + F(1, 7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(kernel_series(grids=(1, 2, 3, 12), max_order=6), min_size=1, max_size=4),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5), min_size=2, max_size=2),
+)
+@_examples(([_Q24, _Q548, _STRIDED], [F(1), F(-2)]), ([_ZERO, _BIG, _NEG_LEAD], [F(2, 3), F(0)]))
+def test_prefix_rank_matches_dict_kernel(columns, weights):
+    # a combination of the first two columns makes a dependent one
+    if len(columns) >= 2:
+        columns = columns + [qs.add(qs.scale(columns[0], weights[0]), qs.scale(columns[1], weights[1]))]
+    assert qs.prefix_rank(columns) == _dict_prefix_rank(columns)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_series(), st.fractions(min_value=-3, max_value=12, max_denominator=96))
+@_examples(
+    (_Q24, F(25, 24)), (_STRIDED, F(4, 3)), (_STRIDED, F(2)), (_ZERO, 1), (_NEG_LEAD, F(-3, 2)), (_BIG, F(7, 3))
+)
+def test_coeff_leading_and_terms_read_like_the_dict_view(a, e):
+    assert a.terms() == [(F(k, a.denom), c) for k, c in sorted(a.coeffs.items())]
+    if a.coeffs:
+        k = min(a.coeffs)
+        assert a.leading() == (F(k, a.denom), a.coeffs[k])
+    if e <= a.order:
+        k = e * a.denom
+        want = a.coeffs.get(int(k), F(0)) if k.denominator == 1 else F(0)
+        got = a.coeff(e)
+        assert got == want and type(got) is F

@@ -1,6 +1,7 @@
 """Polynomial arithmetic, the singlet curve, the binomial-sum
 identities, and the interpolation/sign suite."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,14 @@ def _fraction_from_roots(roots):
     acc = zp.poly([1])
     for r in roots:
         acc = _fraction_mul(acc, zp.poly([-Fraction(r), 1]))
+    return acc
+
+
+def _fraction_phi_tilde(m):
+    acc = zp.poly([])
+    for k in range(2 * m + 1):
+        term = zp.mul(zp.binom_poly(4 * m + 1 - k), zp.binom_poly(2 * m + 1 + k))
+        acc = zp.add(acc, zp.scale(term, (-1) ** k * math.comb(2 * m, k)))
     return acc
 
 
@@ -216,6 +225,13 @@ def test_phi_values_frozen():
     assert phi.degree() == 8
     for t in range(3):
         assert phi(t) == 0
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_phi_tilde_matches_fraction_sum(m):
+    got = zp.phi_tilde(m)
+    assert got == _fraction_phi_tilde(m)
+    assert all(type(c) is F for c in got.coeffs)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
