@@ -119,7 +119,9 @@ def ns_irr_char(m: int, i: int, n: int, order: RatLike) -> QSeries:
     cd = central_data(m)
     offset = Fraction(m * m, 2 * (2 * m + 1))
     order_f = Fraction(order)
-    inner_order = order_f - offset + Fraction(1, 16) + 1
+    # the lowest weight h^{2m+1,1} is -offset, which falls below -17/16
+    # from m = 5 on
+    inner_order = order_f - offset + max(Fraction(17, 16), offset)
     terms = [
         (e, s)
         for e, s in ((cd.h(2 * i + 1, 2 * n + 1), 1), (cd.h(2 * i + 1, -2 * n - 1), -1))

@@ -4,25 +4,29 @@ with JSON or CSV report output.
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage or
 precondition error.  Suites may run in parallel worker processes; set
 SWQ_WORKERS to cap the pool (1 forces sequential execution).
+
+A process imports only the modules its command runs: a suite's module
+when the suite is selected, `characters` for --module, `numeric` for
+--tau, and the process pool's machinery only when a pool starts.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO
+from typing import IO, TYPE_CHECKING, Callable
 
-from . import characters, fermionic, forms, gmverify, numeric, zhupoly
-from .characters import SWModuleId
-from .numeric import TauPoint
 from .qseries import VerificationReport, run_check
+
+if TYPE_CHECKING:
+    from .characters import SWModuleId
+    from .numeric import TauPoint
 
 __all__ = ["RunConfig", "UsageError", "run", "emit_report", "main"]
 
@@ -116,10 +120,14 @@ def emit_report(reports: list[VerificationReport], format: str, sink: IO[str]) -
 
 
 def _rank_taus(n: int) -> list[TauPoint]:
+    from .numeric import TauPoint
+
     return [TauPoint(-0.37 + 0.11 * i, 0.83 + 0.05 * i) for i in range(n)]
 
 
 def _rank_report(m: int, order: Fraction, tol: float) -> VerificationReport:
+    from . import characters, numeric
+
     n = 3 * m + 1
     params: dict[str, object] = {"m": m}
 
@@ -133,7 +141,7 @@ def _rank_report(m: int, order: Fraction, tol: float) -> VerificationReport:
     return run_check("ns-space-rank", params, check)
 
 
-def _gm_reports(m: int) -> list[VerificationReport]:
+def _gm_reports(gmverify, m: int) -> list[VerificationReport]:
     reports = [gmverify.verify_gm_conjecture(m)]
     if gmverify._is_prime(2 * m + 1):
         reports.append(gmverify.gm_mod_p(m))
@@ -141,25 +149,47 @@ def _gm_reports(m: int) -> list[VerificationReport]:
 
 
 def _numeric_reports(
-    m: int, order: Fraction, tol: float, taus: tuple[tuple[float, float], ...]
+    numeric, m: int, order: Fraction, tol: float, taus: tuple[tuple[float, float], ...]
 ) -> list[VerificationReport]:
-    points = [TauPoint(re, im) for re, im in taus]
+    points = [numeric.TauPoint(re, im) for re, im in taus]
     return [*numeric.verify_s_t_laws(points, order, tol), _rank_report(m, order, tol)]
+
+
+@dataclass(frozen=True)
+class _Suite:
+    """A suite's swqseries module, imported by `load`, and its reports
+    as reports(module, m, order, tol, taus)."""
+
+    module: str
+    reports: Callable[..., list[VerificationReport]]
+
+    def load(self):
+        return importlib.import_module(f"{__package__}.{self.module}")
+
+    def __call__(self, m, order, tol, taus) -> list[VerificationReport]:
+        return self.reports(self.load(), m, order, tol, taus)
 
 
 # Suite name -> reports for (m, order, tol, taus); `--suite all` runs
 # them in this order.
 _SUITES = {
-    "forms": lambda m, order, tol, taus: forms.verify_form_identities(order),
-    "characters": lambda m, order, tol, taus: characters.verify_character_suite(m, order),
-    "warnaar": lambda m, order, tol, taus: fermionic.verify_warnaar(2 * m + 1, order),
-    "aux": lambda m, order, tol, taus: fermionic.verify_aux_identities(order),
-    "zhu": lambda m, order, tol, taus: [
-        *zhupoly.verify_phi_identities(m),
-        zhupoly.verify_s_properties(m),
-    ],
-    "gm": lambda m, order, tol, taus: _gm_reports(m),
-    "numeric": _numeric_reports,
+    "forms": _Suite("forms", lambda forms, m, order, tol, taus: forms.verify_form_identities(order)),
+    "characters": _Suite(
+        "characters", lambda characters, m, order, tol, taus: characters.verify_character_suite(m, order)
+    ),
+    "warnaar": _Suite(
+        "fermionic", lambda fermionic, m, order, tol, taus: fermionic.verify_warnaar(2 * m + 1, order)
+    ),
+    "aux": _Suite("fermionic", lambda fermionic, m, order, tol, taus: fermionic.verify_aux_identities(order)),
+    "zhu": _Suite(
+        "zhupoly",
+        lambda zhupoly, m, order, tol, taus: [
+            *zhupoly.verify_phi_identities(m),
+            zhupoly.verify_s_properties(m),
+        ],
+    ),
+    "gm": _Suite("gmverify", lambda gmverify, m, order, tol, taus: _gm_reports(gmverify, m)),
+    "numeric": _Suite("numeric", _numeric_reports),
 }
 
 
@@ -187,6 +217,9 @@ def _worker_count() -> int:
 def _dispatch(tasks: list[tuple]) -> list[list[VerificationReport]]:
     n = min(_worker_count(), len(tasks))
     if n > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         try:
             with ProcessPoolExecutor(max_workers=n) as pool:
                 return list(pool.map(_suite_reports, tasks))
@@ -196,6 +229,8 @@ def _dispatch(tasks: list[tuple]) -> list[list[VerificationReport]]:
 
 
 def _emit_series(config: RunConfig, sink: IO[str]) -> int:
+    from . import characters
+
     build = characters.sw_char if config.command == "char" else characters.sw_superchar_theta
     series = build(config.module, config.order)
     if config.format == "csv":
@@ -220,6 +255,9 @@ def run(config: RunConfig, sink: IO[str]) -> int:
         if config.command in ("char", "superchar"):
             return _emit_series(config, sink)
         names = _SUITES if config.suite == "all" else (config.suite,)
+        # imported here, so that forked pool workers inherit the modules
+        for name in names:
+            _SUITES[name].load()
         tasks = [(name, config.m, config.order, config.tol, config.tau) for name in names]
         reports = [r for chunk in _dispatch(tasks) for r in chunk]
         emit_report(reports, config.format, sink)
@@ -230,6 +268,8 @@ def run(config: RunConfig, sink: IO[str]) -> int:
 
 
 def _parse_module(m: int, text: str) -> SWModuleId:
+    from .characters import SWModuleId
+
     kind, sep, index_text = text.partition(":")
     if not sep or kind not in ("lambda", "pi"):
         raise UsageError(f"bad module selector {text!r}; use lambda:N or pi:N")
@@ -244,6 +284,8 @@ def _parse_module(m: int, text: str) -> SWModuleId:
 
 
 def _parse_tau(text: str) -> tuple[float, float]:
+    from .numeric import TauPoint
+
     try:
         z = complex(text)
         TauPoint(z.real, z.imag)

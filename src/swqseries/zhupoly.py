@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from . import characters
 from .qseries import RatLike, VerificationReport, run_check
 
 __all__ = [
@@ -129,11 +128,23 @@ def _over(v: list[int], content: int) -> RatPoly:
 
 
 def compose(a: RatPoly, b: RatPoly) -> RatPoly:
-    """a(b(t)) by Horner's rule."""
-    acc = poly([])
-    for c in reversed(a.coeffs):
-        acc = add(mul(acc, b), poly([c]))
-    return acc
+    """a(b(t)) by Horner's rule on one integer vector: with
+    a = va/da and b = vb/db, acc <- acc*vb + va[k]*db^(n-k) for k from
+    n = deg a down to 0 ends at da*db^n * a(b(t)), and only the output
+    coefficients become Fractions again."""
+    if a.is_zero() or b.is_zero():
+        return poly([a.coeff(0)])
+    da, va = _clear_denominators(a)
+    db, vb = _clear_denominators(b)
+    acc = [va[-1]]
+    power = 1
+    for c in reversed(va[:-1]):
+        power *= db
+        acc = _convolve(acc, vb)
+        acc[0] += c * power
+    while acc and not acc[-1]:
+        acc.pop()
+    return _over(acc, da * power) if acc else poly([])
 
 
 def shift_arg(a: RatPoly, c: RatLike) -> RatPoly:
@@ -221,9 +232,14 @@ class SingletCurve:
     y_param: RatPoly
 
 
+def _weight(m: int, r: int) -> Fraction:
+    """The conformal weight h^{r,1} = ((2m+1-r)^2 - 4m^2) / (8(2m+1))."""
+    p = 2 * m + 1
+    return Fraction((p - r) ** 2 - 4 * m * m, 8 * p)
+
+
 def _weights(m: int, count: int) -> list[Fraction]:
-    cd = characters.central_data(m)
-    return [cd.h(2 * i + 1, 1) for i in range(count)]
+    return [_weight(m, 2 * i + 1) for i in range(count)]
 
 
 def _x_param(m: int) -> RatPoly:
@@ -331,9 +347,8 @@ def interpolation_L(m: int) -> RatPoly:
     i = 2m+1..3m; degree m-1."""
     if m < 1:
         raise ValueError("m must be positive")
-    cd = characters.central_data(m)
     points = [
-        (cd.h(2 * i + 1, 1), Fraction(math.comb(i, 2 * m + 1)))
+        (_weight(m, 2 * i + 1), Fraction(math.comb(i, 2 * m + 1)))
         for i in range(2 * m + 1, 3 * m + 1)
     ]
     return lagrange(points)
@@ -411,9 +426,7 @@ def verify_s_properties(m: int) -> VerificationReport:
             if not value < 0:
                 return order, (Fraction(t), value, Fraction(0))
         L = interpolation_L(m)
-        cd = characters.central_data(m)
-        for i in range(m + 1):
-            w = cd.h(2 * i + 1, 1)
+        for w in _weights(m, m + 1):
             if L(w) == 0:
                 return order, (w, Fraction(0), Fraction(0))
         return order, None

@@ -1,5 +1,7 @@
 """Tests for the command-line front end and report serialization."""
 
+import concurrent.futures
+import concurrent.futures.process
 import csv
 import io
 import json
@@ -189,7 +191,9 @@ class TestRun:
         monkeypatch.delenv("SWQ_WORKERS")
         assert seq == collect()
 
-    @pytest.mark.parametrize("failure", [OSError("no processes"), cli.BrokenProcessPool("worker died")])
+    @pytest.mark.parametrize(
+        "failure", [OSError("no processes"), concurrent.futures.process.BrokenProcessPool("worker died")]
+    )
     def test_pool_failure_falls_back_and_says_so(self, monkeypatch, capsys, failure):
         def collect():
             sink = io.StringIO()
@@ -218,7 +222,7 @@ class TestRun:
             def map(self, fn, tasks):
                 raise failure
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
         monkeypatch.setenv("SWQ_WORKERS", "2")
         assert collect() == seq
         err = capsys.readouterr().err
@@ -233,7 +237,7 @@ class TestRun:
         monkeypatch.delenv("SWQ_WORKERS", raising=False)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
         assert cli._worker_count() == 1
         assert cli.run(cli.RunConfig(command="verify", m=1, order=F(10)), io.StringIO()) == 1
         monkeypatch.setenv("SWQ_WORKERS", "3")
@@ -252,6 +256,24 @@ class TestRun:
         sink = io.StringIO()
         assert cli.run(cli.RunConfig(command="verify", suite="gm"), sink) == 2
         assert "SWQ_WORKERS" in capsys.readouterr().err
+
+
+class TestEveryM:
+    @pytest.mark.parametrize("m", range(5, 9))
+    def test_characters_suite_from_m_5(self, capsys, m):
+        # the lowest weight -m^2/(2(2m+1)) falls below -17/16 from m = 5 on
+        assert cli.main(["verify", "--suite", "characters", "--m", str(m), "--order", "20"]) == 0
+        assert all(r["status"] == "pass" for r in json.loads(capsys.readouterr().out))
+
+    def test_all_suites_for_m_1_to_12(self, monkeypatch, capsys):
+        monkeypatch.setenv("SWQ_WORKERS", "1")
+        for m in range(1, 13):
+            assert cli.main(["verify", "--suite", "all", "--m", str(m), "--order", "12"]) == 1
+            bad = [r for r in json.loads(capsys.readouterr().out) if r["status"] != "pass"]
+            # only the known-false variant-2 case with lambda = p fails
+            assert bad and {(r["identity_id"], r["params"].get("p"), r["params"].get("lambda")) for r in bad} == {
+                ("warnaar-v2", 2 * m + 1, 2 * m + 1)
+            }
 
 
 class TestRankReport:
@@ -344,3 +366,62 @@ def test_numpy_imported_only_by_numeric():
     ).stdout
     # every command exits 0, and only numeric pulls numpy in
     assert json.loads(out) == [[0, 0, 0, 0], False, True]
+
+
+# Each command below, in a fresh process, loads exactly the swqseries
+# modules _LOADED names for it, and none of the pool's machinery or numpy.
+_MODULES_PROBE = """
+import contextlib, io, json, sys
+from swqseries import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+unwanted = ("concurrent.futures.process", "multiprocessing", "numpy")
+print(json.dumps([code, sorted(k for k in sys.modules if k.startswith("swqseries.")),
+                  [k for k in unwanted if k in sys.modules]]))
+"""
+
+_LOADED = {
+    ("--help",): ["cli", "qseries"],
+    ("gm", "--m", "1"): ["cli", "gmverify", "qseries", "zhupoly"],
+    ("zhu", "--m", "1"): ["cli", "qseries", "zhupoly"],
+    ("char", "--m", "1", "--module", "lambda:1"): ["characters", "cli", "forms", "qseries"],
+}
+
+
+def _probe(script, argv, **env):
+    src = os.path.dirname(os.path.dirname(swqseries.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=dict(os.environ, PYTHONPATH=src, **env), capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("argv", list(_LOADED))
+def test_command_loads_only_its_modules(argv):
+    assert _probe(_MODULES_PROBE, argv, SWQ_WORKERS="2") == [0, [f"swqseries.{n}" for n in _LOADED[argv]], []]
+
+
+# The pool stub records the swqseries modules loaded when the pool is
+# built and fails, so the sequential fallback runs the suites.
+_POOL_PROBE = """
+import concurrent.futures, contextlib, io, json, sys
+from swqseries import cli
+seen = []
+class RecordingPool:
+    def __init__(self, max_workers):
+        seen.append(sorted(k for k in sys.modules if k.startswith("swqseries.")))
+        raise OSError("recorded")
+concurrent.futures.ProcessPoolExecutor = RecordingPool
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, seen]))
+"""
+
+
+def test_suite_modules_loaded_before_pool_starts():
+    argv = ["verify", "--suite", "all", "--m", "1", "--order", "10"]
+    code, seen = _probe(_POOL_PROBE, argv, SWQ_WORKERS="2")
+    suites = ["characters", "fermionic", "forms", "gmverify", "numeric", "zhupoly"]
+    assert code == 1
+    assert seen == [sorted(f"swqseries.{n}" for n in ["cli", "qseries", *suites])]

@@ -34,6 +34,13 @@ def _fraction_from_roots(roots):
     return acc
 
 
+def _fraction_compose(a, b):
+    acc = zp.poly([])
+    for c in reversed(a.coeffs):
+        acc = zp.add(_fraction_mul(acc, b), zp.poly([c]))
+    return acc
+
+
 def _fraction_phi_tilde(m):
     acc = zp.poly([])
     for k in range(2 * m + 1):
@@ -118,6 +125,17 @@ def test_from_roots_matches_fraction_kernel(roots):
     assert got.coeff(len(roots)) == 1
     for r in roots:
         assert got(r) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, st.lists(rationals, max_size=4).map(zp.poly))
+@example(zp.poly([]), zp.poly([F(1, 3), 2]))
+@example(zp.poly([F(2, 7), 1]), zp.poly([]))
+@example(zp.poly([F(5, 3)]), zp.poly([F(1, 6), 0, F(-1, 10**30)]))
+@example(zp.poly([F(1, 2), F(-3, 2**64 + 13), F(7, 3**41)]), zp.poly([F(-5, 49)]))
+@example(zp.poly([F(1, 6), 0, F(-1, 10**30), 3]), zp.poly([F(2**69, 7), F(1, 2)]))
+def test_compose_matches_fraction_kernel(a, b):
+    assert zp.compose(a, b) == _fraction_compose(a, b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,6 +225,13 @@ def test_f_m_monic_and_alt_form(m):
     assert f.coeffs[-1] == 1
     assert zp.sub(f, zp.f_m_alt_poly(m)).is_zero()
     assert f(ch.central_data(m).h(2 * m + 1, 1)) == 0
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_weight_matches_central_data(m):
+    cd = ch.central_data(m)
+    for r in range(1, 6 * m + 2, 2):
+        assert zp._weight(m, r) == cd.h(r, 1)
 
 
 @pytest.mark.parametrize("m", range(1, 11))
