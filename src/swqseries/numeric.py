@@ -2,12 +2,20 @@
 half-plane.  This is the one place the package leaves exact arithmetic:
 the S- and T-transformation laws relate values at tau and -1/tau, which
 no finite q-expansion can compare exactly, and the span of characters
-plus tau-weighted theta derivatives is probed by numerical rank."""
+plus tau-weighted theta derivatives is probed by numerical rank.
+
+The rank probe's singular values come from a pure-Python SVD, Householder
+QR with column pivoting followed by one-sided Jacobi rotations (Drmac and
+Veselic, 2008).  Singular values below about n eps sigma_max (eps = 2.2e-16,
+n = 3m+1) are rounding noise: from m = 6 on the probe's smallest one is
+below that floor and carries no information, and only the exact rank
+characters.ns_space_exact_rank decides the ns-space-rank check."""
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +33,16 @@ __all__ = [
 
 # Smallest tolerance double-precision residuals can certify.
 _TOL_FLOOR = 1e-13
+
+# Jacobi sweeps stop once every pair of columns has |x_p^H x_q| at most
+# this multiple of |x_p| |x_q|: about 18 double roundings, above the
+# rounding error of an inner product of length 3m+1 <= 37.
+_ORTH = 4e-15
+_MAX_SWEEPS = 30
+# Columns (of a matrix scaled to largest entry 1) whose squared norm is
+# below the smallest normal double are left unrotated: their norms are
+# under 1.5e-154 and their squares have lost precision.
+_TINY = sys.float_info.min
 
 # Integer theta levels checked: 3 and 5 carry the half-integer grids
 # 3/2 and 5/2 (doubling the exponent denominator identifies the two
@@ -182,6 +200,91 @@ def verify_s_t_laws(taus: list[TauPoint], order: RatLike, tol: float) -> list[Ve
     return reports
 
 
+def _norm2(v: list[complex]) -> float:
+    return sum(z.real * z.real + z.imag * z.imag for z in v)
+
+
+def _singular_values(cols: list[list[complex]]) -> list[float]:
+    """Singular values, largest first, of the square matrix with these
+    columns, by the preconditioned Jacobi SVD of Drmac and Veselic
+    (SIAM J. Matrix Anal. Appl. 29, 2008): Householder QR with column
+    pivoting, A P = Q R, then one-sided (Hestenes) Jacobi rotations on
+    the columns of R^H until every pair is orthogonal to _ORTH, when the
+    column norms are the singular values.  The pivoting grades the rows
+    of R, so the sweeps converge in a few rounds (every rank-probe matrix
+    up to m = 12 takes three, and a fourth that rotates nothing); a
+    matrix still not orthogonal after _MAX_SWEEPS sweeps raises
+    ArithmeticError."""
+    n = len(cols)
+    # scale by the largest entry, so squared norms neither overflow nor
+    # underflow to zero
+    big = max((abs(z) for c in cols for z in c), default=0.0)
+    if big == 0.0:
+        return [0.0] * n
+    a = [[z / big for z in c] for c in cols]
+    for k in range(n):
+        p = max(range(k, n), key=lambda j: _norm2(a[j][k:]))
+        a[k], a[p] = a[p], a[k]
+        x = a[k][k:]
+        xnorm = math.sqrt(_norm2(x))
+        if xnorm == 0.0:
+            break  # every remaining column is zero from row k down
+        alpha = -xnorm * (x[0] / abs(x[0]) if x[0] else 1.0)
+        v = [x[0] - alpha, *x[1:]]
+        vv = _norm2(v)
+        for col in a[k + 1 :]:
+            f = 2.0 * sum(vi.conjugate() * ci for vi, ci in zip(v, col[k:])) / vv
+            col[k:] = [ci - f * vi for vi, ci in zip(v, col[k:])]
+        a[k][k:] = [alpha] + [0j] * (n - k - 1)
+    # column i of R^H is the conjugate of row i of R, whose entry j is a[j][i]
+    xs = [[a[j][i].conjugate() for j in range(n)] for i in range(n)]
+    norms = [_norm2(x) for x in xs]
+    for _ in range(_MAX_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                xp, xq = xs[p], xs[q]
+                if norms[p] < _TINY or norms[q] < _TINY:
+                    continue  # a squared norm has underflowed
+                g = sum(u.conjugate() * w for u, w in zip(xp, xq))
+                ag = abs(g)
+                if ag <= _ORTH * math.sqrt(norms[p]) * math.sqrt(norms[q]):
+                    continue
+                rotated = True
+                # rotate x_p and the phase-shifted x_q e^{-i arg g}, whose
+                # inner product |g| is real, by the angle that zeroes it
+                zeta = (norms[q] - norms[p]) / (2.0 * ag)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = c * t
+                e = g.conjugate() / ag
+                xs[p] = [c * u - s * e * w for u, w in zip(xp, xq)]
+                xs[q] = [s * u + c * e * w for u, w in zip(xp, xq)]
+                norms[p], norms[q] = _norm2(xs[p]), _norm2(xs[q])
+        if not rotated:
+            return sorted((big * math.sqrt(v) for v in norms), reverse=True)
+    raise ArithmeticError(f"Jacobi SVD not converged after {_MAX_SWEEPS} sweeps")
+
+
+def _rank_columns(m: int, taus: list[TauPoint], order: Fraction, tol: float) -> list[list[complex]]:
+    """Columns of the rank probe's matrix: the values of the 2m+1
+    characters and of tau (f/eta) dTheta_{j,(2m+1)/2}, j = 1..m, one row
+    per point."""
+    p = 2 * m + 1
+    series = [characters.sw_char(mod, order) for mod in characters.all_module_ids(m)]
+    fe = characters.f_over_eta(order)
+    for j in range(1, m + 1):
+        series.append(qs.mul(fe, forms.dtheta(ThetaParams(j, Fraction(p, 2)), order)))
+    rows = []
+    for t in taus:
+        row = []
+        for c, s in enumerate(series):
+            value, _ = eval_series(s, t, tol)
+            row.append(t.tau * value if c > 2 * m else value)
+        rows.append(row)
+    return [list(col) for col in zip(*rows)]
+
+
 def ns_space_rank(
     m: int, taus: list[TauPoint], order: RatLike, tol: float = 1e-8
 ) -> tuple[int, float]:
@@ -189,9 +292,14 @@ def ns_space_rank(
     2m+1 characters and the m functions tau (f/eta) dTheta_{j,(2m+1)/2},
     j = 1..m, at 3m+1 distinct points.  Rank counts singular values
     above 1e-6 times the largest; the smallest is returned alongside.
-    """
-    import numpy as np  # only the SVD needs it; every other command skips the import
 
+    The singular values come from _singular_values, a QR-preconditioned
+    one-sided Jacobi SVD.  Any singular value below about n eps sigma_max
+    (eps = 2.2e-16, n = 3m+1) is rounding noise: on the CLI's points the
+    smallest falls there from m = 6 on (sigma_min/sigma_max is 3.5e-19 at
+    m = 6), so from then on it carries no information, and only the exact
+    rank (characters.ns_space_exact_rank) decides the ns-space-rank check.
+    """
     if m < 1:
         raise ValueError("m must be positive")
     n = 3 * m + 1
@@ -199,17 +307,5 @@ def ns_space_rank(
         raise ValueError(f"need {n} tau points")
     if len(set(taus)) != n:
         raise ValueError("tau points must be distinct")
-    order = Fraction(order)
-    p = 2 * m + 1
-    cols = [characters.sw_char(mod, order) for mod in characters.all_module_ids(m)]
-    fe = characters.f_over_eta(order)
-    for j in range(1, m + 1):
-        cols.append(qs.mul(fe, forms.dtheta(ThetaParams(j, Fraction(p, 2)), order)))
-    mat = np.empty((n, n), dtype=complex)
-    for r, t in enumerate(taus):
-        for c, series in enumerate(cols):
-            value, _ = eval_series(series, t, tol)
-            mat[r, c] = t.tau * value if c > 2 * m else value
-    sv = np.linalg.svd(mat, compute_uv=False)
-    rank = int(np.sum(sv > 1e-6 * sv[0]))
-    return rank, float(sv[-1])
+    sv = _singular_values(_rank_columns(m, taus, Fraction(order), tol))
+    return sum(s > 1e-6 * sv[0] for s in sv), sv[-1]

@@ -346,28 +346,6 @@ class TestMain:
         assert out.startswith("exponent,coefficient\n")
 
 
-_IMPORT_PROBE = """
-import contextlib, io, json, sys
-from swqseries import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(argv) for argv in (["--help"], ["gm", "--m", "1"], ["zhu", "--m", "1"])]
-    before = "numpy" in sys.modules
-    codes.append(cli.main(["numeric", "--m", "1"]))
-print(json.dumps([codes, before, "numpy" in sys.modules]))
-"""
-
-
-def test_numpy_imported_only_by_numeric():
-    src = os.path.dirname(os.path.dirname(swqseries.__file__))
-    env = dict(os.environ, SWQ_WORKERS="1", PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
-    ).stdout
-    # every command exits 0, and only numeric pulls numpy in
-    assert json.loads(out) == [[0, 0, 0, 0], False, True]
-
-
 # Each command below, in a fresh process, loads exactly the swqseries
 # modules _LOADED names for it, and none of the pool's machinery or numpy.
 _MODULES_PROBE = """
@@ -385,6 +363,7 @@ _LOADED = {
     ("gm", "--m", "1"): ["cli", "gmverify", "qseries", "zhupoly"],
     ("zhu", "--m", "1"): ["cli", "qseries", "zhupoly"],
     ("char", "--m", "1", "--module", "lambda:1"): ["characters", "cli", "forms", "qseries"],
+    ("numeric", "--m", "1"): ["characters", "cli", "forms", "numeric", "qseries"],
 }
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from swqseries import forms
+from swqseries import cli, forms
 from swqseries import numeric as nm
 from swqseries import qseries as qs
 
@@ -158,3 +158,54 @@ class TestRank:
     def test_bad_m_rejected(self):
         with pytest.raises(ValueError):
             nm.ns_space_rank(0, [], 100)
+
+
+def _numpy_singular_values(cols):
+    """numpy's SVD of the matrix with these columns: the test-side oracle."""
+    np = pytest.importorskip("numpy")
+    return [float(s) for s in np.linalg.svd(np.array(cols, dtype=complex).T, compute_uv=False)]
+
+
+@st.composite
+def _square_matrices(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    part = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+    return [[complex(draw(part), draw(part)) for _ in range(n)] for _ in range(n)]
+
+
+_C = [complex(math.cos(k), math.sin(k)) for k in range(12)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_square_matrices())
+# diagonal, magnitudes spread from 1 down to 1e-12
+@example([[_C[j] * 10.0 ** -j if i == j else 0j for i in range(7)] for j in range(7)])
+# an exact duplicate column
+@example([[_C[i] + j * _C[i + j] for i in range(5)] for j in range(4)] + [[_C[i] + _C[i + 1] for i in range(5)]])
+# a zero column
+@example([[_C[i + j] * (i + 2) for i in range(4)] for j in range(3)] + [[0j] * 4])
+@example([[3 - 4j]])
+# a column permutation of a matrix with distinct singular values
+@example([[(j + 1) * _C[j] if i == (2 * j) % 5 else 0j for i in range(5)] for j in range(5)])
+# a column whose squared norm underflows once the matrix is scaled
+@example([[3j, 5.404677208365977e-291j], [0.5j, 0j]])
+def test_singular_values_match_numpy(cols):
+    got = nm._singular_values(cols)
+    want = _numpy_singular_values(cols)
+    assert len(got) == len(want)
+    assert all(abs(g - w) <= 1e-12 * want[0] for g, w in zip(got, want))
+    # the values do not depend on the order of the columns
+    assert all(abs(g - r) <= 1e-12 * want[0] for g, r in zip(got, nm._singular_values(cols[::-1])))
+    if any(cols[i] == cols[j] for j in range(len(cols)) for i in range(j)):
+        assert got[-1] <= 1e-14 * got[0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_rank_probe_matches_numpy(m, monkeypatch):
+    taus = cli._rank_taus(3 * m + 1)
+    want = _numpy_singular_values(nm._rank_columns(m, taus, F(50), 1e-8))
+    # the QR preconditioning makes the sweeps converge in a few rounds
+    monkeypatch.setattr(nm, "_MAX_SWEEPS", 5)
+    rank, smallest = nm.ns_space_rank(m, taus, 50)
+    assert f"{smallest:.6g}" == f"{want[-1]:.6g}"
+    assert rank == sum(s > 1e-6 * want[0] for s in want)
