@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import floor, lcm
+from math import floor
+from operator import add
 
 from . import characters, forms, qseries as qs
 from .characters import SWModuleId
@@ -98,104 +99,103 @@ class FermionicSumSpec:
             raise ValueError("parity must be 0 or 1")
 
 
-def _one_d_min(qii: Fraction, li: Fraction) -> Fraction:
-    # min over integer v >= 0 of qii*v^2 + li*v
-    if li >= 0:
-        return Fraction(0)
-    vertex = -li / (2 * qii)
-    best = Fraction(0)
-    for v in (int(vertex), int(vertex) + 1):
-        if v >= 0:
-            best = min(best, qii * v * v + li * v)
-    return best
+def _horner(n: int, terms) -> list[int]:
+    """Coefficients of q^0..q^{n-1} of sum_k q^{s_k} x_k / (q;q)_k, for
+    `terms` (k, s_k, x_k) at k = K, ..., 0, x_k a list from q^0: add
+    q^{s_k} x_k, then divide by 1 - q^k by running sums mod k (Horner)."""
+    if n <= 0:
+        return []
+    acc = [0] * n
+    low = n  # acc[:low] is zero
+    for k, s, x in terms:
+        if s < n and x:
+            m = min(len(x), n - s)
+            acc[s:s + m] = map(add, acc[s:s + m], x)
+            low = min(low, s)
+        for r in range(low, min(low + k, n - k)):
+            acc[r::k] = accumulate(acc[r::k])
+    return acc
 
 
-def _multi_sum(
-    Q: tuple[tuple[Fraction, ...], ...],
-    lin: list[Fraction],
-    const: Fraction,
-    parity: int | None,
-    order: Fraction,
-    s: int,
-) -> QSeries:
-    """Sum over tuples n in Z>=0^p with n_{p-1} + n_p congruent to parity
-    mod 2 (unconstrained when parity is None) of
+def _multi_sum(p: int, lin: list[Fraction], const: Fraction, parity: int, order: Fraction) -> QSeries:
+    """Sum over n in Z>=0^p with n_{p-1} + n_p = parity mod 2 of
 
-        q^{n.Q.n + lin.n + const} / prod_i (q^{1/s}; q^{1/s})_{n_i}
+        q^{n.B.n + lin.n + const} / prod_i (q;q)_{n_i},   B = inverse_cartan_D(p).B,
 
-    exact to the given order.  Requires Q symmetric, positive definite,
-    and elementwise nonnegative: the pruning bound keeps the exact prefix
-    value plus one-dimensional minima of the free diagonal terms, which
-    is a lower bound because every dropped cross term is nonnegative.
+    exact to the given order, by recursion over partial sums, as for
+    Andrews-Gordon-type multi-sums (Andrews, The Theory of Partitions,
+    ch. 7).  With a = n_{p-1}, b = n_p, eps = parity/2 and
+    N_i = M_i + eps = n_i + ... + n_{p-2} + (a+b)/2 for i <= p-2,
+
+        n.B.n = sum_{i<=p-2} N_i^2 + (a^2 + b^2)/2,
+
+    over the chain M_1 >= ... >= M_{p-2} >= M_{p-1} = (a+b-parity)/2 >= 0.
+    So the sum is sum_M G_1(M), where G_{p-1}(M) is the fork kernel
+
+        K(M) = sum_{a+b=2M+parity} q^{(a^2+b^2)/2 + l_a a + l_b b + const} / ((q)_a (q)_b),
+
+    G_i(M) = q^{(M+eps)^2} sum_k q^{l_i k} / (q)_k G_{i+1}(M-k), and every
+    sum over k (or a) runs in Horner form, acc <- x_k + acc / (1 - q^{k+1}).
+    G_i(M) is cut (i-1) d(M) below the top, d(M) = (M+eps)^2 - eps^2,
+    as each of the i-1 levels above it adds at least d(M).
+
+    All exponents lie in one coset of Z: each chain level adds eps^2
+    plus an integer, and with l_a - l_b and 2 l_b integers the fork
+    exponent moves by integers over the pairs a+b of one parity.  So the
+    levels are int lists, index j holding exponent lo + j.  A chain
+    coefficient l_i that is not a nonnegative integer, or a fork pair or
+    parity outside this, raises ValueError.
     """
-    p = len(Q)
-    for row in Q:
-        for x in row:
-            if x < 0:
-                raise ValueError("enumerator requires elementwise nonnegative Q")
+    if parity not in (0, 1):
+        raise ValueError("parity must be 0 or 1")
+    chain, la, lb = lin[:p - 2], lin[p - 2], lin[p - 1]
+    if any(x.denominator != 1 or x < 0 for x in chain):
+        raise ValueError("chain linear coefficients must be nonnegative integers")
+    if (la - lb).denominator != 1 or (2 * lb).denominator != 1:
+        raise ValueError("fork linear coefficients must differ by an integer and lie in Z/2")
+    la2, lb2 = int(2 * la), int(2 * lb)
 
-    den = lcm(s, *[x.denominator for row in Q for x in row],
-              *[x.denominator for x in lin], const.denominator)
-    ustep = den // s
-    # exponents as integer numerators over den from here on
-    Qn = [[int(x * den) for x in row] for row in Q]
-    pair = [[Qn[d][i] + Qn[i][d] for i in range(p)] for d in range(p)]
-    tail = [0] * (p + 1)
-    for i in range(p - 1, -1, -1):
-        tail[i] = tail[i + 1] + int(_one_d_min(Q[i][i], lin[i]) * den)
-    top = floor(order * den)
-    u_order = max(0, (top - int(const * den) - tail[0]) // ustep)
+    def twice_fork(a: int, b: int) -> int:
+        return a * a + b * b + la2 * a + lb2 * b
 
-    # every exponent reached lies in [lo, top]: acc[i] is the coefficient
-    # of q^{(lo + i)/den}
-    lo = int(const * den) + tail[0]
-    acc = [0] * (top - lo + 1)
+    # twice the lowest fork exponent, rounded down into the coset of a+b = parity
+    f0 = twice_fork(parity, 0)
+    fork_lo = f0 - 2 * ((f0 - twice_fork(max(0, -la2 // 2), max(0, -lb2 // 2))) // 2)
+    lo = const + Fraction((p - 2) * parity, 4) + Fraction(fork_lo, 2)
+    top = floor(order - lo)
 
-    def leaf(e: int, prod: list[int]) -> None:
-        i = e - lo
-        j = i + (top - e) // ustep * ustep + 1
-        acc[i:j:ustep] = [x + c for x, c in zip(acc[i:j:ustep], prod)]
+    def d(M: int) -> int:  # (M + eps)^2 - eps^2
+        return M * M + parity * M
 
-    def rec(d: int, e_base: int, cross: list[int], prod: list[int], par: int) -> None:
-        if d == p:
-            if parity is None or par == parity:
-                leaf(e_base, prod)
-            return
-        qdd = Qn[d][d]
-        cd = cross[d]
-        row = pair[d]
-        in_pair = d >= p - 2
-        v = 0
-        cur = prod
-        prev_e = None
-        while True:
-            e_v = e_base + qdd * v * v + cd * v
-            if e_v + tail[d + 1] > top:
-                if prev_e is None:
-                    if cd >= 0:
-                        break
-                elif e_v >= prev_e:
-                    break
-            else:
-                nxt = [c + r * v for c, r in zip(cross, row)]
-                rec(d + 1, e_v, nxt, cur, (par + v) % 2 if in_pair else par)
-            prev_e = e_v
-            v += 1
-            if cur is prod:
-                cur = prod[:]
-            # divide by (1 - u^v): a running sum along each residue class mod v
-            for r in range(min(v, u_order + 1)):
-                cur[r::v] = accumulate(cur[r::v])
-
-    rec(0, int(const * den), [int(x * den) for x in lin], [1] + [0] * u_order, 0)
-    return qs.from_slots(den, lo, 1, acc, 1, order)
+    Ms = 0  # M runs over 0..Ms-1, where d(M) <= top
+    while d(Ms) <= top:
+        Ms += 1
+    H = [[1] + [0] * top]  # H[b] = 1/(q;q)_b
+    for b in range(1, 2 * Ms + parity - 1):
+        H.append(_horner(top + 1, [(b, 0, H[-1])]))
+    level = [
+        (0, _horner(top + 1 - (p - 2) * d(M), (
+            (a, (twice_fork(a, 2 * M + parity - a) - fork_lo) // 2, H[2 * M + parity - a])
+            for a in range(2 * M + parity, -1, -1))))
+        for M in range(Ms)
+    ]
+    for i in range(p - 2, 0, -1):
+        li = int(chain[i - 1])
+        level = [
+            (d(M), _horner(top + 1 - i * d(M), (
+                (k, level[M - k][0] + li * k, level[M - k][1]) for k in range(M, -1, -1))))
+            for M in range(Ms)
+        ]
+    vals = [0] * (top + 1)
+    for off, x in level:
+        vals[off:off + len(x)] = map(add, vals[off:off + len(x)], x)
+    return qs.from_slots(lo.denominator, lo.numerator, lo.denominator, vals, 1, order)
 
 
 # -- one-parameter sum families ------------------------------------------------
 
 
 def _warnaar_data(spec: FermionicSumSpec):
-    B = inverse_cartan_D(spec.p).B
     p = spec.p
     lin = [Fraction(0)] * p
     half = Fraction(spec.lam, 2)
@@ -207,13 +207,13 @@ def _warnaar_data(spec: FermionicSumSpec):
         for i in range(max(1, p - spec.lam), p - 1):
             lin[i - 1] += i - p + spec.lam + 1
     const = half * spec.sigma - Fraction(spec.sigma * p, 4)
-    return B, lin, const
+    return lin, const
 
 
 def warnaar_lhs(spec: FermionicSumSpec, order: RatLike) -> QSeries:
     """The multi-sum side: tuples weighted by 1/prod (q;q)_{n_i}."""
-    B, lin, const = _warnaar_data(spec)
-    return _multi_sum(B, lin, const, spec.parity, Fraction(order), 1)
+    lin, const = _warnaar_data(spec)
+    return _multi_sum(spec.p, lin, const, spec.parity, Fraction(order))
 
 
 def warnaar_rhs(spec: FermionicSumSpec, order: RatLike) -> QSeries:

@@ -3,8 +3,9 @@ character forms, and the auxiliary identities."""
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from itertools import product as iproduct
-from math import lcm
+from math import floor, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -71,7 +72,19 @@ def test_sum_spec_validation():
         fm.FermionicSumSpec(3, 0, 0, 1, 2)
 
 
-# -- enumerator against the naive box oracle ---------------------------------
+# -- oracle enumerators -------------------------------------------------------
+
+
+def _one_d_min(qii: Fraction, li: Fraction) -> Fraction:
+    # min over integer v >= 0 of qii*v^2 + li*v
+    if li >= 0:
+        return Fraction(0)
+    vertex = -li / (2 * qii)
+    best = Fraction(0)
+    for v in (int(vertex), int(vertex) + 1):
+        if v >= 0:
+            best = min(best, qii * v * v + li * v)
+    return best
 
 
 @lru_cache(maxsize=None)
@@ -89,7 +102,7 @@ def _naive_multi_sum(
 ) -> qs.QSeries:
     """Oracle enumerator: per-coordinate box bounds, then brute force."""
     p = len(Q)
-    mins = [fm._one_d_min(Q[i][i], lin[i]) for i in range(p)]
+    mins = [_one_d_min(Q[i][i], lin[i]) for i in range(p)]
     big = order - min(Fraction(0), const + sum(mins))
     boxes = []
     for i in range(p):
@@ -120,6 +133,88 @@ def _naive_multi_sum(
     return total
 
 
+def _enumerated_multi_sum(
+    Q: tuple[tuple[Fraction, ...], ...],
+    lin: list[Fraction],
+    const: Fraction,
+    parity: int | None,
+    order: Fraction,
+    s: int,
+) -> qs.QSeries:
+    """The tuple enumerator `fermionic._multi_sum` was before the
+    partial-sum recursion: the sum over n in Z>=0^p with n_{p-1} + n_p
+    congruent to parity mod 2 (unconstrained when parity is None) of
+
+        q^{n.Q.n + lin.n + const} / prod_i (q^{1/s}; q^{1/s})_{n_i}
+
+    exact to the given order, for any symmetric, positive definite,
+    elementwise nonnegative Q: the pruning bound keeps the exact prefix
+    value plus one-dimensional minima of the free diagonal terms, which
+    is a lower bound because every dropped cross term is nonnegative.
+    """
+    p = len(Q)
+    for row in Q:
+        for x in row:
+            if x < 0:
+                raise ValueError("enumerator requires elementwise nonnegative Q")
+
+    den = lcm(s, *[x.denominator for row in Q for x in row],
+              *[x.denominator for x in lin], const.denominator)
+    ustep = den // s
+    # exponents as integer numerators over den from here on
+    Qn = [[int(x * den) for x in row] for row in Q]
+    pair = [[Qn[d][i] + Qn[i][d] for i in range(p)] for d in range(p)]
+    tail = [0] * (p + 1)
+    for i in range(p - 1, -1, -1):
+        tail[i] = tail[i + 1] + int(_one_d_min(Q[i][i], lin[i]) * den)
+    top = floor(order * den)
+    u_order = max(0, (top - int(const * den) - tail[0]) // ustep)
+
+    # every exponent reached lies in [lo, top]: acc[i] is the coefficient
+    # of q^{(lo + i)/den}
+    lo = int(const * den) + tail[0]
+    acc = [0] * (top - lo + 1)
+
+    def leaf(e: int, prod: list[int]) -> None:
+        i = e - lo
+        j = i + (top - e) // ustep * ustep + 1
+        acc[i:j:ustep] = [x + c for x, c in zip(acc[i:j:ustep], prod)]
+
+    def rec(d: int, e_base: int, cross: list[int], prod: list[int], par: int) -> None:
+        if d == p:
+            if parity is None or par == parity:
+                leaf(e_base, prod)
+            return
+        qdd = Qn[d][d]
+        cd = cross[d]
+        row = pair[d]
+        in_pair = d >= p - 2
+        v = 0
+        cur = prod
+        prev_e = None
+        while True:
+            e_v = e_base + qdd * v * v + cd * v
+            if e_v + tail[d + 1] > top:
+                if prev_e is None:
+                    if cd >= 0:
+                        break
+                elif e_v >= prev_e:
+                    break
+            else:
+                nxt = [c + r * v for c, r in zip(cross, row)]
+                rec(d + 1, e_v, nxt, cur, (par + v) % 2 if in_pair else par)
+            prev_e = e_v
+            v += 1
+            if cur is prod:
+                cur = prod[:]
+            # divide by (1 - u^v): a running sum along each residue class mod v
+            for r in range(min(v, u_order + 1)):
+                cur[r::v] = accumulate(cur[r::v])
+
+    rec(0, int(const * den), [int(x * den) for x in lin], [1] + [0] * u_order, 0)
+    return qs.from_slots(den, lo, 1, acc, 1, order)
+
+
 def _fraction_multi_sum(
     Q: tuple[tuple[Fraction, ...], ...],
     lin: list[Fraction],
@@ -141,7 +236,7 @@ def _fraction_multi_sum(
     ustep = den // s
     tail = [Fraction(0)] * (p + 1)
     for i in range(p - 1, -1, -1):
-        tail[i] = tail[i + 1] + fm._one_d_min(Q[i][i], lin[i])
+        tail[i] = tail[i + 1] + _one_d_min(Q[i][i], lin[i])
     e_min = const + tail[0]
     u_order = max(0, int((order - e_min) * s))
 
@@ -189,6 +284,36 @@ def _fraction_multi_sum(
     return qs._normalized(den, {k: Fraction(v) for k, v in acc.items()}, order)
 
 
+def _fields(series: qs.QSeries) -> tuple:
+    return (series.denom, series.base, series.stride, series.vals, series.content, series.order)
+
+
+def _all_specs(p: int):
+    for variant in (1, 2):
+        for lam in range(p + 1):
+            for sigma in (0, 1):
+                yield fm.FermionicSumSpec(p, lam, sigma, variant, parity=sigma)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 7])
+def test_multi_sum_matches_enumerator(p):
+    B = fm.inverse_cartan_D(p).B
+    # variant 1 at lam = p has l_b < 0, so the lowest exponent either
+    # method allows for lies below zero
+    lin, const = fm._warnaar_data(fm.FermionicSumSpec(p, p, 0, 1, parity=0))
+    assert lin[p - 1] < 0
+    assert const + sum(_one_d_min(B[i][i], lin[i]) for i in range(p)) < 0
+    for spec, parity in iproduct(_all_specs(p), (0, 1)):
+        lin, const = fm._warnaar_data(spec)
+        lead = fm._multi_sum(p, lin, const, parity, F(20)).leading()[0]
+        # the last order lies below the leading exponent: the zero series
+        for order in (F(20), F(61, 2), F(77, 3), F(101, 4), lead - F(1, 3)):
+            got = fm._multi_sum(p, lin, const, parity, order)
+            want = _enumerated_multi_sum(B, lin, const, parity, order, 1)
+            assert _fields(got) == _fields(want), (spec, parity, order)
+        assert got.is_zero()
+
+
 @pytest.mark.parametrize("order", [F(61, 2), F(77, 3)])
 @pytest.mark.parametrize("parity", [0, 1, None])
 @pytest.mark.parametrize("s", [1, 2])
@@ -196,10 +321,11 @@ def _fraction_multi_sum(
 def test_enumerator_matches_fraction_enumerator(p, s, parity, order):
     # variant 1 at lam = p has a negative linear coefficient; variant 2
     # at lam = 1 shifts the chain coordinates
+    B = fm.inverse_cartan_D(p).B
     for spec in (fm.FermionicSumSpec(p, p, 1, 1, 1), fm.FermionicSumSpec(p, 1, 0, 2, 0)):
-        B, lin, const = fm._warnaar_data(spec)
+        lin, const = fm._warnaar_data(spec)
         Q = B if s == 1 else tuple(tuple(x / 2 for x in row) for row in B)
-        got = fm._multi_sum(Q, lin, const, parity, order, s)
+        got = _enumerated_multi_sum(Q, lin, const, parity, order, s)
         want = _fraction_multi_sum(Q, lin, const, parity, order, s)
         assert (got.denom, got.order) == (want.denom, want.order)
         assert got.coeffs == want.coeffs
@@ -216,27 +342,29 @@ def test_enumerator_matches_fraction_enumerator(p, s, parity, order):
 def test_enumerator_matches_naive(p, lam_frac, sigma, variant, order):
     lam = int(lam_frac * p)
     spec = fm.FermionicSumSpec(p, lam, sigma, variant, parity=sigma)
-    B, lin, const = fm._warnaar_data(spec)
-    fast = fm._multi_sum(B, lin, const, sigma, F(order), 1)
+    lin, const = fm._warnaar_data(spec)
+    B = fm.inverse_cartan_D(p).B
     naive = _naive_multi_sum(B, lin, const, sigma, F(order), 1)
-    assert qs.compare(fast, naive, order) is None
+    assert qs.compare(_enumerated_multi_sum(B, lin, const, sigma, F(order), 1), naive, order) is None
+    assert qs.compare(fm._multi_sum(p, lin, const, sigma, F(order)), naive, order) is None
 
 
 def test_enumerator_matches_naive_negative_linear():
     # lam = p, variant 1 drives one linear coefficient negative
     spec = fm.FermionicSumSpec(3, 3, 1, 1, parity=1)
-    B, lin, const = fm._warnaar_data(spec)
+    lin, const = fm._warnaar_data(spec)
+    B = fm.inverse_cartan_D(3).B
     assert min(lin) < 0
-    fast = fm._multi_sum(B, lin, const, 1, F(8), 1)
     naive = _naive_multi_sum(B, lin, const, 1, F(8), 1)
-    assert qs.compare(fast, naive, 8) is None
+    assert qs.compare(_enumerated_multi_sum(B, lin, const, 1, F(8), 1), naive, 8) is None
+    assert qs.compare(fm._multi_sum(3, lin, const, 1, F(8)), naive, 8) is None
 
 
 def test_enumerator_matches_naive_half_grid():
     B = fm.inverse_cartan_D(3).B
     Q = tuple(tuple(x / 2 for x in row) for row in B)
     lin = [F(1, 2)] * 3
-    fast = fm._multi_sum(Q, lin, F(0), 1, F(5), 2)
+    fast = _enumerated_multi_sum(Q, lin, F(0), 1, F(5), 2)
     naive = _naive_multi_sum(Q, lin, F(0), 1, F(5), 2)
     assert qs.compare(fast, naive, 5) is None
 
@@ -244,7 +372,67 @@ def test_enumerator_matches_naive_half_grid():
 def test_enumerator_rejects_negative_entry():
     Q = ((F(1), F(-1, 4)), (F(-1, 4), F(1)))
     with pytest.raises(ValueError):
-        fm._multi_sum(Q, [F(0), F(0)], F(0), None, F(4), 1)
+        _enumerated_multi_sum(Q, [F(0), F(0)], F(0), None, F(4), 1)
+
+
+# -- the two facts the partial-sum recursion rests on -------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=st.integers(3, 12))
+def test_quadratic_form_is_sum_of_partial_sum_squares(data, p):
+    n = data.draw(st.lists(st.integers(0, 30), min_size=p, max_size=p))
+    B = fm.inverse_cartan_D(p).B
+    form = sum(B[i][j] * n[i] * n[j] for i in range(p) for j in range(p))
+    a, b = n[p - 2], n[p - 1]
+    partial = [sum(n[i:p - 2]) + F(a + b, 2) for i in range(p - 2)]
+    assert form == sum(N * N for N in partial) + F(a * a + b * b, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    p=st.integers(3, 12),
+    lam_frac=st.fractions(0, 1),
+    sigma=st.integers(0, 1),
+    variant=st.integers(1, 2),
+    parity=st.integers(0, 1),
+)
+def test_exponents_of_one_spec_lie_in_one_coset(data, p, lam_frac, sigma, variant, parity):
+    spec = fm.FermionicSumSpec(p, int(lam_frac * p), sigma, variant, parity)
+    B = fm.inverse_cartan_D(p).B
+    lin, const = fm._warnaar_data(spec)
+
+    def exponent(n):
+        return const + sum(lin[i] * n[i] + B[i][j] * n[i] * n[j] for i in range(p) for j in range(p))
+
+    def tuple_of_parity():
+        n = data.draw(st.lists(st.integers(0, 4), min_size=p, max_size=p))
+        n[p - 1] += (n[p - 2] + n[p - 1] + parity) % 2
+        return n
+
+    assert (exponent(tuple_of_parity()) - exponent(tuple_of_parity())).denominator == 1
+
+
+def test_multi_sum_rejects_chain_coefficient_outside_nonnegative_integers():
+    const = F(0)
+    for chain in (F(1, 2), F(-1)):
+        with pytest.raises(ValueError):
+            fm._multi_sum(4, [F(0), chain, F(1, 2), F(1, 2)], const, 0, F(10))
+
+
+def test_multi_sum_rejects_parity_outside_0_1():
+    lin, const = fm._warnaar_data(fm.FermionicSumSpec(3, 1, 0, 1, parity=0))
+    for parity in (None, 2, -1):
+        with pytest.raises(ValueError):
+            fm._multi_sum(3, lin, const, parity, F(10))
+
+
+def test_multi_sum_rejects_fork_coefficients_off_one_coset():
+    # l_a - l_b or 2 l_b not an integer: the fork exponents leave one coset
+    for fork in ((F(1, 2), F(0)), (F(1, 3), F(1, 3))):
+        with pytest.raises(ValueError):
+            fm._multi_sum(3, [F(0), *fork], F(0), 0, F(10))
 
 
 # -- the two sum families ----------------------------------------------------
@@ -268,9 +456,9 @@ def test_warnaar_v2_frozen():
 
 def test_zero_tuple_exponent():
     # the all-zero tuple carries exponent lam*sigma/2 - sigma*p/4
-    _, _, const = fm._warnaar_data(fm.FermionicSumSpec(3, 2, 1, 1, parity=1))
+    _, const = fm._warnaar_data(fm.FermionicSumSpec(3, 2, 1, 1, parity=1))
     assert const == F(1, 4)
-    _, _, const = fm._warnaar_data(fm.FermionicSumSpec(5, 0, 1, 2, parity=1))
+    _, const = fm._warnaar_data(fm.FermionicSumSpec(5, 0, 1, 2, parity=1))
     assert const == F(-5, 4)
 
 
@@ -323,6 +511,16 @@ def test_verify_warnaar_p4_all_pass_except_lambda_p_v2():
         assert r.status == expected
 
 
+@pytest.mark.parametrize("p, order", [(9, 80), (7, 100)])
+def test_verify_warnaar_at_large_order_fails_only_lambda_p_v2(p, order):
+    # sizes the tuple enumerator took seconds for
+    reports = fm.verify_warnaar(p, order)
+    assert len(reports) == 4 * (p + 1)
+    fails = {(r.identity_id, r.params["lambda"], r.params["sigma"]) for r in reports if r.status != "pass"}
+    assert fails == {("warnaar-v2", p, 0), ("warnaar-v2", p, 1)}
+    assert all(r.status == "fail" for r in reports if r.status != "pass")
+
+
 def test_verify_warnaar_rejects_small_p():
     with pytest.raises(ValueError):
         fm.verify_warnaar(2, 10)
@@ -330,12 +528,13 @@ def test_verify_warnaar_rejects_small_p():
 
 def test_perturbed_matrix_fails():
     spec = fm.FermionicSumSpec(3, 0, 0, 1, parity=0)
-    B, lin, const = fm._warnaar_data(spec)
+    B = fm.inverse_cartan_D(3).B
+    lin, const = fm._warnaar_data(spec)
     Bp = tuple(
         tuple(x + (F(1, 7) if i == j == 0 else 0) for j, x in enumerate(row))
         for i, row in enumerate(B)
     )
-    lhs = fm._multi_sum(Bp, lin, const, 0, F(10), 1)
+    lhs = _enumerated_multi_sum(Bp, lin, const, 0, F(10), 1)
     assert qs.compare(lhs, fm.warnaar_rhs(spec, 10), 10) is not None
 
 
