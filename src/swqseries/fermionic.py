@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import floor
-from operator import add
+from operator import add, neg
 
 from . import characters, forms, qseries as qs
 from .characters import SWModuleId
@@ -112,9 +112,15 @@ def _horner(n: int, terms) -> list[int]:
             m = min(len(x), n - s)
             acc[s:s + m] = map(add, acc[s:s + m], x)
             low = min(low, s)
-        for r in range(low, min(low + k, n - k)):
-            acc[r::k] = accumulate(acc[r::k])
+        _div(acc, k, low, n)
     return acc
+
+
+def _div(acc: list[int], b: int, low: int, n: int) -> None:
+    """acc[:n] <- acc[:n] / (1 - q^b) in place, for acc[:low] zero: a
+    running sum along each residue class mod b (a no-op for b = 0)."""
+    for r in range(low, min(low + b, n - b)):
+        acc[r:n:b] = accumulate(acc[r:n:b])
 
 
 def _multi_sum(p: int, lin: list[Fraction], const: Fraction, parity: int, order: Fraction) -> QSeries:
@@ -216,13 +222,23 @@ def warnaar_lhs(spec: FermionicSumSpec, order: RatLike) -> QSeries:
     return _multi_sum(spec.p, lin, const, spec.parity, Fraction(order))
 
 
+def _inv_q_inf(order: Fraction) -> QSeries:
+    # 1/(q;q)_inf to order + 1, the product factor of every warnaar_rhs at order
+    return qs.invert(qs.pochhammer(1, 1, -1, None, order + 1))
+
+
 def warnaar_rhs(spec: FermionicSumSpec, order: RatLike) -> QSeries:
     """The single-sum side: (1/(q;q)_inf) sum over n in Z of
     q^{p n^2 + (lam - sigma p) n}, weighted by (2n - sigma + 1) for
     variant 2."""
+    order_f = Fraction(order)
+    return _warnaar_rhs(spec, order_f, _inv_q_inf(order_f))
+
+
+def _warnaar_rhs(spec: FermionicSumSpec, order_f: Fraction, inv_inf: QSeries) -> QSeries:
+    """warnaar_rhs(spec, order_f), given inv_inf = _inv_q_inf(order_f)."""
     p, lam, sig = spec.p, spec.lam, spec.sigma
     b = lam - sig * p
-    order_f = Fraction(order)
     inner_order = order_f + 1
     coeffs: dict[int, Fraction] = {}
     M = 1
@@ -234,7 +250,6 @@ def warnaar_rhs(spec: FermionicSumSpec, order: RatLike) -> QSeries:
             w = 1 if spec.variant == 1 else 2 * n - sig + 1
             coeffs[e] = coeffs.get(e, Fraction(0)) + w
     inner = qs._normalized(1, coeffs, inner_order)
-    inv_inf = qs.invert(qs.pochhammer(1, 1, -1, None, inner_order))
     return qs.truncate(qs.mul(inv_inf, inner), order_f)
 
 
@@ -244,6 +259,7 @@ def verify_warnaar(p: int, order: RatLike) -> list[VerificationReport]:
     if p < 3:
         raise ValueError("p must be at least 3")
     order_f = Fraction(order)
+    inv_inf = _inv_q_inf(order_f)
     reports = []
     for variant in (1, 2):
         for lam in range(p + 1):
@@ -253,7 +269,7 @@ def verify_warnaar(p: int, order: RatLike) -> list[VerificationReport]:
                     qs.compare_report(
                         f"warnaar-v{variant}",
                         {"p": p, "lambda": lam, "sigma": sig},
-                        lambda: (warnaar_lhs(spec, order_f), warnaar_rhs(spec, order_f)),
+                        lambda: (warnaar_lhs(spec, order_f), _warnaar_rhs(spec, order_f, inv_inf)),
                         order_f,
                     )
                 )
@@ -321,110 +337,107 @@ def _finite_poch_inv(start: Fraction, step: Fraction, sign: int, count: int, ord
     return qs.invert(qs.pochhammer(start, step, sign, count, order))
 
 
+def _ratio_horner(top: int, sign: int, e, factors) -> list[int]:
+    """Coefficients of u^0..u^top of sum_{n>=0} sign^n u^{e(n)} R_0 ... R_{n-1},
+    for exponents e(0) = 0 < e(1) < ... and the term ratios
+    R_n = prod_{a in ups} (1 + u^a) / prod_{b in downs} (1 - u^b),
+    (ups, downs) = factors(n).  From the top term down (Horner form),
+    acc <- 1 + sign u^{e(n+1)-e(n)} R_n acc on one int list, acc[:size]
+    cut e(n) below the top."""
+    acc = [0] * (top + 1)
+    if top < 0:
+        return acc
+    N = 0  # the last term within the order
+    while e(N + 1) <= top:
+        N += 1
+    acc[0] = 1
+    size = top + 1 - e(N)
+    for n in range(N - 1, -1, -1):
+        _times_ratio(acc, *factors(n), size)
+        step = e(n + 1) - e(n)
+        acc[step:step + size] = acc[:size] if sign > 0 else map(neg, acc[:size])
+        acc[:step] = [1] + [0] * (step - 1)
+        size += step
+    return acc
+
+
+def _times_ratio(acc: list[int], ups, downs, size: int) -> None:
+    """acc[:size] <- acc[:size] prod_{a in ups} (1 + u^a) / prod_{b in downs} (1 - u^b)
+    in place: one shifted add per factor, one running-sum division per divisor."""
+    for a in ups:
+        if a < size:
+            acc[a:size] = map(add, acc[a:size], acc[:size - a])
+    for b in downs:
+        _div(acc, b, 0, size)
+
+
 def _durfee_half(k: int, order: Fraction) -> QSeries:
     # sum_n q^{(n^2+kn)/2} / [(u;u)_n (u;u)_{n+k}],  u = q^{1/2}
     h = Fraction(1, 2)
-    total = qs.zero(order)
-    n = 0
-    while Fraction(n * n + k * n, 2) <= order:
-        e = Fraction(n * n + k * n, 2)
-        term = qs.mul(
-            _finite_poch_inv(h, h, -1, n, order),
-            _finite_poch_inv(h, h, -1, n + k, order),
-        )
-        total = qs.add(total, qs.truncate(qs.shift(qs.truncate(term, order - e), e), order))
-        n += 1
-    return total
+    acc = _ratio_horner(floor(2 * order), 1, lambda n: n * n + k * n, lambda n: ((), (n + 1, n + k + 1)))
+    return qs.mul(_finite_poch_inv(h, h, -1, k, order), qs.from_slots(2, 0, 1, acc, 1, order))
 
 
 def _durfee_mixed(k: int, order: Fraction) -> QSeries:
     # sum_n (-u;u)_n (-u;u)_{n+k} q^{(n^2+kn)/2} / [(q)_n (q)_{n+k}]
     h = Fraction(1, 2)
-    total = qs.zero(order)
-    n = 0
-    while Fraction(n * n + k * n, 2) <= order:
-        e = Fraction(n * n + k * n, 2)
-        term = qs.mul(
-            qs.mul(_finite_poch(h, h, 1, n, order), _finite_poch(h, h, 1, n + k, order)),
-            qs.mul(
-                _finite_poch_inv(Fraction(1), Fraction(1), -1, n, order),
-                _finite_poch_inv(Fraction(1), Fraction(1), -1, n + k, order),
-            ),
-        )
-        total = qs.add(total, qs.truncate(qs.shift(qs.truncate(term, order - e), e), order))
-        n += 1
-    return total
+    acc = _ratio_horner(
+        floor(2 * order), 1, lambda n: n * n + k * n, lambda n: ((n + 1, n + k + 1), (2 * n + 2, 2 * n + 2 * k + 2))
+    )
+    total = qs.mul(qs.from_slots(2, 0, 1, acc, 1, order), _finite_poch(h, h, 1, k, order))
+    return qs.mul(total, _finite_poch_inv(Fraction(1), Fraction(1), -1, k, order))
 
 
 def _euler_eta_sum(order: Fraction) -> QSeries:
     # q^{1/24} sum_n (-1)^n q^{n(n+1)/2} / (q)_n
-    total = qs.zero(order)
     inner_order = order - Fraction(1, 24)
-    n = 0
-    while Fraction(n * (n + 1), 2) <= inner_order:
-        e = Fraction(n * (n + 1), 2)
-        term = _finite_poch_inv(Fraction(1), Fraction(1), -1, n, inner_order)
-        term = qs.scale(qs.shift(qs.truncate(term, inner_order - e), e), (-1) ** n)
-        total = qs.add(total, qs.truncate(qs.shift(term, Fraction(1, 24)), order))
-        n += 1
-    return total
+    acc = _ratio_horner(floor(inner_order), -1, lambda n: n * (n + 1) // 2, lambda n: ((), (n + 1,)))
+    return qs.shift(qs.from_slots(1, 0, 1, acc, 1, inner_order), Fraction(1, 24))
 
 
 def _eta_double_sum(order: Fraction) -> QSeries:
     # q^{5/48} sum_{m1,m2 >= 0} (-1)^{m1+m2} (-u;u)_{m2}
-    #   q^{m1(m1+1) + m2(m2+1)/4} / [(q^2;q^2)_{m1} (q)_{m2}]
-    h = Fraction(1, 2)
+    #   q^{m1(m1+1) + m2(m2+1)/4} / [(q^2;q^2)_{m1} (q)_{m2}],
+    # a product of the sum over m1 and the sum over m2
     lead = Fraction(5, 48)
     inner_order = order - lead
-    total = qs.zero(inner_order)
-    m1 = 0
-    while Fraction(m1 * (m1 + 1)) <= inner_order:
-        m2 = 0
-        while Fraction(m1 * (m1 + 1)) + Fraction(m2 * (m2 + 1), 4) <= inner_order:
-            e = Fraction(m1 * (m1 + 1)) + Fraction(m2 * (m2 + 1), 4)
-            term = qs.mul(
-                _finite_poch(h, h, 1, m2, inner_order),
-                qs.mul(
-                    _finite_poch_inv(Fraction(2), Fraction(2), -1, m1, inner_order),
-                    _finite_poch_inv(Fraction(1), Fraction(1), -1, m2, inner_order),
-                ),
-            )
-            term = qs.scale(qs.shift(qs.truncate(term, inner_order - e), e), (-1) ** (m1 + m2))
-            total = qs.add(total, qs.truncate(term, inner_order))
-            m2 += 1
-        m1 += 1
-    return qs.shift(total, lead)
+    top = floor(2 * inner_order)
+    if top < 0:
+        return qs.zero(order)
+    s1 = _ratio_horner(top, -1, lambda m: 2 * m * (m + 1), lambda m: ((), (4 * m + 4,)))
+    s2 = _ratio_horner(top, -1, lambda m: m * (m + 1) // 2, lambda m: ((m + 1,), (2 * m + 2,)))
+    prod = qs.mul(qs.from_slots(2, 0, 1, s1, 1, inner_order), qs.from_slots(2, 0, 1, s2, 1, inner_order))
+    return qs.shift(prod, lead)
 
 
 def _theta_double_sum(order: Fraction) -> QSeries:
     # [q^{5/48} / (-q;q)_inf] sum_{m1 = m2 mod 2} (-u;u)_{m1} (-u;u)_{m2}
     #   q^{3(m1-m2)^2/8 + (m1-m2)/2 + m1 m2/2} / [(q)_{m1} (q)_{m2}]
-    h = Fraction(1, 2)
+    # With D = |m1 - m2| and j = min(m1, m2) the sum is sum_{D even} S_D c_D H_D,
+    # S_D = (-u;u)_D / (q)_D, c_D = u^{3D^2/4} (u^D + u^-D) (1 at D = 0) and
+    # H_D = sum_j (-u;u)_j (-u^{D+1};u)_j u^{j^2+Dj} / [(q)_j (q^{D+1};q)_j];
+    # it runs in Horner form over D as well as over j.
     lead = Fraction(5, 48)
     inner_order = order - lead
-    total = qs.zero(inner_order)
-    d = 0
-    while Fraction(3 * d * d, 8) - Fraction(d, 2) <= inner_order:
-        for sd in ((0,) if d == 0 else (d, -d)):
-            base = Fraction(3 * sd * sd, 8) + Fraction(sd, 2)
-            m2 = max(0, -sd)
-            while True:
-                m1 = m2 + sd
-                # exponent is nondecreasing in m2 once m1, m2 >= 0
-                e = base + Fraction(m1 * m2, 2)
-                if e > inner_order:
-                    break
-                term = qs.mul(
-                    qs.mul(_finite_poch(h, h, 1, m1, inner_order), _finite_poch(h, h, 1, m2, inner_order)),
-                    qs.mul(
-                        _finite_poch_inv(Fraction(1), Fraction(1), -1, m1, inner_order),
-                        _finite_poch_inv(Fraction(1), Fraction(1), -1, m2, inner_order),
-                    ),
-                )
-                term = qs.shift(qs.truncate(term, inner_order - e), e)
-                total = qs.add(total, qs.truncate(term, inner_order))
-                m2 += 1
-        d += 2
+    top = floor(2 * inner_order)
+    vals = [0] * (top + 1)
+    d_max = -2  # the largest D whose lowest term lies within the order
+    while 3 * (d_max + 2) ** 2 // 4 - (d_max + 2) <= top:
+        d_max += 2
+    for D in range(d_max, -1, -2):
+        # vals <- c_D H_D + (S_{D+2} / S_D) vals
+        _times_ratio(vals, (D + 1, D + 2), (2 * D + 2, 2 * D + 4), top + 1)
+        c = 3 * D * D // 4
+        H = _ratio_horner(
+            top - c + D,
+            1,
+            lambda j: j * j + D * j,
+            lambda j: ((j + 1, j + D + 1), (2 * j + 2, 2 * j + 2 * D + 2)),
+        )
+        for off in {c - D, c + D}:
+            m = max(top + 1 - off, 0)
+            vals[off:off + m] = map(add, vals[off:off + m], H[:m])
+    total = qs.from_slots(2, 0, 1, vals, 1, inner_order)
     inv_inf = qs.invert(qs.pochhammer(1, 1, 1, None, inner_order))
     return qs.shift(qs.truncate(qs.mul(total, inv_inf), inner_order), lead)
 

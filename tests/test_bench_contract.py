@@ -56,7 +56,8 @@ def test_traced_run_matches_plain_run_and_reaches_every_kernel(tmp_path):
     # A kernel bound to another name before the tracer wraps it (say
     # `from .qseries import mul` in a module the package imports
     # eagerly, or an alias inside qseries) escapes the wrappers and
-    # reads as zero work; the traced run must see every kernel and both
+    # reads as zero work; the traced run must see every kernel, each
+    # auxiliary sum (their spans are fermionic.aux.self_s) and both
     # Pochhammer caches.
     args = ["verify", "--suite", "all", "--m", "1", "--order", "12"]
     out = tmp_path / "spans.jsonl"
@@ -67,7 +68,11 @@ def test_traced_run_matches_plain_run_and_reaches_every_kernel(tmp_path):
 
     trace = _tracer().read_trace(out)
     names = Counter(span["name"] for span in trace["spans"])
-    for name in ("qseries.mul", "qseries.invert", "qseries.pochhammer", "fermionic._multi_sum"):
+    for name in (
+        "qseries.mul", "qseries.invert", "qseries.pochhammer", "fermionic._multi_sum",
+        "fermionic._durfee_half", "fermionic._durfee_mixed", "fermionic._euler_eta_sum",
+        "fermionic._eta_double_sum", "fermionic._theta_double_sum",
+    ):
         assert names[name] > 0, name
     for name in ("fermionic._finite_poch", "fermionic._finite_poch_inv"):
         hits, misses = trace["caches"][name]
