@@ -2,12 +2,11 @@
 with JSON or CSV report output.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage or
-precondition error.  Suites may run in parallel worker processes; set
-SWQ_WORKERS to cap the pool (1 forces sequential execution).
+precondition error.  The selected suites run one after another in the
+calling process, so they share its lru_caches.
 
 A process imports only the modules its command runs: a suite's module
-when the suite is selected, `characters` for --module, `numeric` for
---tau, and the process pool's machinery only when a pool starts.
+when the suite runs, `characters` for --module and `numeric` for --tau.
 """
 
 from __future__ import annotations
@@ -16,11 +15,10 @@ import argparse
 import csv
 import importlib
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, TYPE_CHECKING, Callable
+from typing import IO, TYPE_CHECKING
 
 from .qseries import VerificationReport, run_check
 
@@ -148,84 +146,37 @@ def _gm_reports(gmverify, m: int) -> list[VerificationReport]:
     return reports
 
 
-def _numeric_reports(
-    numeric, m: int, order: Fraction, tol: float, taus: tuple[tuple[float, float], ...]
-) -> list[VerificationReport]:
-    points = [numeric.TauPoint(re, im) for re, im in taus]
-    return [*numeric.verify_s_t_laws(points, order, tol), _rank_report(m, order, tol)]
+def _numeric_reports(numeric, config: RunConfig) -> list[VerificationReport]:
+    points = [numeric.TauPoint(re, im) for re, im in config.tau]
+    return [
+        *numeric.verify_s_t_laws(points, config.order, config.tol),
+        _rank_report(config.m, config.order, config.tol),
+    ]
 
 
-@dataclass(frozen=True)
-class _Suite:
-    """A suite's swqseries module, imported by `load`, and its reports
-    as reports(module, m, order, tol, taus)."""
-
-    module: str
-    reports: Callable[..., list[VerificationReport]]
-
-    def load(self):
-        return importlib.import_module(f"{__package__}.{self.module}")
-
-    def __call__(self, m, order, tol, taus) -> list[VerificationReport]:
-        return self.reports(self.load(), m, order, tol, taus)
-
-
-# Suite name -> reports for (m, order, tol, taus); `--suite all` runs
-# them in this order.
+# Suite name -> (swqseries module, reports(module, config)); `--suite all`
+# runs them in this order.
 _SUITES = {
-    "forms": _Suite("forms", lambda forms, m, order, tol, taus: forms.verify_form_identities(order)),
-    "characters": _Suite(
-        "characters", lambda characters, m, order, tol, taus: characters.verify_character_suite(m, order)
-    ),
-    "warnaar": _Suite(
-        "fermionic", lambda fermionic, m, order, tol, taus: fermionic.verify_warnaar(2 * m + 1, order)
-    ),
-    "aux": _Suite("fermionic", lambda fermionic, m, order, tol, taus: fermionic.verify_aux_identities(order)),
-    "zhu": _Suite(
+    "forms": ("forms", lambda forms, c: forms.verify_form_identities(c.order)),
+    "characters": ("characters", lambda characters, c: characters.verify_character_suite(c.m, c.order)),
+    "warnaar": ("fermionic", lambda fermionic, c: fermionic.verify_warnaar(2 * c.m + 1, c.order)),
+    "aux": ("fermionic", lambda fermionic, c: fermionic.verify_aux_identities(c.order)),
+    "zhu": (
         "zhupoly",
-        lambda zhupoly, m, order, tol, taus: [
-            *zhupoly.verify_phi_identities(m),
-            zhupoly.verify_s_properties(m),
-        ],
+        lambda zhupoly, c: [*zhupoly.verify_phi_identities(c.m), zhupoly.verify_s_properties(c.m)],
     ),
-    "gm": _Suite("gmverify", lambda gmverify, m, order, tol, taus: _gm_reports(gmverify, m)),
-    "numeric": _Suite("numeric", _numeric_reports),
+    "gm": ("gmverify", lambda gmverify, c: _gm_reports(gmverify, c.m)),
+    "numeric": ("numeric", _numeric_reports),
 }
 
 
-def _suite_reports(task: tuple) -> list[VerificationReport]:
-    name, *args = task
-    return _SUITES[name](*args)
+def _suite_reports(name: str, config: RunConfig) -> list[VerificationReport]:
+    module, reports = _SUITES[name]
+    return reports(importlib.import_module(f"{__package__}.{module}"), config)
 
 
-def _worker_count() -> int:
-    env = os.environ.get("SWQ_WORKERS")
-    if env is None:
-        # the CPUs this process may run on, not every CPU of the host
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        n = int(env)
-    except ValueError:
-        raise UsageError(f"SWQ_WORKERS must be an integer, got {env!r}") from None
-    if n < 1:
-        raise UsageError("SWQ_WORKERS must be positive")
-    return n
-
-
-def _dispatch(tasks: list[tuple]) -> list[list[VerificationReport]]:
-    n = min(_worker_count(), len(tasks))
-    if n > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            with ProcessPoolExecutor(max_workers=n) as pool:
-                return list(pool.map(_suite_reports, tasks))
-        except (OSError, BrokenProcessPool) as exc:
-            print(f"warning: process pool failed ({exc!r}); running suites sequentially", file=sys.stderr)
-    return [_suite_reports(t) for t in tasks]
+def _dispatch(names, config: RunConfig) -> list[VerificationReport]:
+    return [r for name in names for r in _suite_reports(name, config)]
 
 
 def _emit_series(config: RunConfig, sink: IO[str]) -> int:
@@ -255,11 +206,7 @@ def run(config: RunConfig, sink: IO[str]) -> int:
         if config.command in ("char", "superchar"):
             return _emit_series(config, sink)
         names = _SUITES if config.suite == "all" else (config.suite,)
-        # imported here, so that forked pool workers inherit the modules
-        for name in names:
-            _SUITES[name].load()
-        tasks = [(name, config.m, config.order, config.tol, config.tau) for name in names]
-        reports = [r for chunk in _dispatch(tasks) for r in chunk]
+        reports = _dispatch(names, config)
         emit_report(reports, config.format, sink)
         return 0 if all(r.status == "pass" for r in reports) else 1
     except ValueError as exc:

@@ -249,7 +249,7 @@ def _warnaar_rhs(spec: FermionicSumSpec, order_f: Fraction, inv_inf: QSeries) ->
         if e <= inner_order:
             w = 1 if spec.variant == 1 else 2 * n - sig + 1
             coeffs[e] = coeffs.get(e, Fraction(0)) + w
-    inner = qs._normalized(1, coeffs, inner_order)
+    inner = QSeries(1, coeffs, inner_order)
     return qs.truncate(qs.mul(inv_inf, inner), order_f)
 
 

@@ -102,7 +102,7 @@ def _theta_sum(p: ThetaParams, order: Fraction, weighted: bool) -> QSeries:
         if arg * arg <= limit:
             visit(arg)
         n -= 1
-    return qs._normalized(denom, coeffs, order)
+    return QSeries(denom, coeffs, order)
 
 
 def theta(p: ThetaParams, order: RatLike) -> QSeries:

@@ -215,12 +215,6 @@ def from_slots(denom: int, base: int, stride: int, vals: list[int], content: int
     return _new(*_normalise(denom, base, stride, vals, content), order)
 
 
-def _normalized(denom: int, coeffs: dict[int, Fraction], order: Fraction) -> QSeries:
-    """The series sum coeffs[k] q^{k/denom}, zeros dropped and the
-    exponent denominator reduced by the common gcd."""
-    return QSeries(denom, coeffs, order)
-
-
 def _on_common_lattice(series: list[QSeries], order) -> tuple[int, int, int, int, list[list[int]]]:
     """(d, base, stride, content, dense) for series on their common
     exponent grid (1/d) Z: dense[j][i] / content is the coefficient of

@@ -44,7 +44,7 @@ def test_traced_caches_report_statistics():
 
 
 def _python(*argv: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, SWQ_WORKERS="1", PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
 
 

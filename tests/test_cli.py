@@ -1,7 +1,5 @@
 """Tests for the command-line front end and report serialization."""
 
-import concurrent.futures
-import concurrent.futures.process
 import csv
 import io
 import json
@@ -176,87 +174,6 @@ class TestRun:
 
         assert normalized() == normalized()
 
-    def test_sequential_matches_parallel(self, monkeypatch):
-        def collect():
-            sink = io.StringIO()
-            cfg = cli.RunConfig(command="verify", suite="gm", m=1)
-            assert cli.run(cfg, sink) == 0
-            return [
-                {k: v for k, v in r.items() if k != "runtime_ms"}
-                for r in json.loads(sink.getvalue())
-            ]
-
-        monkeypatch.setenv("SWQ_WORKERS", "1")
-        seq = collect()
-        monkeypatch.delenv("SWQ_WORKERS")
-        assert seq == collect()
-
-    @pytest.mark.parametrize(
-        "failure", [OSError("no processes"), concurrent.futures.process.BrokenProcessPool("worker died")]
-    )
-    def test_pool_failure_falls_back_and_says_so(self, monkeypatch, capsys, failure):
-        def collect():
-            sink = io.StringIO()
-            cfg = cli.RunConfig(command="verify", m=1, order=F(10))
-            assert cli.run(cfg, sink) == 1
-            return [
-                {k: v for k, v in r.items() if k != "runtime_ms"}
-                for r in json.loads(sink.getvalue())
-            ]
-
-        monkeypatch.setenv("SWQ_WORKERS", "1")
-        seq = collect()
-        assert capsys.readouterr().err == ""
-
-        class BrokenPool:
-            def __init__(self, max_workers):
-                if isinstance(failure, OSError):
-                    raise failure
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                raise failure
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
-        monkeypatch.setenv("SWQ_WORKERS", "2")
-        assert collect() == seq
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "process pool failed" in err and "sequentially" in err
-
-    def test_default_workers_follow_affinity_mask(self, monkeypatch):
-        class NoPool:
-            def __init__(self, max_workers):
-                raise AssertionError("a pool was created on one CPU")
-
-        monkeypatch.delenv("SWQ_WORKERS", raising=False)
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
-        assert cli._worker_count() == 1
-        assert cli.run(cli.RunConfig(command="verify", m=1, order=F(10)), io.StringIO()) == 1
-        monkeypatch.setenv("SWQ_WORKERS", "3")
-        assert cli._worker_count() == 3
-
-    def test_default_workers_without_affinity(self, monkeypatch):
-        monkeypatch.delenv("SWQ_WORKERS", raising=False)
-        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-        assert cli._worker_count() == 3
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-        assert cli._worker_count() == 1
-
-    def test_bad_workers_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("SWQ_WORKERS", "many")
-        sink = io.StringIO()
-        assert cli.run(cli.RunConfig(command="verify", suite="gm"), sink) == 2
-        assert "SWQ_WORKERS" in capsys.readouterr().err
-
 
 class TestEveryM:
     @pytest.mark.parametrize("m", range(5, 9))
@@ -265,8 +182,7 @@ class TestEveryM:
         assert cli.main(["verify", "--suite", "characters", "--m", str(m), "--order", "20"]) == 0
         assert all(r["status"] == "pass" for r in json.loads(capsys.readouterr().out))
 
-    def test_all_suites_for_m_1_to_12(self, monkeypatch, capsys):
-        monkeypatch.setenv("SWQ_WORKERS", "1")
+    def test_all_suites_for_m_1_to_12(self, capsys):
         for m in range(1, 13):
             assert cli.main(["verify", "--suite", "all", "--m", str(m), "--order", "12"]) == 1
             bad = [r for r in json.loads(capsys.readouterr().out) if r["status"] != "pass"]
@@ -347,7 +263,8 @@ class TestMain:
 
 
 # Each command below, in a fresh process, loads exactly the swqseries
-# modules _LOADED names for it, and none of the pool's machinery or numpy.
+# modules _LOADED names for it with the exit code given there, and none
+# of the process-pool machinery or numpy.
 _MODULES_PROBE = """
 import contextlib, io, json, sys
 from swqseries import cli
@@ -359,48 +276,28 @@ print(json.dumps([code, sorted(k for k in sys.modules if k.startswith("swqseries
 """
 
 _LOADED = {
-    ("--help",): ["cli", "qseries"],
-    ("gm", "--m", "1"): ["cli", "gmverify", "qseries", "zhupoly"],
-    ("zhu", "--m", "1"): ["cli", "qseries", "zhupoly"],
-    ("char", "--m", "1", "--module", "lambda:1"): ["characters", "cli", "forms", "qseries"],
-    ("numeric", "--m", "1"): ["characters", "cli", "forms", "numeric", "qseries"],
+    ("--help",): (0, ["cli", "qseries"]),
+    ("gm", "--m", "1"): (0, ["cli", "gmverify", "qseries", "zhupoly"]),
+    ("zhu", "--m", "1"): (0, ["cli", "qseries", "zhupoly"]),
+    ("char", "--m", "1", "--module", "lambda:1"): (0, ["characters", "cli", "forms", "qseries"]),
+    ("numeric", "--m", "1"): (0, ["characters", "cli", "forms", "numeric", "qseries"]),
+    ("verify", "--suite", "all", "--m", "1", "--order", "10"): (
+        1,
+        ["characters", "cli", "fermionic", "forms", "gmverify", "numeric", "qseries", "zhupoly"],
+    ),
 }
 
 
-def _probe(script, argv, **env):
+def _probe(argv):
     src = os.path.dirname(os.path.dirname(swqseries.__file__))
     out = subprocess.run(
-        [sys.executable, "-c", script, *argv],
-        env=dict(os.environ, PYTHONPATH=src, **env), capture_output=True, text=True, check=True, timeout=120,
+        [sys.executable, "-c", _MODULES_PROBE, *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True, timeout=120,
     ).stdout
     return json.loads(out)
 
 
 @pytest.mark.parametrize("argv", list(_LOADED))
 def test_command_loads_only_its_modules(argv):
-    assert _probe(_MODULES_PROBE, argv, SWQ_WORKERS="2") == [0, [f"swqseries.{n}" for n in _LOADED[argv]], []]
-
-
-# The pool stub records the swqseries modules loaded when the pool is
-# built and fails, so the sequential fallback runs the suites.
-_POOL_PROBE = """
-import concurrent.futures, contextlib, io, json, sys
-from swqseries import cli
-seen = []
-class RecordingPool:
-    def __init__(self, max_workers):
-        seen.append(sorted(k for k in sys.modules if k.startswith("swqseries.")))
-        raise OSError("recorded")
-concurrent.futures.ProcessPoolExecutor = RecordingPool
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    code = cli.main(sys.argv[1:])
-print(json.dumps([code, seen]))
-"""
-
-
-def test_suite_modules_loaded_before_pool_starts():
-    argv = ["verify", "--suite", "all", "--m", "1", "--order", "10"]
-    code, seen = _probe(_POOL_PROBE, argv, SWQ_WORKERS="2")
-    suites = ["characters", "fermionic", "forms", "gmverify", "numeric", "zhupoly"]
-    assert code == 1
-    assert seen == [sorted(f"swqseries.{n}" for n in ["cli", "qseries", *suites])]
+    code, modules = _LOADED[argv]
+    assert _probe(argv) == [code, [f"swqseries.{n}" for n in modules], []]

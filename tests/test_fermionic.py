@@ -281,7 +281,7 @@ def _fraction_multi_sum(
                 cur[a] += cur[a - v]
 
     rec(0, const, list(lin), [1] + [0] * u_order, 0)
-    return qs._normalized(den, {k: Fraction(v) for k, v in acc.items()}, order)
+    return qs.QSeries(den, {k: Fraction(v) for k, v in acc.items()}, order)
 
 
 def _fields(series: qs.QSeries) -> tuple:

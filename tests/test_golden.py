@@ -1,7 +1,7 @@
 """Golden reports: `swq` output pinned byte for byte, apart from runtime_ms.
 
 The files under tests/data were written by the Fraction-dict series
-engine with SWQ_WORKERS=1 and runtime_ms set to 0; they pin every
+engine in one process with runtime_ms set to 0; they pin every
 status, order, mismatch tuple, the reported shift and every character
 coefficient byte for byte.  min_singular, the smallest singular value of
 a nearly singular floating-point matrix, is compared to a relative
@@ -35,9 +35,8 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_report_matches_golden_file(name, capsys, monkeypatch):
+def test_report_matches_golden_file(name, capsys):
     argv, code = CASES[name]
-    monkeypatch.setenv("SWQ_WORKERS", "1")
     assert cli.main(argv) == code
     out, err = capsys.readouterr()
     assert err == ""
@@ -64,7 +63,7 @@ sys.exit(main(sys.argv[1:]))
 def test_all_suites_run_without_numpy():
     name = "verify-all-m2-o20.json"
     argv, code = CASES[name]
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), SWQ_WORKERS="2")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", _NO_NUMPY, *argv], env=env, capture_output=True, text=True, timeout=120
     )

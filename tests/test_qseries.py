@@ -219,7 +219,7 @@ def series(draw, max_denom=4, max_terms=5):
         )
     )
     coeffs = {k: c for k, c in zip(ks, cs) if c}
-    return qs._normalized(d, coeffs, F(order_num, d))
+    return qs.QSeries(d, coeffs, F(order_num, d))
 
 
 def equal_upto_common(a, b):
@@ -523,11 +523,11 @@ def kernel_series(draw, grids=(1, 2, 3, 12, 16, 48), max_order=12, big=True):
             for _ in steps
         ]
     coeffs = {lead + stride * i: F(n, content) for i, n in zip(steps, nums) if n}
-    return qs._normalized(d, coeffs, order)
+    return qs.QSeries(d, coeffs, order)
 
 
 def _series(d, order, coeffs):
-    return qs._normalized(d, {k: F(c) for k, c in coeffs.items()}, F(order))
+    return qs.QSeries(d, {k: F(c) for k, c in coeffs.items()}, F(order))
 
 
 @settings(max_examples=300, deadline=None)
