@@ -4,7 +4,7 @@ cross-checks between them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -29,26 +29,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SWModuleId:
+class SWModuleId(namedtuple("SWModuleId", "m kind index")):
     """One of the 2m+1 irreducible modules: lambda:1 .. lambda:m+1 or
     pi:1 .. pi:m."""
 
-    m: int
-    kind: str
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __new__(cls, m: int, kind: str, index: int):
+        if m < 1:
             raise ValueError("m must be at least 1")
-        if self.kind == "lambda":
-            if not 1 <= self.index <= self.m + 1:
+        if kind == "lambda":
+            if not 1 <= index <= m + 1:
                 raise ValueError("lambda index out of range")
-        elif self.kind == "pi":
-            if not 1 <= self.index <= self.m:
+        elif kind == "pi":
+            if not 1 <= index <= m:
                 raise ValueError("pi index out of range")
         else:
-            raise ValueError(f"unknown module kind {self.kind!r}")
+            raise ValueError(f"unknown module kind {kind!r}")
+        return tuple.__new__(cls, (m, kind, index))
 
     @property
     def i(self) -> int:
@@ -68,13 +66,25 @@ def all_module_ids(m: int) -> list[SWModuleId]:
     return ids
 
 
-@dataclass(frozen=True)
-class CentralData:
-    """Central charge and conformal weights h^{r,s} for fixed m."""
+class CentralData(namedtuple("CentralData", "m c weights")):
+    """Central charge c and conformal weights h^{r,s} for fixed m;
+    weights maps (r, s) to h^{r,s} and takes no part in equality or
+    hashing."""
 
-    m: int
-    c: Fraction
-    weights: dict[tuple[int, int], Fraction] = field(compare=False)
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, CentralData):
+            return NotImplemented
+        return self[:2] == other[:2]
+
+    def __ne__(self, other):
+        if not isinstance(other, CentralData):
+            return NotImplemented
+        return self[:2] != other[:2]
+
+    def __hash__(self):
+        return hash(self[:2])
 
     def h(self, r: int, s: int) -> Fraction:
         p = 2 * self.m + 1

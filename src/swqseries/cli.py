@@ -5,8 +5,14 @@ Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage or
 precondition error.  The selected suites run one after another in the
 calling process, so they share its lru_caches.
 
-A process imports only the modules its command runs: a suite's module
-when the suite runs, `characters` for --module and `numeric` for --tau.
+Every report, the ns-space-rank one built here included, comes from
+`report.run_check`, the only report constructor and the only timer in the
+package.
+
+A process imports only the modules its command runs: `report` always, a
+suite's module when the suite runs, `characters` for --module and
+`numeric` for --tau.  `qseries` loads only with a suite that checks
+q-series, so `--help`, `gm` and `zhu` never compile it.
 """
 
 from __future__ import annotations
@@ -15,12 +21,13 @@ import argparse
 import csv
 import importlib
 import json
+import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import IO, TYPE_CHECKING
 
-from .qseries import VerificationReport, run_check
+from .report import VerificationReport, run_check
 
 if TYPE_CHECKING:
     from .characters import SWModuleId
@@ -46,34 +53,41 @@ class UsageError(ValueError):
     """Bad flags or violated preconditions; mapped to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(namedtuple("RunConfig", "command m module order suite format tol tau")):
     """One resolved invocation.  tau holds (re, im) pairs."""
 
-    command: str
-    m: int = 1
-    module: SWModuleId | None = None
-    order: Fraction = Fraction(20)
-    suite: str = "all"
-    format: str = "json"
-    tol: float = 1e-8
-    tau: tuple[tuple[float, float], ...] = _DEFAULT_TAUS
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.command not in _COMMANDS:
-            raise UsageError(f"unknown command {self.command!r}")
-        if self.suite not in ("all", *_SUITES):
-            raise UsageError(f"unknown suite {self.suite!r}")
-        if self.format not in ("json", "csv"):
-            raise UsageError(f"unknown format {self.format!r}")
-        if self.m < 1:
+    def __new__(
+        cls,
+        command: str,
+        m: int = 1,
+        module: SWModuleId | None = None,
+        order: Fraction = Fraction(20),
+        suite: str = "all",
+        format: str = "json",
+        tol: float = 1e-8,
+        tau: tuple[tuple[float, float], ...] = _DEFAULT_TAUS,
+    ):
+        if command not in _COMMANDS:
+            raise UsageError(f"unknown command {command!r}")
+        if suite not in ("all", *_SUITES):
+            raise UsageError(f"unknown suite {suite!r}")
+        if format not in ("json", "csv"):
+            raise UsageError(f"unknown format {format!r}")
+        if m < 1:
             raise UsageError("m must be positive")
-        if self.order <= 0:
+        if order <= 0:
             raise UsageError("order must be positive")
-        if self.command in ("char", "superchar") and self.module is None:
-            raise UsageError(f"{self.command} requires --module")
-        if not self.tau:
+        if command in ("char", "superchar") and module is None:
+            raise UsageError(f"{command} requires --module")
+        if not tau:
             raise UsageError("at least one tau point required")
+        # an infinite tolerance would certify any residual and switch off
+        # eval_series' tail-bound refusal
+        if not math.isfinite(tol):
+            raise UsageError(f"tol must be finite, got {tol}")
+        return tuple.__new__(cls, (command, m, module, order, suite, format, tol, tau))
 
 
 def _json_value(v):

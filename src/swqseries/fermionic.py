@@ -4,7 +4,7 @@ characters, and the auxiliary single- and double-sum identities."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -29,13 +29,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CartanData:
-    """Exact inverse Cartan matrix of D_p: chain nodes 1..p-2, fork
-    nodes p-1 and p both attached to node p-2."""
+class CartanData(namedtuple("CartanData", "p B")):
+    """Exact inverse Cartan matrix B of D_p, a p-tuple of p-tuples of
+    Fractions: chain nodes 1..p-2, fork nodes p-1 and p both attached to
+    node p-2."""
 
-    p: int
-    B: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -74,29 +73,25 @@ def inverse_cartan_D(p: int) -> CartanData:
     return CartanData(p, tuple(tuple(row) for row in b))
 
 
-@dataclass(frozen=True)
-class FermionicSumSpec:
+class FermionicSumSpec(namedtuple("FermionicSumSpec", "p lam sigma variant parity")):
     """Parameters of one multi-sum: lattice size p, integer lam in 0..p,
     sigma in {0,1}, variant 1 or 2, and the required parity of
     n_{p-1} + n_p."""
 
-    p: int
-    lam: int
-    sigma: int
-    variant: int
-    parity: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 3:
+    def __new__(cls, p: int, lam: int, sigma: int, variant: int, parity: int):
+        if p < 3:
             raise ValueError("p must be at least 3")
-        if not 0 <= self.lam <= self.p:
+        if not 0 <= lam <= p:
             raise ValueError("lam out of range")
-        if self.sigma not in (0, 1):
+        if sigma not in (0, 1):
             raise ValueError("sigma must be 0 or 1")
-        if self.variant not in (1, 2):
+        if variant not in (1, 2):
             raise ValueError("variant must be 1 or 2")
-        if self.parity not in (0, 1):
+        if parity not in (0, 1):
             raise ValueError("parity must be 0 or 1")
+        return tuple.__new__(cls, (p, lam, sigma, variant, parity))
 
 
 def _horner(n: int, terms) -> list[int]:

@@ -4,7 +4,7 @@ with an exact identity suite relating them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -23,20 +23,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ThetaParams:
-    """Index pair (j, k); k a positive integer or half-integer."""
+class ThetaParams(namedtuple("ThetaParams", "j k")):
+    """Index pair (j, k); k a positive integer or half-integer, stored as
+    a Fraction."""
 
-    j: int
-    k: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        k = Fraction(self.k)
-        object.__setattr__(self, "k", k)
+    def __new__(cls, j: int, k: RatLike):
+        k = Fraction(k)
         if k <= 0:
             raise ValueError("k must be positive")
         if k.denominator not in (1, 2):
             raise ValueError("k must be an integer or half-integer")
+        return tuple.__new__(cls, (j, k))
 
 
 @lru_cache(maxsize=None)

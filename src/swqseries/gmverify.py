@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 from . import zhupoly as zp
-from .qseries import VerificationReport, run_check
+from .report import VerificationReport, run_check
 from .zhupoly import RatPoly
 
 __all__ = [

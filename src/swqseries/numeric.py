@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import characters, forms
@@ -51,18 +51,17 @@ _TINY = sys.float_info.min
 _S_LEVELS = (3, 5, 6, 10)
 
 
-@dataclass(frozen=True)
-class TauPoint:
+class TauPoint(namedtuple("TauPoint", "re im")):
     """A point of the upper half-plane, so |q| = exp(-2 pi im) < 1."""
 
-    re: float
-    im: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
+    def __new__(cls, re: float, im: float):
+        if not (math.isfinite(re) and math.isfinite(im)):
             raise ValueError("tau must be finite")
-        if not self.im > 0:
+        if not im > 0:
             raise ValueError("tau must have positive imaginary part")
+        return tuple.__new__(cls, (re, im))
 
     @property
     def tau(self) -> complex:
@@ -161,11 +160,13 @@ def verify_s_t_laws(taus: list[TauPoint], order: RatLike, tol: float) -> list[Ve
     tau -> -1/tau carries the extra factor (-tau).  Levels run over
     _S_LEVELS with j = 0..k; a law passes iff residual plus both tail
     bounds stays below tol at every point.  Tolerances under 1e-13 are
-    rejected: double precision cannot certify them.
+    rejected: double precision cannot certify them.  So is an infinite
+    one, which would pass any residual and switch off eval_series'
+    tail-bound refusal.
     """
     order = Fraction(order)
-    if not tol >= _TOL_FLOOR:
-        raise ValueError(f"tolerance must be at least {_TOL_FLOOR}")
+    if not _TOL_FLOOR <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and at least {_TOL_FLOOR}")
 
     def law(identity_id: str, params: dict, errors) -> VerificationReport:
         return qs.run_check(identity_id, params, lambda: (order, _first_over(errors(), tol)))

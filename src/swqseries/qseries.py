@@ -9,17 +9,20 @@ support.
 A series is stored densely over exact integers: slot i of `vals` is the
 coefficient vals[i] / content at exponent (base + i*stride) / denom, so
 every kernel works on lists of Python ints and builds no Fraction.
+
+Reports come from `report.run_check`, the only report constructor and the
+only timer in the package; `compare_report` runs it on a comparison of two
+series.  `VerificationReport`, `run_check` and `RatLike` are defined in
+`report` and re-exported here.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
-RatLike = Union[int, str, Fraction]
+from .report import RatLike, VerificationReport, run_check
 
 __all__ = [
     "QSeries",
@@ -531,46 +534,6 @@ def compare(
         return None
     i = next(i for i, (x, y) in enumerate(zip(va, vb)) if x != y)
     return Fraction(base + i * stride, d), Fraction(va[i], content), Fraction(vb[i], content)
-
-
-@dataclass
-class VerificationReport:
-    """Outcome of one identity check at one truncation order."""
-
-    identity_id: str
-    params: dict[str, object]
-    order: Fraction
-    status: str
-    first_mismatch: Optional[tuple[Fraction, Fraction, Fraction]]
-    runtime_ms: float = 0.0
-
-    def __post_init__(self):
-        if (self.status == "pass") != (self.first_mismatch is None):
-            raise ValueError("status must be 'pass' exactly when there is no mismatch")
-
-
-def run_check(
-    identity_id: str,
-    params: dict[str, object],
-    check: Callable[[], tuple[RatLike, Optional[tuple[Fraction, Fraction, Fraction]]]],
-) -> VerificationReport:
-    """Run one identity check and wrap its outcome in a VerificationReport.
-
-    check() builds both sides, compares them and returns (order, first
-    mismatch or None); runtime_ms is the time it takes.  A check may add
-    data it computes to params while it runs.
-    """
-    t0 = time.perf_counter()
-    order, mismatch = check()
-    runtime_ms = (time.perf_counter() - t0) * 1000.0
-    return VerificationReport(
-        identity_id=identity_id,
-        params=params,
-        order=Fraction(order),
-        status="pass" if mismatch is None else "fail",
-        first_mismatch=mismatch,
-        runtime_ms=runtime_ms,
-    )
 
 
 def compare_report(

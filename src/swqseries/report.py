@@ -1,0 +1,65 @@
+"""The outcome of one identity check and `run_check`, the only report
+constructor and the only timer in the package.
+
+This module imports no other module of the package, so a command that
+checks no q-series (`swq --help`, `gm`, `zhu`) never loads `qseries`.
+"""
+
+from __future__ import annotations
+
+import time
+from collections import namedtuple
+from fractions import Fraction
+from typing import Callable, Optional, Union
+
+RatLike = Union[int, str, Fraction]
+
+__all__ = ["RatLike", "VerificationReport", "run_check"]
+
+
+class VerificationReport(
+    namedtuple("VerificationReport", "identity_id params order status first_mismatch runtime_ms")
+):
+    """Outcome of one identity check at one truncation order.
+
+    first_mismatch is the first (exponent, lhs, rhs) disagreement, None
+    exactly when status is "pass"."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        identity_id: str,
+        params: dict[str, object],
+        order: Fraction,
+        status: str,
+        first_mismatch: Optional[tuple[Fraction, Fraction, Fraction]],
+        runtime_ms: float = 0.0,
+    ):
+        if (status == "pass") != (first_mismatch is None):
+            raise ValueError("status must be 'pass' exactly when there is no mismatch")
+        return tuple.__new__(cls, (identity_id, params, order, status, first_mismatch, runtime_ms))
+
+
+def run_check(
+    identity_id: str,
+    params: dict[str, object],
+    check: Callable[[], tuple[RatLike, Optional[tuple[Fraction, Fraction, Fraction]]]],
+) -> VerificationReport:
+    """Run one identity check and wrap its outcome in a VerificationReport.
+
+    check() builds both sides, compares them and returns (order, first
+    mismatch or None); runtime_ms is the time it takes.  A check may add
+    data it computes to params while it runs.
+    """
+    t0 = time.perf_counter()
+    order, mismatch = check()
+    runtime_ms = (time.perf_counter() - t0) * 1000.0
+    return VerificationReport(
+        identity_id=identity_id,
+        params=params,
+        order=Fraction(order),
+        status="pass" if mismatch is None else "fail",
+        first_mismatch=mismatch,
+        runtime_ms=runtime_ms,
+    )

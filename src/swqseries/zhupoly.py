@@ -8,11 +8,11 @@ the sign recursion that certifies its nonvanishing."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .qseries import RatLike, VerificationReport, run_check
+from .report import RatLike, VerificationReport, run_check
 
 __all__ = [
     "RatPoly",
@@ -41,15 +41,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RatPoly:
+class RatPoly(namedtuple("RatPoly", "coeffs")):
     """Dense polynomial, lowest degree first; () is the zero polynomial."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.coeffs and self.coeffs[-1] == 0:
+    def __new__(cls, coeffs: tuple[Fraction, ...]):
+        if coeffs and coeffs[-1] == 0:
             raise ValueError("trailing coefficient must be nonzero")
+        return tuple.__new__(cls, (coeffs,))
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -220,16 +220,11 @@ def poly_report(
 # -- singlet curve and weight polynomials -------------------------------------
 
 
-@dataclass(frozen=True)
-class SingletCurve:
+class SingletCurve(namedtuple("SingletCurve", "m Cm p_x x_param y_param")):
     """Genus-zero curve y^2 = p_x(x) with its rational parametrization
-    x = x_param(t), y = y_param(t)."""
+    x = x_param(t), y = y_param(t); Cm is the leading coefficient of p_x."""
 
-    m: int
-    Cm: Fraction
-    p_x: RatPoly
-    x_param: RatPoly
-    y_param: RatPoly
+    __slots__ = ()
 
 
 def _weight(m: int, r: int) -> Fraction:

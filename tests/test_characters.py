@@ -7,6 +7,7 @@ import pytest
 
 import swqseries.qseries as qs
 from swqseries.characters import (
+    CentralData,
     SWModuleId,
     all_module_ids,
     central_data,
@@ -50,6 +51,13 @@ class TestCentralData:
         with pytest.raises(ValueError):
             central_data(0)
 
+    def test_weights_take_no_part_in_equality(self):
+        a, b = central_data(2), CentralData(2, central_data(2).c, {})
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a != CentralData(3, a.c, a.weights)
+        with pytest.raises(AttributeError):
+            a.c = F(0)
+
     def test_offset_matches_central_charge(self):
         # m^2/(2(2m+1)) - 1/16 = -c/24
         for m in (1, 2, 3, 4):
@@ -69,10 +77,14 @@ class TestModuleIds:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             SWModuleId(1, "lambda", 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^pi index out of range$"):
             SWModuleId(1, "pi", 2)
         with pytest.raises(ValueError):
             SWModuleId(1, "sigma", 1)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            SWModuleId(2, "pi", 1).index = 2
 
 
 class TestNsIrrChar:

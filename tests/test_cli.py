@@ -36,7 +36,7 @@ class TestRunConfig:
     def test_rejections(self):
         with pytest.raises(cli.UsageError):
             cli.RunConfig(command="frobnicate")
-        with pytest.raises(cli.UsageError):
+        with pytest.raises(cli.UsageError, match="^unknown suite 'nope'$"):
             cli.RunConfig(command="verify", suite="nope")
         with pytest.raises(cli.UsageError):
             cli.RunConfig(command="verify", format="xml")
@@ -48,6 +48,13 @@ class TestRunConfig:
             cli.RunConfig(command="char")
         with pytest.raises(cli.UsageError):
             cli.RunConfig(command="verify", tau=())
+        for tol in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(cli.UsageError):
+                cli.RunConfig(command="verify", tol=tol)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            cli.RunConfig(command="verify").m = 2
 
 
 class TestEmitJson:
@@ -243,6 +250,14 @@ class TestMain:
         assert cli.main(argv) == 0
         assert all(r["status"] == "pass" for r in json.loads(capsys.readouterr().out))
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_exits_2(self, capsys, tol):
+        # an infinite tolerance used to pass every S/T law
+        assert cli.main(["numeric", "--m", "1", "--order", "40", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_unknown_command_exits_2(self, capsys):
         assert cli.main(["frobnicate"]) == 2
         capsys.readouterr()
@@ -264,34 +279,35 @@ class TestMain:
 
 # Each command below, in a fresh process, loads exactly the swqseries
 # modules _LOADED names for it with the exit code given there, and none
-# of the process-pool machinery or numpy.
+# of the process-pool machinery, numpy, or dataclasses and the inspect
+# module it pulls in.
 _MODULES_PROBE = """
 import contextlib, io, json, sys
 from swqseries import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-unwanted = ("concurrent.futures.process", "multiprocessing", "numpy")
+unwanted = ("concurrent.futures.process", "multiprocessing", "numpy", "dataclasses", "inspect")
 print(json.dumps([code, sorted(k for k in sys.modules if k.startswith("swqseries.")),
                   [k for k in unwanted if k in sys.modules]]))
 """
 
 _LOADED = {
-    ("--help",): (0, ["cli", "qseries"]),
-    ("gm", "--m", "1"): (0, ["cli", "gmverify", "qseries", "zhupoly"]),
-    ("zhu", "--m", "1"): (0, ["cli", "qseries", "zhupoly"]),
-    ("char", "--m", "1", "--module", "lambda:1"): (0, ["characters", "cli", "forms", "qseries"]),
-    ("numeric", "--m", "1"): (0, ["characters", "cli", "forms", "numeric", "qseries"]),
+    ("--help",): (0, ["cli", "report"]),
+    ("gm", "--m", "1"): (0, ["cli", "gmverify", "report", "zhupoly"]),
+    ("zhu", "--m", "1"): (0, ["cli", "report", "zhupoly"]),
+    ("char", "--m", "1", "--module", "lambda:1"): (0, ["characters", "cli", "forms", "qseries", "report"]),
+    ("numeric", "--m", "1"): (0, ["characters", "cli", "forms", "numeric", "qseries", "report"]),
     ("verify", "--suite", "all", "--m", "1", "--order", "10"): (
         1,
-        ["characters", "cli", "fermionic", "forms", "gmverify", "numeric", "qseries", "zhupoly"],
+        ["characters", "cli", "fermionic", "forms", "gmverify", "numeric", "qseries", "report", "zhupoly"],
     ),
 }
 
 
-def _probe(argv):
+def _probe(argv, script=_MODULES_PROBE):
     src = os.path.dirname(os.path.dirname(swqseries.__file__))
     out = subprocess.run(
-        [sys.executable, "-c", _MODULES_PROBE, *argv],
+        [sys.executable, "-c", script, *argv],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True, timeout=120,
     ).stdout
     return json.loads(out)
@@ -301,3 +317,15 @@ def _probe(argv):
 def test_command_loads_only_its_modules(argv):
     code, modules = _LOADED[argv]
     assert _probe(argv) == [code, [f"swqseries.{n}" for n in modules], []]
+
+
+def test_package_root_is_lazy():
+    script = "import json, sys, swqseries; print(json.dumps(sorted(k for k in sys.modules if 'swqseries' in k)))"
+    assert _probe([], script) == ["swqseries"]
+    from swqseries import qseries, report
+
+    assert swqseries.QSeries is qseries.QSeries
+    assert swqseries.VerificationReport is report.VerificationReport is qseries.VerificationReport
+    assert swqseries.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        swqseries.no_such_name

@@ -64,12 +64,19 @@ def test_sum_spec_validation():
         fm.FermionicSumSpec(3, -1, 0, 1, 0)
     with pytest.raises(ValueError):
         fm.FermionicSumSpec(3, 4, 0, 1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sigma must be 0 or 1$"):
         fm.FermionicSumSpec(3, 0, 2, 1, 0)
     with pytest.raises(ValueError):
         fm.FermionicSumSpec(3, 0, 0, 3, 0)
     with pytest.raises(ValueError):
         fm.FermionicSumSpec(3, 0, 0, 1, 2)
+
+
+def test_value_types_are_immutable():
+    with pytest.raises(AttributeError):
+        fm.FermionicSumSpec(5, 0, 1, 1, 0).sigma = 0
+    with pytest.raises(AttributeError):
+        fm.inverse_cartan_D(4).p = 5
 
 
 # -- oracle enumerators -------------------------------------------------------

@@ -115,8 +115,15 @@ class TestTheta:
     def test_invalid_k_rejected(self):
         with pytest.raises(ValueError):
             ThetaParams(1, F(-3, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^k must be an integer or half-integer$"):
             ThetaParams(1, F(1, 3))
+
+    def test_params_coerce_k_and_are_immutable(self):
+        a, b = ThetaParams(0, 1), ThetaParams(0, F(1))
+        assert type(a.k) is F
+        assert a == b and hash(a) == hash(b)
+        with pytest.raises(AttributeError):
+            a.k = F(2)
 
 
 class TestEtaScaled:

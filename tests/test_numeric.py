@@ -18,7 +18,7 @@ TAUS = [nm.TauPoint(0.0, 1.0), nm.TauPoint(0.3, 1.1), nm.TauPoint(-0.4, 0.9)]
 
 class TestTauPoint:
     def test_lower_half_plane_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^tau must have positive imaginary part$"):
             nm.TauPoint(0.3, -1.0)
         with pytest.raises(ValueError):
             nm.TauPoint(0.3, 0.0)
@@ -28,6 +28,10 @@ class TestTauPoint:
             nm.TauPoint(float("nan"), 1.0)
         with pytest.raises(ValueError):
             nm.TauPoint(float("inf"), 1.0)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            TAUS[0].im = 2.0
 
     def test_q_abs(self):
         assert nm.TauPoint(0.7, 1.0).q_abs == pytest.approx(math.exp(-2 * math.pi))
@@ -124,6 +128,11 @@ class TestLaws:
     def test_tolerance_floor(self):
         with pytest.raises(ValueError, match="at least"):
             nm.verify_s_t_laws([nm.TauPoint(0.0, 1.0)], 50, 1e-30)
+
+    def test_infinite_tolerance_rejected(self):
+        # it would pass every residual and never refuse a tail bound
+        with pytest.raises(ValueError, match="finite"):
+            nm.verify_s_t_laws([nm.TauPoint(0.0, 1.0)], 50, math.inf)
 
     def test_law_report_failure_shape(self):
         assert nm._first_over([1e-12, 2e-9], 1e-9) == (F(1), F(2e-9), F(1e-9))

@@ -1,5 +1,7 @@
 """The package has no runtime dependency: its modules import only the
-standard library and each other, and pyproject.toml declares none."""
+standard library and each other, and pyproject.toml declares none.  No
+module imports dataclasses, and the modules behind --help, gm and zhu
+do not load qseries."""
 
 import ast
 import sys
@@ -26,6 +28,36 @@ def test_modules_import_only_the_standard_library():
         if name.split(".")[0] not in sys.stdlib_module_names | {"swqseries"}
     ]
     assert foreign == []
+
+
+def _imports_at_load(path):
+    """Absolute names of the modules `path` imports when it is loaded:
+    from its body, class bodies and if/try blocks, not function bodies."""
+    nodes = list(ast.parse(path.read_text(), str(path)).body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["swqseries" if node.level else "", node.module]))
+            yield from (module, *(f"{module}.{alias.name}" for alias in node.names))
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nodes.extend(ast.iter_child_nodes(node))
+
+
+def test_no_dataclasses_and_light_commands_skip_qseries():
+    # dataclasses loads inspect, ast, dis and tokenize, ~11 ms a process,
+    # and compiles generated code for every class; --help, gm and zhu
+    # run no code of qseries, the largest module
+    sources = sorted((ROOT / "src" / "swqseries").glob("*.py"))
+    users = [path.name for path in sources if "dataclasses" in _absolute_imports(path)]
+    assert users == []
+    eager = [
+        name
+        for name in ("cli", "zhupoly", "gmverify")
+        if "swqseries.qseries" in _imports_at_load(ROOT / "src" / "swqseries" / f"{name}.py")
+    ]
+    assert eager == []
 
 
 def test_pyproject_declares_no_dependencies():

@@ -185,7 +185,7 @@ def test_truncate_cannot_raise_order():
 
 
 def test_report_status_consistency():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^status must be 'pass' exactly when there is no mismatch$"):
         qs.VerificationReport("x", {}, F(5), "pass", (F(1), F(1), F(2)))
     with pytest.raises(ValueError):
         qs.VerificationReport("x", {}, F(5), "fail", None)
@@ -195,6 +195,8 @@ def test_report_status_consistency():
     assert rep.status == "fail"
     assert rep.first_mismatch == (F(2), F(0), F(1))
     assert rep.runtime_ms >= 0
+    with pytest.raises(AttributeError):
+        rep.status = "pass"
 
 
 # -- algebraic laws (property tests) ------------------------------------------

@@ -77,8 +77,16 @@ def test_poly_normalizes_trailing_zeros():
 
 
 def test_ratpoly_rejects_trailing_zero():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^trailing coefficient must be nonzero$"):
         zp.RatPoly((F(1), F(0)))
+
+
+def test_value_types_are_immutable():
+    p = zp.poly([1, 2])
+    with pytest.raises(AttributeError):
+        p.coeffs = ()
+    with pytest.raises(AttributeError):
+        zp.singlet_curve(1).Cm = F(0)
 
 
 def test_arithmetic_and_eval():
