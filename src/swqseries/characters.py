@@ -66,25 +66,10 @@ def all_module_ids(m: int) -> list[SWModuleId]:
     return ids
 
 
-class CentralData(namedtuple("CentralData", "m c weights")):
-    """Central charge c and conformal weights h^{r,s} for fixed m;
-    weights maps (r, s) to h^{r,s} and takes no part in equality or
-    hashing."""
+class CentralData(namedtuple("CentralData", "m c")):
+    """Central charge c and conformal weights h^{r,s} for fixed m."""
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        if not isinstance(other, CentralData):
-            return NotImplemented
-        return self[:2] == other[:2]
-
-    def __ne__(self, other):
-        if not isinstance(other, CentralData):
-            return NotImplemented
-        return self[:2] != other[:2]
-
-    def __hash__(self):
-        return hash(self[:2])
 
     def h(self, r: int, s: int) -> Fraction:
         p = 2 * self.m + 1
@@ -95,11 +80,7 @@ class CentralData(namedtuple("CentralData", "m c weights")):
 def central_data(m: int) -> CentralData:
     if m < 1:
         raise ValueError("m must be at least 1")
-    p = 2 * m + 1
-    c = Fraction(3, 2) * (1 - Fraction(8 * m * m, p))
-    cd = CentralData(m, c, {})
-    weights = {(2 * i + 1, 1): cd.h(2 * i + 1, 1) for i in range(3 * m + 1)}
-    return CentralData(m, c, weights)
+    return CentralData(m, Fraction(3, 2) * (1 - Fraction(8 * m * m, 2 * m + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -142,20 +123,16 @@ def ns_irr_char(m: int, i: int, n: int, order: RatLike) -> QSeries:
     return qs.truncate(qs.shift(prod, offset), order_f)
 
 
-def _char_combo(module: SWModuleId, order: Fraction) -> QSeries:
+def _lambda_pi(module: SWModuleId, th: QSeries, dth: QSeries, c: int) -> QSeries:
+    """((2i+1) th + c dth) / (2m+1) for lambda, ((2m-2i) th - c dth) / (2m+1) for pi."""
     m, i = module.m, module.i
-    p = ThetaParams(m - i, Fraction(2 * m + 1, 2))
-    th = forms.theta(p, order)
-    dth = forms.dtheta(p, order)
-    if module.kind == "lambda":
-        return qs.add(
-            qs.scale(th, Fraction(2 * i + 1, 2 * m + 1)),
-            qs.scale(dth, Fraction(2, 2 * m + 1)),
-        )
-    return qs.add(
-        qs.scale(th, Fraction(2 * m - 2 * i, 2 * m + 1)),
-        qs.scale(dth, Fraction(-2, 2 * m + 1)),
-    )
+    a, b = (2 * i + 1, c) if module.kind == "lambda" else (2 * m - 2 * i, -c)
+    return qs.add(qs.scale(th, Fraction(a, 2 * m + 1)), qs.scale(dth, Fraction(b, 2 * m + 1)))
+
+
+def _char_combo(module: SWModuleId, order: Fraction) -> QSeries:
+    p = ThetaParams(module.m - module.i, Fraction(2 * module.m + 1, 2))
+    return _lambda_pi(module, forms.theta(p, order), forms.dtheta(p, order), 2)
 
 
 def sw_char(module: SWModuleId, order: RatLike) -> QSeries:
@@ -171,27 +148,12 @@ def sw_superchar_theta(module: SWModuleId, order: RatLike) -> QSeries:
     theta combination, implemented exactly as displayed."""
     order_f = Fraction(order)
     m, i = module.m, module.i
-    k2 = Fraction(2 * (2 * m + 1))
+    k2 = 2 * (2 * m + 1)
     n = order_f + 1
-    th = qs.sub(
-        forms.theta(ThetaParams(2 * (m - i), k2), n),
-        forms.theta(ThetaParams(2 * (m + i + 1), k2), n),
-    )
-    dth = qs.sub(
-        forms.dtheta(ThetaParams(2 * (m - i), k2), n),
-        forms.dtheta(ThetaParams(2 * (m + i + 1), k2), n),
-    )
-    if module.kind == "lambda":
-        combo = qs.add(
-            qs.scale(th, Fraction(2 * i + 1, 2 * m + 1)),
-            qs.scale(dth, Fraction(1, 2 * m + 1)),
-        )
-    else:
-        combo = qs.add(
-            qs.scale(th, Fraction(2 * m - 2 * i, 2 * m + 1)),
-            qs.scale(dth, Fraction(-1, 2 * m + 1)),
-        )
-    return qs.truncate(qs.mul(f2_over_eta(n), combo), order_f)
+    a, b = ThetaParams(2 * (m - i), k2), ThetaParams(2 * (m + i + 1), k2)
+    th = qs.sub(forms.theta(a, n), forms.theta(b, n))
+    dth = qs.sub(forms.dtheta(a, n), forms.dtheta(b, n))
+    return qs.truncate(qs.mul(f2_over_eta(n), _lambda_pi(module, th, dth, 1)), order_f)
 
 
 def module_weight(module: SWModuleId) -> Fraction:

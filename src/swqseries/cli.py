@@ -5,9 +5,9 @@ Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage or
 precondition error.  The selected suites run one after another in the
 calling process, so they share its lru_caches.
 
-Every report, the ns-space-rank one built here included, comes from
-`report.run_check`, the only report constructor and the only timer in the
-package.
+Every report comes from `report.run_check`, the only report constructor
+and the only timer in the package.  Each suite calls only its own
+module; a --tol under numeric's floor fails before any suite runs.
 
 A process imports only the modules its command runs: `report` always, a
 suite's module when the suite runs, `characters` for --module and
@@ -27,11 +27,10 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import IO, TYPE_CHECKING
 
-from .report import VerificationReport, run_check
+from .report import VerificationReport
 
 if TYPE_CHECKING:
     from .characters import SWModuleId
-    from .numeric import TauPoint
 
 __all__ = ["RunConfig", "UsageError", "run", "emit_report", "main"]
 
@@ -131,43 +130,6 @@ def emit_report(reports: list[VerificationReport], format: str, sink: IO[str]) -
         )
 
 
-def _rank_taus(n: int) -> list[TauPoint]:
-    from .numeric import TauPoint
-
-    return [TauPoint(-0.37 + 0.11 * i, 0.83 + 0.05 * i) for i in range(n)]
-
-
-def _rank_report(m: int, order: Fraction, tol: float) -> VerificationReport:
-    from . import characters, numeric
-
-    n = 3 * m + 1
-    params: dict[str, object] = {"m": m}
-
-    def check():
-        # the exact rank decides; the SVD's smallest value is reported as data
-        _, smallest = numeric.ns_space_rank(m, _rank_taus(n), order, tol)
-        rank = characters.ns_space_exact_rank(m, order)
-        params.update(rank=rank, min_singular=float(f"{smallest:.6g}"))
-        return order, None if rank == n else (Fraction(0), Fraction(rank), Fraction(n))
-
-    return run_check("ns-space-rank", params, check)
-
-
-def _gm_reports(gmverify, m: int) -> list[VerificationReport]:
-    reports = [gmverify.verify_gm_conjecture(m)]
-    if gmverify._is_prime(2 * m + 1):
-        reports.append(gmverify.gm_mod_p(m))
-    return reports
-
-
-def _numeric_reports(numeric, config: RunConfig) -> list[VerificationReport]:
-    points = [numeric.TauPoint(re, im) for re, im in config.tau]
-    return [
-        *numeric.verify_s_t_laws(points, config.order, config.tol),
-        _rank_report(config.m, config.order, config.tol),
-    ]
-
-
 # Suite name -> (swqseries module, reports(module, config)); `--suite all`
 # runs them in this order.
 _SUITES = {
@@ -179,8 +141,8 @@ _SUITES = {
         "zhupoly",
         lambda zhupoly, c: [*zhupoly.verify_phi_identities(c.m), zhupoly.verify_s_properties(c.m)],
     ),
-    "gm": ("gmverify", lambda gmverify, c: _gm_reports(gmverify, c.m)),
-    "numeric": ("numeric", _numeric_reports),
+    "gm": ("gmverify", lambda gmverify, c: gmverify.verify_gm_suite(c.m)),
+    "numeric": ("numeric", lambda numeric, c: numeric.verify_numeric_suite(c.m, c.tau, c.order, c.tol)),
 }
 
 
@@ -220,6 +182,9 @@ def run(config: RunConfig, sink: IO[str]) -> int:
         if config.command in ("char", "superchar"):
             return _emit_series(config, sink)
         names = _SUITES if config.suite == "all" else (config.suite,)
+        if "numeric" in names:
+            # a tolerance numeric cannot certify fails before any suite runs
+            importlib.import_module(f"{__package__}.numeric").check_tolerance(config.tol)
         reports = _dispatch(names, config)
         emit_report(reports, config.format, sink)
         return 0 if all(r.status == "pass" for r in reports) else 1

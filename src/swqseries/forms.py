@@ -4,6 +4,7 @@ with an exact identity suite relating them."""
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -48,6 +49,15 @@ def eta(order: RatLike) -> QSeries:
     return qs.truncate(qs.shift(prod, Fraction(1, 24)), order_f)
 
 
+# Weber function -> (leading exponent, first exponent, sign) of
+# q^lead prod_{n>=0} (1 + sign q^{first+n})
+_WEBER = {
+    "f": (Fraction(-1, 48), Fraction(1, 2), 1),
+    "f1": (Fraction(-1, 48), Fraction(1, 2), -1),
+    "f2": (Fraction(1, 24), 1, 1),
+}
+
+
 @lru_cache(maxsize=None)
 def weber(which: str, order: RatLike) -> QSeries:
     """One of the three Weber functions:
@@ -57,51 +67,25 @@ def weber(which: str, order: RatLike) -> QSeries:
     f2 = q^{1/24}  prod_{n>=1} (1 + q^n)
     """
     order_f = Fraction(order)
-    if which == "f":
-        lead = Fraction(-1, 48)
-        prod = qs.pochhammer(Fraction(1, 2), 1, 1, None, order_f - lead)
-    elif which == "f1":
-        lead = Fraction(-1, 48)
-        prod = qs.pochhammer(Fraction(1, 2), 1, -1, None, order_f - lead)
-    elif which == "f2":
-        lead = Fraction(1, 24)
-        prod = qs.pochhammer(1, 1, 1, None, order_f - lead)
-    else:
+    if which not in _WEBER:
         raise ValueError(f"unknown Weber function {which!r}")
+    lead, first, sign = _WEBER[which]
     if order_f <= lead:
         raise ValueError("order must exceed the leading exponent")
+    prod = qs.pochhammer(first, 1, sign, None, order_f - lead)
     return qs.truncate(qs.shift(prod, lead), order_f)
 
 
 def _theta_sum(p: ThetaParams, order: Fraction, weighted: bool) -> QSeries:
-    # exponent (Kn+j)^2 / (2K) with K = 2k an integer; lattice (1/2K) Z
-    K = int(2 * Fraction(p.k))
-    denom = 2 * K
-    coeffs: dict[int, Fraction] = {}
-
-    def visit(arg: int) -> None:
-        w = Fraction(arg) if weighted else Fraction(1)
-        key = arg * arg
-        coeffs[key] = coeffs.get(key, Fraction(0)) + w
-
-    limit = order * denom
-    n = 0
-    while True:
-        arg = K * n + p.j
-        if arg * arg > limit and arg >= 0:
-            break
-        if arg * arg <= limit:
-            visit(arg)
-        n += 1
-    n = -1
-    while True:
-        arg = K * n + p.j
-        if arg * arg > limit and arg <= 0:
-            break
-        if arg * arg <= limit:
-            visit(arg)
-        n -= 1
-    return QSeries(denom, coeffs, order)
+    # exponent a^2 / (2K) for a = Kn + j, K = 2k an integer; lattice (1/2K) Z
+    K = int(2 * p.k)
+    limit = math.floor(2 * K * order)
+    top = math.isqrt(limit) if limit >= 0 else -1
+    coeffs: dict[int, int] = {}
+    # every a = j mod K with a^2 <= limit, from the least one >= -top up
+    for a in range(-top + (p.j + top) % K, top + 1, K):
+        coeffs[a * a] = coeffs.get(a * a, 0) + (a if weighted else 1)
+    return QSeries(2 * K, coeffs, order)
 
 
 def theta(p: ThetaParams, order: RatLike) -> QSeries:

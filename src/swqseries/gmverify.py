@@ -17,6 +17,7 @@ __all__ = [
     "gm_poly",
     "verify_gm_conjecture",
     "gm_mod_p",
+    "verify_gm_suite",
 ]
 
 
@@ -129,3 +130,8 @@ def gm_mod_p(m: int) -> VerificationReport:
         return at, None if residue == 1 else (at, Fraction(residue), Fraction(1))
 
     return run_check("gm-mod-p", {"m": m, "p": p}, check)
+
+
+def verify_gm_suite(m: int) -> list[VerificationReport]:
+    """The G_m conjecture, then the mod-p residue check when p = 2m+1 is prime."""
+    return [verify_gm_conjecture(m), *([gm_mod_p(m)] if _is_prime(2 * m + 1) else [])]

@@ -7,8 +7,9 @@ plus tau-weighted theta derivatives is probed by numerical rank.
 The rank probe's singular values come from a pure-Python SVD, Householder
 QR with column pivoting followed by one-sided Jacobi rotations (Drmac and
 Veselic, 2008).  Singular values below about n eps sigma_max (eps = 2.2e-16,
-n = 3m+1) are rounding noise: from m = 6 on the probe's smallest one is
-below that floor and carries no information, and only the exact rank
+n = 3m+1) are rounding noise: on the probe's points the smallest one falls
+there from m = 6 on (sigma_min/sigma_max is 3.5e-19 at m = 6), so it then
+carries no information, and only the exact rank
 characters.ns_space_exact_rank decides the ns-space-rank check."""
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from .qseries import QSeries, RatLike, VerificationReport
 __all__ = [
     "TauPoint",
     "eval_series",
+    "check_tolerance",
     "verify_s_t_laws",
     "ns_space_rank",
+    "verify_numeric_suite",
 ]
 
 # Smallest tolerance double-precision residuals can certify.
@@ -74,11 +77,9 @@ class TauPoint(namedtuple("TauPoint", "re im")):
 
 def _neg_inv(t: TauPoint) -> TauPoint:
     d = t.re * t.re + t.im * t.im
+    if d == 0.0 or t.im / d == 0.0:
+        raise ValueError(f"-1/tau {'underflows' if d else 'overflows'} in double precision at tau = {t.tau}")
     return TauPoint(-t.re / d, t.im / d)
-
-
-def _shifted(t: TauPoint, dx: float) -> TauPoint:
-    return TauPoint(t.re + dx, t.im)
 
 
 def eval_series(a: QSeries, tau: TauPoint, tol: float | None = None) -> tuple[complex, float]:
@@ -98,13 +99,12 @@ def eval_series(a: QSeries, tau: TauPoint, tol: float | None = None) -> tuple[co
         value += cf * cmath.exp(log_q * e)
         big = max(big, abs(cf))
     step = tau.q_abs ** (1.0 / a.denom)
+    if step == 1.0:
+        raise ValueError(f"Im tau = {tau.im:.3g} is too small: |q|^(1/{a.denom}) rounds to 1, no tail bound")
     tail = big * tau.q_abs ** (float(a.order) + 1.0 / a.denom) / (1.0 - step)
     if tol is not None and tail > tol:
         need = math.log(tol * (1.0 - step) / big) / math.log(tau.q_abs)
-        raise ValueError(
-            f"tail bound {tail:.3e} exceeds tolerance {tol:.3e}; "
-            f"order {need:.1f} would suffice"
-        )
+        raise ValueError(f"tail bound {tail:.3e} exceeds tolerance {tol:.3e}; order {need:.1f} would suffice")
     return value, tail
 
 
@@ -117,36 +117,30 @@ def _first_over(errors: list[float], tol: float) -> tuple[Fraction, Fraction, Fr
     return None
 
 
-def _s_law(series: list[QSeries], taus: list[TauPoint], k: int, weighted: bool, tol: float) -> list[float]:
-    """Residual + tails of the S-law of series[j], j = 0..k, at each tau;
-    series holds the level-k sums for j' = 0..2k-1."""
+def _law(taus: list[TauPoint], image, rows, tol: float) -> list[float]:
+    """Residual + tails of f(image(tau)) = c(tau) sum_i u_i g_i(tau) at
+    each tau, for each row (f, c, [(u_i, g_i)]) with unit phases u_i:
+    |f(image tau) - c sum_i u_i g_i(tau)| + tail_f + |c| sum_i tail_{g_i}.
+    Each g_i is evaluated once per point, when a row first needs it."""
     errors = []
     for t in taus:
-        ti = _neg_inv(t)
-        tv = [eval_series(s, t, tol) for s in series]
-        rtail = sum(v[1] for v in tv)
-        pref = cmath.sqrt(-1j * t.tau / (2 * k))
-        if weighted:
-            pref = -t.tau * pref
-        for j in range(k + 1):
-            phases = [cmath.exp(1j * math.pi * j * jp / k) for jp in range(2 * k)]
-            lv, lt = eval_series(series[j], ti, tol)
-            rv = sum(p * v[0] for p, v in zip(phases, tv))
-            errors.append(abs(lv - pref * rv) + lt + abs(pref) * rtail)
+        ti, at_t = image(t), {}
+        for f, c, terms in rows:
+            lv, lt = eval_series(f, ti, tol)
+            for _, g in terms:
+                if id(g) not in at_t:
+                    at_t[id(g)] = eval_series(g, t, tol)
+            cv = c(t)
+            rv = sum(u * at_t[id(g)][0] for u, g in terms)
+            errors.append(abs(lv - cv * rv) + lt + abs(cv) * sum(at_t[id(g)][1] for _, g in terms))
     return errors
 
 
-def _t2_law(series: list[QSeries], taus: list[TauPoint], k: int, tol: float) -> list[float]:
-    """Residual + tails of the tau -> tau+2 law of series[j], j = 0..k."""
-    errors = []
-    for t in taus:
-        t2 = _shifted(t, 2.0)
-        for j in range(k + 1):
-            ph = cmath.exp(1j * math.pi * j * j / k)
-            lv, lt = eval_series(series[j], t2, tol)
-            rv, rt = eval_series(series[j], t, tol)
-            errors.append(abs(lv - ph * rv) + lt + rt)
-    return errors
+def check_tolerance(tol: float) -> None:
+    """Reject a tolerance under 1e-13, which double precision cannot certify, and an
+    infinite one, which would pass any residual and switch off eval_series' refusal."""
+    if not _TOL_FLOOR <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and at least {_TOL_FLOOR}")
 
 
 def verify_s_t_laws(taus: list[TauPoint], order: RatLike, tol: float) -> list[VerificationReport]:
@@ -159,46 +153,42 @@ def verify_s_t_laws(taus: list[TauPoint], order: RatLike, tol: float) -> list[Ve
     the last two also for the weighted sums, whose law under
     tau -> -1/tau carries the extra factor (-tau).  Levels run over
     _S_LEVELS with j = 0..k; a law passes iff residual plus both tail
-    bounds stays below tol at every point.  Tolerances under 1e-13 are
-    rejected: double precision cannot certify them.  So is an infinite
-    one, which would pass any residual and switch off eval_series'
-    tail-bound refusal.
+    bounds stays below tol at every point.
     """
     order = Fraction(order)
-    if not _TOL_FLOOR <= tol < math.inf:
-        raise ValueError(f"tolerance must be finite and at least {_TOL_FLOOR}")
+    check_tolerance(tol)
 
-    def law(identity_id: str, params: dict, errors) -> VerificationReport:
-        return qs.run_check(identity_id, params, lambda: (order, _first_over(errors(), tol)))
+    def s_rows(series: list[QSeries], k: int, weighted: bool) -> list:
+        def c(t: TauPoint) -> complex:
+            p = cmath.sqrt(-1j * t.tau / (2 * k))
+            return -t.tau * p if weighted else p
+
+        phases = [[cmath.exp(1j * math.pi * j * jp / k) for jp in range(2 * k)] for j in range(k + 1)]
+        return [(series[j], c, list(zip(phases[j], series))) for j in range(k + 1)]
+
+    def t2_rows(series: list[QSeries], k: int) -> list:
+        return [(s, lambda t: 1, [(cmath.exp(1j * math.pi * j * j / k), s)]) for j, s in enumerate(series[: k + 1])]
 
     eta = forms.eta(order)
-
-    def eta_law(image, factor) -> list[float]:
-        # eta(image(tau)) = factor(tau) eta(tau)
-        errors = []
-        for t in taus:
-            lv, lt = eval_series(eta, image(t), tol)
-            rv, rt = eval_series(eta, t, tol)
-            f = factor(t)
-            errors.append(abs(lv - f * rv) + lt + abs(f) * rt)
-        return errors
-
     phase = cmath.exp(1j * math.pi / 12)
-    reports = [
-        law("eta-s-law", {}, lambda: eta_law(_neg_inv, lambda t: cmath.sqrt(-1j * t.tau))),
-        law("eta-t-law", {}, lambda: eta_law(lambda t: _shifted(t, 1.0), lambda t: phase)),
+    plus2 = lambda t: TauPoint(t.re + 2.0, t.im)
+    laws = [
+        ("eta-s-law", {}, _neg_inv, [(eta, lambda t: cmath.sqrt(-1j * t.tau), [(1, eta)])]),
+        ("eta-t-law", {}, lambda t: TauPoint(t.re + 1.0, t.im), [(eta, lambda t: phase, [(1, eta)])]),
     ]
     for k in _S_LEVELS:
-        kf = Fraction(k)
-        ths = [forms.theta(ThetaParams(jp, kf), order) for jp in range(2 * k)]
-        dths = [forms.dtheta(ThetaParams(jp, kf), order) for jp in range(2 * k)]
-        reports += [
-            law("theta-s-law", {"k": k}, lambda: _s_law(ths, taus, k, False, tol)),
-            law("dtheta-s-law", {"k": k}, lambda: _s_law(dths, taus, k, True, tol)),
-            law("theta-t2-law", {"k": k}, lambda: _t2_law(ths, taus, k, tol)),
-            law("dtheta-t2-law", {"k": k}, lambda: _t2_law(dths, taus, k, tol)),
+        ths = [forms.theta(ThetaParams(jp, k), order) for jp in range(2 * k)]
+        dths = [forms.dtheta(ThetaParams(jp, k), order) for jp in range(2 * k)]
+        laws += [
+            ("theta-s-law", {"k": k}, _neg_inv, s_rows(ths, k, False)),
+            ("dtheta-s-law", {"k": k}, _neg_inv, s_rows(dths, k, True)),
+            ("theta-t2-law", {"k": k}, plus2, t2_rows(ths, k)),
+            ("dtheta-t2-law", {"k": k}, plus2, t2_rows(dths, k)),
         ]
-    return reports
+    return [
+        qs.run_check(law_id, params, lambda: (order, _first_over(_law(taus, image, rows, tol), tol)))
+        for law_id, params, image, rows in laws
+    ]
 
 
 def _norm2(v: list[complex]) -> float:
@@ -276,30 +266,16 @@ def _rank_columns(m: int, taus: list[TauPoint], order: Fraction, tol: float) -> 
     fe = characters.f_over_eta(order)
     for j in range(1, m + 1):
         series.append(qs.mul(fe, forms.dtheta(ThetaParams(j, Fraction(p, 2)), order)))
-    rows = []
-    for t in taus:
-        row = []
-        for c, s in enumerate(series):
-            value, _ = eval_series(s, t, tol)
-            row.append(t.tau * value if c > 2 * m else value)
-        rows.append(row)
-    return [list(col) for col in zip(*rows)]
+    rows = [[eval_series(s, t, tol)[0] for s in series] for t in taus]
+    return [[t.tau * row[c] if c >= p else row[c] for t, row in zip(taus, rows)] for c in range(len(series))]
 
 
-def ns_space_rank(
-    m: int, taus: list[TauPoint], order: RatLike, tol: float = 1e-8
-) -> tuple[int, float]:
+def ns_space_rank(m: int, taus: list[TauPoint], order: RatLike, tol: float = 1e-8) -> tuple[int, float]:
     """Numerical rank of the (3m+1) x (3m+1) matrix of values of the
     2m+1 characters and the m functions tau (f/eta) dTheta_{j,(2m+1)/2},
     j = 1..m, at 3m+1 distinct points.  Rank counts singular values
     above 1e-6 times the largest; the smallest is returned alongside.
-
-    The singular values come from _singular_values, a QR-preconditioned
-    one-sided Jacobi SVD.  Any singular value below about n eps sigma_max
-    (eps = 2.2e-16, n = 3m+1) is rounding noise: on the CLI's points the
-    smallest falls there from m = 6 on (sigma_min/sigma_max is 3.5e-19 at
-    m = 6), so from then on it carries no information, and only the exact
-    rank (characters.ns_space_exact_rank) decides the ns-space-rank check.
+    The module docstring says when the smallest is rounding noise.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -310,3 +286,26 @@ def ns_space_rank(
         raise ValueError("tau points must be distinct")
     sv = _singular_values(_rank_columns(m, taus, Fraction(order), tol))
     return sum(s > 1e-6 * sv[0] for s in sv), sv[-1]
+
+
+def _rank_taus(n: int) -> list[TauPoint]:
+    return [TauPoint(-0.37 + 0.11 * i, 0.83 + 0.05 * i) for i in range(n)]
+
+
+def _rank_report(m: int, order: Fraction, tol: float) -> VerificationReport:
+    n = 3 * m + 1
+    params: dict[str, object] = {"m": m}
+
+    def check():
+        # the exact rank decides; the SVD's smallest value is reported as data
+        _, smallest = ns_space_rank(m, _rank_taus(n), order, tol)
+        rank = characters.ns_space_exact_rank(m, order)
+        params.update(rank=rank, min_singular=float(f"{smallest:.6g}"))
+        return order, None if rank == n else (Fraction(0), Fraction(rank), Fraction(n))
+
+    return qs.run_check("ns-space-rank", params, check)
+
+
+def verify_numeric_suite(m: int, points, order: RatLike, tol: float) -> list[VerificationReport]:
+    """The S/T laws at the (re, im) points, then the ns-space-rank check at its own 3m+1 points."""
+    return [*verify_s_t_laws([TauPoint(*p) for p in points], order, tol), _rank_report(m, order, tol)]

@@ -8,10 +8,12 @@ import pytest
 import swqseries.qseries as qs
 from swqseries.characters import (
     CentralData,
+    _char_combo,
     SWModuleId,
     all_module_ids,
     central_data,
     char_by_decomposition,
+    f2_over_eta,
     f_over_eta,
     module_weight,
     ns_irr_char,
@@ -20,7 +22,7 @@ from swqseries.characters import (
     sw_superchar_theta,
     verify_character_suite,
 )
-from swqseries.forms import ThetaParams, theta
+from swqseries.forms import ThetaParams, dtheta, theta
 
 
 class TestCentralData:
@@ -42,19 +44,13 @@ class TestCentralData:
                 assert cd.h(2 * i + 1, 1) == F(i * (i - 2 * m), 2 * (2 * m + 1))
                 assert cd.h(2 * i + 1, 1) == cd.h(2 * (2 * m - i) + 1, 1)
 
-    def test_weights_table(self):
-        cd = central_data(2)
-        assert set(cd.weights) == {(2 * i + 1, 1) for i in range(7)}
-        assert cd.weights[(5, 1)] == F(-2, 5)
-
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             central_data(0)
 
-    def test_weights_take_no_part_in_equality(self):
-        a, b = central_data(2), CentralData(2, central_data(2).c, {})
-        assert a == b and not a != b and hash(a) == hash(b)
-        assert a != CentralData(3, a.c, a.weights)
+    def test_two_immutable_fields(self):
+        a = central_data(2)
+        assert a == CentralData(2, F(-81, 10)) and hash(a) == hash(CentralData(2, a.c))
         with pytest.raises(AttributeError):
             a.c = F(0)
 
@@ -224,3 +220,37 @@ class TestSuite:
         )
         rep = qs.compare_report("char-pair-sum", {}, lambda: (qs.add(lam, pi), wrong), 10)
         assert rep.status == "fail"
+
+
+# -- the lambda/pi combinations against their two-copy bodies ----------------
+
+
+def _two_copy_char_combo(module, order):
+    m, i = module.m, module.i
+    p = ThetaParams(m - i, F(2 * m + 1, 2))
+    th, dth = theta(p, order), dtheta(p, order)
+    if module.kind == "lambda":
+        return qs.add(qs.scale(th, F(2 * i + 1, 2 * m + 1)), qs.scale(dth, F(2, 2 * m + 1)))
+    return qs.add(qs.scale(th, F(2 * m - 2 * i, 2 * m + 1)), qs.scale(dth, F(-2, 2 * m + 1)))
+
+
+def _two_copy_superchar(module, order):
+    order_f = F(order)
+    m, i = module.m, module.i
+    k2 = F(2 * (2 * m + 1))
+    n = order_f + 1
+    th = qs.sub(theta(ThetaParams(2 * (m - i), k2), n), theta(ThetaParams(2 * (m + i + 1), k2), n))
+    dth = qs.sub(dtheta(ThetaParams(2 * (m - i), k2), n), dtheta(ThetaParams(2 * (m + i + 1), k2), n))
+    if module.kind == "lambda":
+        combo = qs.add(qs.scale(th, F(2 * i + 1, 2 * m + 1)), qs.scale(dth, F(1, 2 * m + 1)))
+    else:
+        combo = qs.add(qs.scale(th, F(2 * m - 2 * i, 2 * m + 1)), qs.scale(dth, F(-1, 2 * m + 1)))
+    return qs.truncate(qs.mul(f2_over_eta(n), combo), order_f)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_combinations_match_two_copy_bodies(m):
+    for module in all_module_ids(m):
+        for order in (F(12), F(61, 2)):
+            assert _char_combo(module, order) == _two_copy_char_combo(module, order)
+            assert sw_superchar_theta(module, order) == _two_copy_superchar(module, order)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import swqseries
-from swqseries import characters, cli
+from swqseries import characters, cli, forms, numeric
 from swqseries.qseries import VerificationReport
 
 F = Fraction
@@ -219,7 +219,7 @@ class TestRankReport:
             return combo(module, order)
 
         monkeypatch.setattr(characters, "_char_combo", duplicated)
-        rep = cli._rank_report(2, F(60), 1e-8)
+        rep = numeric._rank_report(2, F(60), 1e-8)
         assert rep.status == "fail"
         assert rep.params["rank"] == 6
         assert rep.first_mismatch == (F(0), F(6), F(7))
@@ -257,6 +257,31 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_tol_under_floor_fails_before_any_suite(self, capsys, monkeypatch):
+        def never(order):
+            raise AssertionError("a suite ran before the tolerance check")
+
+        monkeypatch.setattr(forms, "verify_form_identities", never)
+        assert cli.main(["verify", "--suite", "all", "--m", "2", "--order", "300", "--tol", "1e-20"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tolerance must be finite and at least 1e-13\n"
+
+    def test_tol_under_floor_is_fine_without_numeric(self, capsys):
+        assert cli.main(["verify", "--suite", "forms", "--order", "12", "--tol", "1e-20"]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "tau, message",
+        [
+            ("0+1e-20j", "error: Im tau = 1e-20 is too small: |q|^(1/24) rounds to 1, no tail bound\n"),
+            ("0.3+1e200j", "error: -1/tau underflows in double precision at tau = (0.3+1e+200j)\n"),
+        ],
+    )
+    def test_tau_out_of_double_range_exits_2(self, capsys, tau, message):
+        assert cli.main(["numeric", "--m", "1", "--order", "40", "--tau", tau]) == 2
+        assert capsys.readouterr() == ("", message)
 
     def test_unknown_command_exits_2(self, capsys):
         assert cli.main(["frobnicate"]) == 2

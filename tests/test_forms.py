@@ -159,3 +159,85 @@ class TestIdentitySuite:
         rep = qs.compare_report("dtheta-eta-weber-cube", {}, lambda: (lhs, rhs), 10)
         assert rep.status == "fail"
         assert rep.first_mismatch is not None
+
+
+# -- the table and the one-range enumerator against their earlier bodies ------
+
+
+def _branch_weber(which, order):
+    """weber as three if/elif branches."""
+    order_f = F(order)
+    if which == "f":
+        lead = F(-1, 48)
+        prod = qs.pochhammer(F(1, 2), 1, 1, None, order_f - lead)
+    elif which == "f1":
+        lead = F(-1, 48)
+        prod = qs.pochhammer(F(1, 2), 1, -1, None, order_f - lead)
+    elif which == "f2":
+        lead = F(1, 24)
+        prod = qs.pochhammer(1, 1, 1, None, order_f - lead)
+    else:
+        raise ValueError(f"unknown Weber function {which!r}")
+    if order_f <= lead:
+        raise ValueError("order must exceed the leading exponent")
+    return qs.truncate(qs.shift(prod, lead), order_f)
+
+
+_LEAD = {"f": F(-1, 48), "f1": F(-1, 48), "f2": F(1, 24)}
+
+
+@pytest.mark.parametrize("which", sorted(_LEAD))
+def test_weber_table_matches_branches(which):
+    for order in (F(1, 20), F(1), F(7, 2), F(17), F(121, 3)):
+        assert weber(which, order) == _branch_weber(which, order)
+    for order in (_LEAD[which], _LEAD[which] - 3):
+        for build in (_branch_weber, weber):
+            with pytest.raises(ValueError, match="^order must exceed the leading exponent$"):
+                build(which, order)
+
+
+def test_weber_unknown_name_reported_before_order():
+    for order in (F(5), F(-5)):
+        for build in (_branch_weber, weber):
+            with pytest.raises(ValueError, match="^unknown Weber function 'g'$"):
+                build("g", order)
+
+
+def _two_loop_theta_sum(p, order, weighted):
+    """_theta_sum as two while loops over n >= 0 and n < 0."""
+    K = int(2 * F(p.k))
+    denom = 2 * K
+    coeffs = {}
+
+    def visit(arg):
+        w = F(arg) if weighted else F(1)
+        coeffs[arg * arg] = coeffs.get(arg * arg, F(0)) + w
+
+    limit = order * denom
+    n = 0
+    while True:
+        arg = K * n + p.j
+        if arg * arg > limit and arg >= 0:
+            break
+        if arg * arg <= limit:
+            visit(arg)
+        n += 1
+    n = -1
+    while True:
+        arg = K * n + p.j
+        if arg * arg > limit and arg <= 0:
+            break
+        if arg * arg <= limit:
+            visit(arg)
+        n -= 1
+    return qs.QSeries(denom, coeffs, order)
+
+
+@pytest.mark.parametrize("k", [F(n, 2) for n in range(1, 21)])
+def test_theta_enumerator_matches_two_loops(k):
+    K = int(2 * k)
+    for j in range(-K, 2 * K + 1):
+        p = ThetaParams(j, k)
+        for order in (F(-1), F(0), F(7), F(23, 2), F(40, 3)):
+            assert theta(p, order) == _two_loop_theta_sum(p, order, False)
+            assert dtheta(p, order) == _two_loop_theta_sum(p, order, True)

@@ -162,3 +162,8 @@ class TestModP:
             v = gv.gm_value(m, 3 * m + 1)
             residue = v.numerator * pow(v.denominator, -1, p) % p
             assert residue == math.comb(2 * m, m) ** 2 % p == 1
+
+
+def test_suite_adds_mod_p_for_prime_2m_plus_1():
+    for m, ids in ((2, ["gm-conjecture", "gm-mod-p"]), (4, ["gm-conjecture"])):
+        assert [r.identity_id for r in gv.verify_gm_suite(m)] == ids

@@ -1,14 +1,17 @@
 """Golden reports: `swq` output pinned byte for byte, apart from runtime_ms.
 
-The files under tests/data were written by the Fraction-dict series
-engine in one process with runtime_ms set to 0; they pin every
-status, order, mismatch tuple, the reported shift and every character
-coefficient byte for byte.  min_singular, the smallest singular value of
-a nearly singular floating-point matrix, is compared to a relative
-tolerance: the files were written with numpy's LAPACK SVD and the
-package now computes it with its own Jacobi SVD, the two agree to about
-1e-6 at m <= 5, and the matrix entries come from libm's exp, whose last
-bits may differ between platforms.
+The files under tests/data were written in one process with runtime_ms
+set to 0.  They pin every status, order, mismatch tuple, the reported
+shift and every character coefficient byte for byte.  The m=2 files and
+numeric-m3-o60.json come from the Fraction-dict series engine and
+numpy's LAPACK SVD.  verify-all-m3-o40.json and the m=3 lambda:2 char
+and superchar files (the first to pin a lambda supercharacter) come from
+the integer engine and the package's own Jacobi SVD, before the theta
+enumerator, the Weber products and the lambda/pi combination were each
+written once.  min_singular, the smallest singular value of a nearly
+singular floating-point matrix, is compared to a relative tolerance:
+the two SVDs agree to about 1e-6 at m <= 5, and the matrix entries come
+from libm's exp, whose last bits may differ between platforms.
 """
 
 import os
@@ -31,6 +34,9 @@ CASES = {
     "numeric-m3-o60.json": (["numeric", "--m", "3", "--order", "60"], 0),
     "char-m2-pi1-o10.json": (["char", "--m", "2", "--module", "pi:1", "--order", "10"], 0),
     "superchar-m2-pi1-o10.json": (["superchar", "--m", "2", "--module", "pi:1", "--order", "10"], 0),
+    "verify-all-m3-o40.json": (["verify", "--suite", "all", "--m", "3", "--order", "40"], 1),
+    "char-m3-lambda2-o12.json": (["char", "--m", "3", "--module", "lambda:2", "--order", "12"], 0),
+    "superchar-m3-lambda2-o12.json": (["superchar", "--m", "3", "--module", "lambda:2", "--order", "12"], 0),
 }
 
 

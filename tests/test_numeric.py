@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from swqseries import cli, forms
+from swqseries import forms
 from swqseries import numeric as nm
 from swqseries import qseries as qs
 
@@ -68,6 +68,18 @@ class TestEvalSeries:
     def test_tail_rejection_names_an_order(self):
         with pytest.raises(ValueError, match="would suffice"):
             nm.eval_series(forms.eta(10), nm.TauPoint(0.0, 0.05), 1e-8)
+
+    def test_point_too_close_to_real_axis(self):
+        # |q|^(1/24) rounds to 1, so the tail bound would divide by zero
+        with pytest.raises(ValueError, match=r"^Im tau = 1e-20 is too small: \|q\|\^\(1/24\) rounds to 1"):
+            nm.eval_series(forms.eta(10), nm.TauPoint(0.0, 1e-20))
+
+    def test_neg_inv_underflow_and_overflow(self):
+        with pytest.raises(ValueError, match="^-1/tau underflows"):
+            nm._neg_inv(nm.TauPoint(0.3, 1e200))
+        with pytest.raises(ValueError, match="^-1/tau overflows"):
+            nm._neg_inv(nm.TauPoint(0.0, 1e-200))
+        assert nm._neg_inv(nm.TauPoint(0.0, 0.5)) == nm.TauPoint(-0.0, 2.0)
 
 
 def _fraction_eval_series(a, tau):
@@ -144,6 +156,113 @@ class TestLaws:
         assert all(r.runtime_ms >= 0 for r in reports)
 
 
+# -- _law against the three loops it replaced -------------------------------
+
+
+def _eta_loop(eta, taus, image, factor, tol):
+    errors = []
+    for t in taus:
+        lv, lt = nm.eval_series(eta, image(t), tol)
+        rv, rt = nm.eval_series(eta, t, tol)
+        f = factor(t)
+        errors.append(abs(lv - f * rv) + lt + abs(f) * rt)
+    return errors
+
+
+def _s_law_loop(series, taus, k, weighted, tol):
+    errors = []
+    for t in taus:
+        ti = nm._neg_inv(t)
+        tv = [nm.eval_series(s, t, tol) for s in series]
+        rtail = sum(v[1] for v in tv)
+        pref = cmath.sqrt(-1j * t.tau / (2 * k))
+        if weighted:
+            pref = -t.tau * pref
+        for j in range(k + 1):
+            phases = [cmath.exp(1j * math.pi * j * jp / k) for jp in range(2 * k)]
+            lv, lt = nm.eval_series(series[j], ti, tol)
+            rv = sum(p * v[0] for p, v in zip(phases, tv))
+            errors.append(abs(lv - pref * rv) + lt + abs(pref) * rtail)
+    return errors
+
+
+def _t2_law_loop(series, taus, k, tol):
+    errors = []
+    for t in taus:
+        t2 = nm.TauPoint(t.re + 2.0, t.im)
+        for j in range(k + 1):
+            ph = cmath.exp(1j * math.pi * j * j / k)
+            lv, lt = nm.eval_series(series[j], t2, tol)
+            rv, rt = nm.eval_series(series[j], t, tol)
+            errors.append(abs(lv - ph * rv) + lt + rt)
+    return errors
+
+
+def _loop_errors(taus, order, tol):
+    eta = forms.eta(order)
+    phase = cmath.exp(1j * math.pi / 12)
+    out = [
+        _eta_loop(eta, taus, nm._neg_inv, lambda t: cmath.sqrt(-1j * t.tau), tol),
+        _eta_loop(eta, taus, lambda t: nm.TauPoint(t.re + 1.0, t.im), lambda t: phase, tol),
+    ]
+    for k in nm._S_LEVELS:
+        ths = [forms.theta(forms.ThetaParams(jp, k), order) for jp in range(2 * k)]
+        dths = [forms.dtheta(forms.ThetaParams(jp, k), order) for jp in range(2 * k)]
+        out += [
+            _s_law_loop(ths, taus, k, False, tol),
+            _s_law_loop(dths, taus, k, True, tol),
+            _t2_law_loop(ths, taus, k, tol),
+            _t2_law_loop(dths, taus, k, tol),
+        ]
+    return out
+
+
+@pytest.mark.parametrize(
+    "taus, order, tol",
+    [
+        (TAUS, F(60), 1e-8),
+        ([nm.TauPoint(0.3, 1.1), nm.TauPoint(-0.4, 0.9), nm.TauPoint(0.1, 0.5)], F(300), 1e-8),
+        ([nm.TauPoint(0.05, 2.3), nm.TauPoint(-1.7, 0.6)], F(241, 2), 1e-6),
+    ],
+)
+def test_law_errors_equal_the_loops(taus, order, tol, monkeypatch):
+    calls = [0]
+    evaluate = nm.eval_series
+
+    def counted(*args):
+        calls[0] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(nm, "eval_series", counted)
+    want = _loop_errors(taus, order, tol)
+    loop_calls, calls[0] = calls[0], 0
+    got = []
+    first_over = nm._first_over
+    monkeypatch.setattr(nm, "_first_over", lambda errors, tol: got.append(errors) or first_over(errors, tol))
+    nm.verify_s_t_laws(taus, order, tol)
+    assert got == want
+    assert sum(map(len, got)) == len(taus) * (2 + 4 * sum(k + 1 for k in nm._S_LEVELS))
+    assert calls[0] == loop_calls
+
+
+@pytest.mark.parametrize(
+    "taus, order",
+    [
+        ([nm.TauPoint(0.3, 1.1)], F(2)),
+        ([nm.TauPoint(0.0, 2.0)], F(1)),
+        ([nm.TauPoint(0.2, 0.7)], F(4)),
+        ([nm.TauPoint(1.5, 0.5)], F(9)),
+    ],
+)
+def test_tail_refusal_names_the_loops_series(taus, order):
+    # the first series whose tail bound exceeds tol is the one the loops named
+    with pytest.raises(ValueError, match="would suffice") as want:
+        _loop_errors(taus, order, 1e-8)
+    with pytest.raises(ValueError, match="would suffice") as got:
+        nm.verify_s_t_laws(taus, order, 1e-8)
+    assert str(got.value) == str(want.value)
+
+
 class TestRank:
     def test_m1_rank_full(self):
         rank, smallest = nm.ns_space_rank(1, TAUS + [nm.TauPoint(0.17, 0.83)], 200)
@@ -211,7 +330,7 @@ def test_singular_values_match_numpy(cols):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_rank_probe_matches_numpy(m, monkeypatch):
-    taus = cli._rank_taus(3 * m + 1)
+    taus = nm._rank_taus(3 * m + 1)
     want = _numpy_singular_values(nm._rank_columns(m, taus, F(50), 1e-8))
     # the QR preconditioning makes the sweeps converge in a few rounds
     monkeypatch.setattr(nm, "_MAX_SWEEPS", 5)
