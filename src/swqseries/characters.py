@@ -6,7 +6,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 from . import forms, qseries as qs
 from .forms import ThetaParams
@@ -135,12 +136,15 @@ def _char_combo(module: SWModuleId, order: Fraction) -> QSeries:
     return _lambda_pi(module, forms.theta(p, order), forms.dtheta(p, order), 2)
 
 
+def _times_f_over_eta(g: Callable[[Fraction], QSeries], order: Fraction) -> QSeries:
+    """(f/eta) g to the given order, for a builder g(n) of a series exact
+    to q^n with no term below q^0: f/eta starts at q^{-1/16}."""
+    return qs.truncate(qs.mul(f_over_eta(order + 1), g(order + Fraction(17, 16))), order)
+
+
 def sw_char(module: SWModuleId, order: RatLike) -> QSeries:
     """Theta-form character (f/eta) times the level-(2m+1)/2 theta combination."""
-    order_f = Fraction(order)
-    combo = _char_combo(module, order_f + Fraction(1, 16) + 1)
-    prod = qs.mul(f_over_eta(order_f + 1), combo)
-    return qs.truncate(prod, order_f)
+    return _times_f_over_eta(lambda n: _char_combo(module, n), Fraction(order))
 
 
 def sw_superchar_theta(module: SWModuleId, order: RatLike) -> QSeries:
@@ -220,13 +224,7 @@ def _integrality(s: QSeries) -> tuple[Fraction, tuple[Fraction, Fraction, Fracti
 def _pair_sum(m: int, i: int, order: Fraction) -> tuple[QSeries, QSeries]:
     lam = sw_char(SWModuleId(m, "lambda", i + 1), order)
     pi = sw_char(SWModuleId(m, "pi", m - i), order)
-    rhs = qs.truncate(
-        qs.mul(
-            f_over_eta(order + 1),
-            forms.theta(ThetaParams(m - i, Fraction(2 * m + 1, 2)), order + 2),
-        ),
-        order,
-    )
+    rhs = _times_f_over_eta(partial(forms.theta, ThetaParams(m - i, Fraction(2 * m + 1, 2))), order)
     return qs.add(lam, pi), rhs
 
 

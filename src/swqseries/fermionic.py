@@ -1,15 +1,19 @@
 """Multi-sum (fermionic) q-series over the inverse Cartan matrix of D_p:
 the two one-parameter sum families, fermionic forms of the module
-characters, and the auxiliary single- and double-sum identities."""
+characters, and the auxiliary single- and double-sum identities.
+
+Every sum here runs through one Horner kernel, `_horner`: from the top
+term down, acc <- R_k acc + q^{s_k} x_k on one int list, where the
+ratio R_k is a product of factors 1 + q^a and divisors 1 - q^b."""
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
-from math import floor
-from operator import add, neg
+from math import floor, isqrt
+from operator import add
 
 from . import characters, forms, qseries as qs
 from .characters import SWModuleId
@@ -41,46 +45,38 @@ class CartanData(namedtuple("CartanData", "p B")):
 def inverse_cartan_D(p: int) -> CartanData:
     if p < 3:
         raise ValueError("p must be at least 3")
-    a = [[Fraction(0)] * p for _ in range(p)]
-    for i in range(p):
-        a[i][i] = Fraction(2)
-    for i in range(p - 3):
-        a[i][i + 1] = a[i + 1][i] = Fraction(-1)
-    a[p - 3][p - 2] = a[p - 2][p - 3] = Fraction(-1)
-    a[p - 3][p - 1] = a[p - 1][p - 3] = Fraction(-1)
 
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(p)] for i, row in enumerate(a)]
-    for col in range(p):
-        pivot = next(r for r in range(col, p) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(p):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    b = [row[p:] for row in aug]
+    def b(i: int, j: int) -> Fraction:  # 1-based: chain nodes 1..p-2, fork nodes p-1 and p
+        if max(i, j) <= p - 2:
+            return Fraction(min(i, j))
+        if min(i, j) <= p - 2:
+            return Fraction(min(i, j), 2)
+        return Fraction(p if i == j else p - 2, 4)
 
-    for i in range(p):
-        for j in range(p):
-            prod = sum(b[i][k] * a[k][j] for k in range(p))
-            if prod != (1 if i == j else 0):
+    def a(i: int, j: int) -> int:  # the Cartan matrix of D_p: 2 on the diagonal, -1 on each edge
+        edge = (abs(i - j) == 1 and max(i, j) < p) or {i, j} == {p - 2, p}
+        return 2 if i == j else -1 if edge else 0
+
+    nodes = range(1, p + 1)
+    for i in nodes:
+        for j in nodes:
+            if sum(b(i, k) * a(k, j) for k in nodes) != int(i == j):
                 raise AssertionError("inverse self-check failed")
-            if b[i][j] != b[j][i]:
+            if b(i, j) != b(j, i):
                 raise AssertionError("inverse not symmetric")
-            if b[i][j] <= 0:
+            if b(i, j) <= 0:
                 raise AssertionError("inverse not elementwise positive")
-    return CartanData(p, tuple(tuple(row) for row in b))
+    return CartanData(p, tuple(tuple(b(i, j) for j in nodes) for i in nodes))
 
 
-class FermionicSumSpec(namedtuple("FermionicSumSpec", "p lam sigma variant parity")):
+class FermionicSumSpec(namedtuple("FermionicSumSpec", "p lam sigma variant")):
     """Parameters of one multi-sum: lattice size p, integer lam in 0..p,
-    sigma in {0,1}, variant 1 or 2, and the required parity of
-    n_{p-1} + n_p."""
+    sigma in {0,1} (also the required parity of n_{p-1} + n_p) and
+    variant 1 or 2."""
 
     __slots__ = ()
 
-    def __new__(cls, p: int, lam: int, sigma: int, variant: int, parity: int):
+    def __new__(cls, p: int, lam: int, sigma: int, variant: int):
         if p < 3:
             raise ValueError("p must be at least 3")
         if not 0 <= lam <= p:
@@ -89,25 +85,30 @@ class FermionicSumSpec(namedtuple("FermionicSumSpec", "p lam sigma variant parit
             raise ValueError("sigma must be 0 or 1")
         if variant not in (1, 2):
             raise ValueError("variant must be 1 or 2")
-        if parity not in (0, 1):
-            raise ValueError("parity must be 0 or 1")
-        return tuple.__new__(cls, (p, lam, sigma, variant, parity))
+        return tuple.__new__(cls, (p, lam, sigma, variant))
 
 
 def _horner(n: int, terms) -> list[int]:
-    """Coefficients of q^0..q^{n-1} of sum_k q^{s_k} x_k / (q;q)_k, for
-    `terms` (k, s_k, x_k) at k = K, ..., 0, x_k a list from q^0: add
-    q^{s_k} x_k, then divide by 1 - q^k by running sums mod k (Horner)."""
+    """Coefficients of q^0..q^{n-1} of t_0 + R_0 (t_1 + R_1 (t_2 + ...)),
+    t_k = q^{s_k} x_k, for `terms` (s_k, x_k, ups_k, downs_k) from the top
+    term down, x_k a list from q^0 and
+    R_k = prod_{a in ups_k} (1 + q^a) / prod_{b in downs_k} (1 - q^b).
+    Each step is acc <- R_k acc + t_k: a factor is one shifted add, a
+    divisor running sums (`_div`), and both skip acc[:low], which is zero."""
     if n <= 0:
         return []
     acc = [0] * n
     low = n  # acc[:low] is zero
-    for k, s, x in terms:
+    for s, x, ups, downs in terms:
+        for a in ups:
+            if low + a < n:
+                acc[low + a:] = map(add, acc[low + a:], acc[low:n - a])
+        for b in downs:
+            _div(acc, b, low, n)
         if s < n and x:
             m = min(len(x), n - s)
             acc[s:s + m] = map(add, acc[s:s + m], x)
             low = min(low, s)
-        _div(acc, k, low, n)
     return acc
 
 
@@ -136,7 +137,7 @@ def _multi_sum(p: int, lin: list[Fraction], const: Fraction, parity: int, order:
         K(M) = sum_{a+b=2M+parity} q^{(a^2+b^2)/2 + l_a a + l_b b + const} / ((q)_a (q)_b),
 
     G_i(M) = q^{(M+eps)^2} sum_k q^{l_i k} / (q)_k G_{i+1}(M-k), and every
-    sum over k (or a) runs in Horner form, acc <- x_k + acc / (1 - q^{k+1}).
+    sum over k (or a) is one `_horner` call, acc <- acc / (1 - q^{k+1}) + x_k.
     G_i(M) is cut (i-1) d(M) below the top, d(M) = (M+eps)^2 - eps^2,
     as each of the i-1 levels above it adds at least d(M).
 
@@ -173,10 +174,11 @@ def _multi_sum(p: int, lin: list[Fraction], const: Fraction, parity: int, order:
         Ms += 1
     H = [[1] + [0] * top]  # H[b] = 1/(q;q)_b
     for b in range(1, 2 * Ms + parity - 1):
-        H.append(_horner(top + 1, [(b, 0, H[-1])]))
+        H.append(H[-1][:])
+        _div(H[-1], b, 0, top + 1)
     level = [
         (0, _horner(top + 1 - (p - 2) * d(M), (
-            (a, (twice_fork(a, 2 * M + parity - a) - fork_lo) // 2, H[2 * M + parity - a])
+            ((twice_fork(a, 2 * M + parity - a) - fork_lo) // 2, H[2 * M + parity - a], (), (a + 1,))
             for a in range(2 * M + parity, -1, -1))))
         for M in range(Ms)
     ]
@@ -184,12 +186,10 @@ def _multi_sum(p: int, lin: list[Fraction], const: Fraction, parity: int, order:
         li = int(chain[i - 1])
         level = [
             (d(M), _horner(top + 1 - i * d(M), (
-                (k, level[M - k][0] + li * k, level[M - k][1]) for k in range(M, -1, -1))))
+                (level[M - k][0] + li * k, level[M - k][1], (), (k + 1,)) for k in range(M, -1, -1))))
             for M in range(Ms)
         ]
-    vals = [0] * (top + 1)
-    for off, x in level:
-        vals[off:off + len(x)] = map(add, vals[off:off + len(x)], x)
+    vals = _horner(top + 1, ((off, x, (), ()) for off, x in level))
     return qs.from_slots(lo.denominator, lo.numerator, lo.denominator, vals, 1, order)
 
 
@@ -214,7 +214,7 @@ def _warnaar_data(spec: FermionicSumSpec):
 def warnaar_lhs(spec: FermionicSumSpec, order: RatLike) -> QSeries:
     """The multi-sum side: tuples weighted by 1/prod (q;q)_{n_i}."""
     lin, const = _warnaar_data(spec)
-    return _multi_sum(spec.p, lin, const, spec.parity, Fraction(order))
+    return _multi_sum(spec.p, lin, const, spec.sigma, Fraction(order))
 
 
 def _inv_q_inf(order: Fraction) -> QSeries:
@@ -235,7 +235,7 @@ def _warnaar_rhs(spec: FermionicSumSpec, order_f: Fraction, inv_inf: QSeries) ->
     p, lam, sig = spec.p, spec.lam, spec.sigma
     b = lam - sig * p
     inner_order = order_f + 1
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, int] = {}
     M = 1
     while p * M * M - abs(b) * M <= inner_order:
         M += 1
@@ -243,7 +243,7 @@ def _warnaar_rhs(spec: FermionicSumSpec, order_f: Fraction, inv_inf: QSeries) ->
         e = p * n * n + b * n
         if e <= inner_order:
             w = 1 if spec.variant == 1 else 2 * n - sig + 1
-            coeffs[e] = coeffs.get(e, Fraction(0)) + w
+            coeffs[e] = coeffs.get(e, 0) + w
     inner = QSeries(1, coeffs, inner_order)
     return qs.truncate(qs.mul(inv_inf, inner), order_f)
 
@@ -259,7 +259,7 @@ def verify_warnaar(p: int, order: RatLike) -> list[VerificationReport]:
     for variant in (1, 2):
         for lam in range(p + 1):
             for sig in (0, 1):
-                spec = FermionicSumSpec(p, lam, sig, variant, parity=sig)
+                spec = FermionicSumSpec(p, lam, sig, variant)
                 reports.append(
                     qs.compare_report(
                         f"warnaar-v{variant}",
@@ -287,9 +287,9 @@ def fermionic_sw_char(module: SWModuleId, order: RatLike) -> tuple[QSeries, Frac
     m, i = module.m, module.i
     p = 2 * m + 1
     if module.kind == "lambda":
-        wspec = FermionicSumSpec(p, 2 * (m - i), 0, 2, parity=0)
+        wspec = FermionicSumSpec(p, 2 * (m - i), 0, 2)
     else:
-        wspec = FermionicSumSpec(p, 2 * i + 1, 1, 2, parity=1)
+        wspec = FermionicSumSpec(p, 2 * i + 1, 1, 2)
     order_f = Fraction(order)
     half = qs.substitute_power(warnaar_lhs(wspec, 2 * order_f), Fraction(1, 2))
     if half.is_zero():
@@ -332,53 +332,28 @@ def _finite_poch_inv(start: Fraction, step: Fraction, sign: int, count: int, ord
     return qs.invert(qs.pochhammer(start, step, sign, count, order))
 
 
-def _ratio_horner(top: int, sign: int, e, factors) -> list[int]:
-    """Coefficients of u^0..u^top of sum_{n>=0} sign^n u^{e(n)} R_0 ... R_{n-1},
-    for exponents e(0) = 0 < e(1) < ... and the term ratios
-    R_n = prod_{a in ups} (1 + u^a) / prod_{b in downs} (1 - u^b),
-    (ups, downs) = factors(n).  From the top term down (Horner form),
-    acc <- 1 + sign u^{e(n+1)-e(n)} R_n acc on one int list, acc[:size]
-    cut e(n) below the top."""
-    acc = [0] * (top + 1)
-    if top < 0:
-        return acc
-    N = 0  # the last term within the order
-    while e(N + 1) <= top:
-        N += 1
-    acc[0] = 1
-    size = top + 1 - e(N)
-    for n in range(N - 1, -1, -1):
-        _times_ratio(acc, *factors(n), size)
-        step = e(n + 1) - e(n)
-        acc[step:step + size] = acc[:size] if sign > 0 else map(neg, acc[:size])
-        acc[:step] = [1] + [0] * (step - 1)
-        size += step
-    return acc
-
-
-def _times_ratio(acc: list[int], ups, downs, size: int) -> None:
-    """acc[:size] <- acc[:size] prod_{a in ups} (1 + u^a) / prod_{b in downs} (1 - u^b)
-    in place: one shifted add per factor, one running-sum division per divisor."""
-    for a in ups:
-        if a < size:
-            acc[a:size] = map(add, acc[a:size], acc[:size - a])
-    for b in downs:
-        _div(acc, b, 0, size)
+# Each sum below is sum_{n>=0} sign^n u^{e(n)} R_0 ... R_{n-1} on one grid
+# u (q^{1/2} or q), one `_horner` call over the terms
+# (e(n), [sign^n], ups_n, downs_n), R_n = prod (1 + u^ups) / prod (1 - u^downs),
+# from a bound on the last term within the order down to n = 0.
 
 
 def _durfee_half(k: int, order: Fraction) -> QSeries:
     # sum_n q^{(n^2+kn)/2} / [(u;u)_n (u;u)_{n+k}],  u = q^{1/2}
     h = Fraction(1, 2)
-    acc = _ratio_horner(floor(2 * order), 1, lambda n: n * n + k * n, lambda n: ((), (n + 1, n + k + 1)))
+    top = floor(2 * order)
+    acc = _horner(top + 1, (
+        (n * n + k * n, [1], (), (n + 1, n + k + 1)) for n in range(isqrt(max(top, 0)), -1, -1)))
     return qs.mul(_finite_poch_inv(h, h, -1, k, order), qs.from_slots(2, 0, 1, acc, 1, order))
 
 
 def _durfee_mixed(k: int, order: Fraction) -> QSeries:
     # sum_n (-u;u)_n (-u;u)_{n+k} q^{(n^2+kn)/2} / [(q)_n (q)_{n+k}]
     h = Fraction(1, 2)
-    acc = _ratio_horner(
-        floor(2 * order), 1, lambda n: n * n + k * n, lambda n: ((n + 1, n + k + 1), (2 * n + 2, 2 * n + 2 * k + 2))
-    )
+    top = floor(2 * order)
+    acc = _horner(top + 1, (
+        (n * n + k * n, [1], (n + 1, n + k + 1), (2 * n + 2, 2 * n + 2 * k + 2))
+        for n in range(isqrt(max(top, 0)), -1, -1)))
     total = qs.mul(qs.from_slots(2, 0, 1, acc, 1, order), _finite_poch(h, h, 1, k, order))
     return qs.mul(total, _finite_poch_inv(Fraction(1), Fraction(1), -1, k, order))
 
@@ -386,7 +361,9 @@ def _durfee_mixed(k: int, order: Fraction) -> QSeries:
 def _euler_eta_sum(order: Fraction) -> QSeries:
     # q^{1/24} sum_n (-1)^n q^{n(n+1)/2} / (q)_n
     inner_order = order - Fraction(1, 24)
-    acc = _ratio_horner(floor(inner_order), -1, lambda n: n * (n + 1) // 2, lambda n: ((), (n + 1,)))
+    top = floor(inner_order)
+    acc = _horner(top + 1, (
+        (n * (n + 1) // 2, [(-1) ** n], (), (n + 1,)) for n in range(isqrt(2 * max(top, 0)), -1, -1)))
     return qs.shift(qs.from_slots(1, 0, 1, acc, 1, inner_order), Fraction(1, 24))
 
 
@@ -399,8 +376,9 @@ def _eta_double_sum(order: Fraction) -> QSeries:
     top = floor(2 * inner_order)
     if top < 0:
         return qs.zero(order)
-    s1 = _ratio_horner(top, -1, lambda m: 2 * m * (m + 1), lambda m: ((), (4 * m + 4,)))
-    s2 = _ratio_horner(top, -1, lambda m: m * (m + 1) // 2, lambda m: ((m + 1,), (2 * m + 2,)))
+    s1 = _horner(top + 1, ((2 * m * (m + 1), [(-1) ** m], (), (4 * m + 4,)) for m in range(isqrt(top), -1, -1)))
+    s2 = _horner(top + 1, (
+        (m * (m + 1) // 2, [(-1) ** m], (m + 1,), (2 * m + 2,)) for m in range(isqrt(2 * top), -1, -1)))
     prod = qs.mul(qs.from_slots(2, 0, 1, s1, 1, inner_order), qs.from_slots(2, 0, 1, s2, 1, inner_order))
     return qs.shift(prod, lead)
 
@@ -411,38 +389,25 @@ def _theta_double_sum(order: Fraction) -> QSeries:
     # With D = |m1 - m2| and j = min(m1, m2) the sum is sum_{D even} S_D c_D H_D,
     # S_D = (-u;u)_D / (q)_D, c_D = u^{3D^2/4} (u^D + u^-D) (1 at D = 0) and
     # H_D = sum_j (-u;u)_j (-u^{D+1};u)_j u^{j^2+Dj} / [(q)_j (q^{D+1};q)_j];
-    # it runs in Horner form over D as well as over j.
+    # the sum over D is one more Horner sum, with ratio S_{D+2} / S_D.
     lead = Fraction(5, 48)
     inner_order = order - lead
     top = floor(2 * inner_order)
-    vals = [0] * (top + 1)
-    d_max = -2  # the largest D whose lowest term lies within the order
-    while 3 * (d_max + 2) ** 2 // 4 - (d_max + 2) <= top:
-        d_max += 2
-    for D in range(d_max, -1, -2):
-        # vals <- c_D H_D + (S_{D+2} / S_D) vals
-        _times_ratio(vals, (D + 1, D + 2), (2 * D + 2, 2 * D + 4), top + 1)
+
+    def terms(D: int):
         c = 3 * D * D // 4
-        H = _ratio_horner(
-            top - c + D,
-            1,
-            lambda j: j * j + D * j,
-            lambda j: ((j + 1, j + D + 1), (2 * j + 2, 2 * j + 2 * D + 2)),
-        )
-        for off in {c - D, c + D}:
-            m = max(top + 1 - off, 0)
-            vals[off:off + m] = map(add, vals[off:off + m], H[:m])
+        H = _horner(top - c + D + 1, (
+            (j * j + D * j, [1], (j + 1, j + D + 1), (2 * j + 2, 2 * j + 2 * D + 2))
+            for j in range(isqrt(max(top - c + D, 0)), -1, -1)))
+        yield c - D, H, (D + 1, D + 2), (2 * D + 2, 2 * D + 4)
+        if D:
+            yield c + D, H, (), ()
+
+    # 3D^2/4 - D exceeds top from D = 2 isqrt(top) + 2 on
+    vals = _horner(top + 1, (t for D in range(2 * isqrt(max(top, 0)) + 2, -1, -2) for t in terms(D)))
     total = qs.from_slots(2, 0, 1, vals, 1, inner_order)
     inv_inf = qs.invert(qs.pochhammer(1, 1, 1, None, inner_order))
     return qs.shift(qs.truncate(qs.mul(total, inv_inf), inner_order), lead)
-
-
-def _f_over_eta_times(theta, order: Fraction) -> QSeries:
-    # (f/eta) * theta(ThetaParams(1, 3/2)) for theta = forms.theta or forms.dtheta
-    return qs.truncate(
-        qs.mul(characters.f_over_eta(order + 1), theta(ThetaParams(1, Fraction(3, 2)), order + 2)),
-        order,
-    )
 
 
 def verify_aux_identities(order: RatLike) -> list[VerificationReport]:
@@ -464,33 +429,22 @@ def verify_aux_identities(order: RatLike) -> list[VerificationReport]:
         reports.append(
             qs.compare_report("durfee-mixed", {"k": k}, lambda: (_durfee_mixed(k, order_f), half_inf), order_f)
         )
-    reports.append(
-        qs.compare_report("euler-eta", {}, lambda: (_euler_eta_sum(order_f), forms.eta(order_f)), order_f)
-    )
-
+    th = ThetaParams(1, Fraction(3, 2))
     double_product = qs.truncate(
         qs.mul(forms.eta_scaled(2, order_f + 1), forms.eta_scaled(Fraction(1, 2), order_f + 1)),
         order_f,
     )
-    reports.append(
-        qs.compare_report(
+    checks = [
+        ("euler-eta", lambda: (_euler_eta_sum(order_f), forms.eta(order_f))),
+        (
             "dtheta-eta-double-product",
-            {},
-            lambda: (_f_over_eta_times(forms.dtheta, order_f), double_product),
-            order_f,
-        )
-    )
-    reports.append(
-        qs.compare_report(
-            "eta-double-sum", {}, lambda: (_eta_double_sum(order_f), double_product), order_f
-        )
-    )
-    reports.append(
-        qs.compare_report(
+            lambda: (characters._times_f_over_eta(partial(forms.dtheta, th), order_f), double_product),
+        ),
+        ("eta-double-sum", lambda: (_eta_double_sum(order_f), double_product)),
+        (
             "theta-double-sum",
-            {},
-            lambda: (_theta_double_sum(order_f), _f_over_eta_times(forms.theta, order_f)),
-            order_f,
-        )
-    )
+            lambda: (_theta_double_sum(order_f), characters._times_f_over_eta(partial(forms.theta, th), order_f)),
+        ),
+    ]
+    reports += [qs.compare_report(name, {}, build, order_f) for name, build in checks]
     return reports

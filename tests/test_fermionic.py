@@ -2,10 +2,11 @@
 character forms, and the auxiliary identities."""
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from itertools import product as iproduct
 from math import floor, lcm
+from operator import add, neg
 
 import pytest
 from hypothesis import given, settings
@@ -42,7 +43,7 @@ def _cartan_D(p):
     return a
 
 
-@pytest.mark.parametrize("p", [4, 5, 6])
+@pytest.mark.parametrize("p", [4, 5, 6, 12, 29])
 def test_inverse_cartan_inverts_and_symmetric(p):
     B = fm.inverse_cartan_D(p).B
     a = _cartan_D(p)
@@ -61,20 +62,23 @@ def test_inverse_cartan_rejects_small_p():
 
 def test_sum_spec_validation():
     with pytest.raises(ValueError):
-        fm.FermionicSumSpec(3, -1, 0, 1, 0)
+        fm.FermionicSumSpec(3, -1, 0, 1)
     with pytest.raises(ValueError):
-        fm.FermionicSumSpec(3, 4, 0, 1, 0)
+        fm.FermionicSumSpec(3, 4, 0, 1)
     with pytest.raises(ValueError, match="^sigma must be 0 or 1$"):
-        fm.FermionicSumSpec(3, 0, 2, 1, 0)
+        fm.FermionicSumSpec(3, 0, 2, 1)
     with pytest.raises(ValueError):
-        fm.FermionicSumSpec(3, 0, 0, 3, 0)
-    with pytest.raises(ValueError):
-        fm.FermionicSumSpec(3, 0, 0, 1, 2)
+        fm.FermionicSumSpec(3, 0, 0, 3)
+
+
+def test_sum_spec_fields():
+    # the required parity of n_{p-1} + n_p is sigma: no field of its own
+    assert fm.FermionicSumSpec._fields == ("p", "lam", "sigma", "variant")
 
 
 def test_value_types_are_immutable():
     with pytest.raises(AttributeError):
-        fm.FermionicSumSpec(5, 0, 1, 1, 0).sigma = 0
+        fm.FermionicSumSpec(5, 0, 1, 1).sigma = 0
     with pytest.raises(AttributeError):
         fm.inverse_cartan_D(4).p = 5
 
@@ -299,7 +303,7 @@ def _all_specs(p: int):
     for variant in (1, 2):
         for lam in range(p + 1):
             for sigma in (0, 1):
-                yield fm.FermionicSumSpec(p, lam, sigma, variant, parity=sigma)
+                yield fm.FermionicSumSpec(p, lam, sigma, variant)
 
 
 @pytest.mark.parametrize("p", [3, 4, 5, 7])
@@ -307,7 +311,7 @@ def test_multi_sum_matches_enumerator(p):
     B = fm.inverse_cartan_D(p).B
     # variant 1 at lam = p has l_b < 0, so the lowest exponent either
     # method allows for lies below zero
-    lin, const = fm._warnaar_data(fm.FermionicSumSpec(p, p, 0, 1, parity=0))
+    lin, const = fm._warnaar_data(fm.FermionicSumSpec(p, p, 0, 1))
     assert lin[p - 1] < 0
     assert const + sum(_one_d_min(B[i][i], lin[i]) for i in range(p)) < 0
     for spec, parity in iproduct(_all_specs(p), (0, 1)):
@@ -329,7 +333,7 @@ def test_enumerator_matches_fraction_enumerator(p, s, parity, order):
     # variant 1 at lam = p has a negative linear coefficient; variant 2
     # at lam = 1 shifts the chain coordinates
     B = fm.inverse_cartan_D(p).B
-    for spec in (fm.FermionicSumSpec(p, p, 1, 1, 1), fm.FermionicSumSpec(p, 1, 0, 2, 0)):
+    for spec in (fm.FermionicSumSpec(p, p, 1, 1), fm.FermionicSumSpec(p, 1, 0, 2)):
         lin, const = fm._warnaar_data(spec)
         Q = B if s == 1 else tuple(tuple(x / 2 for x in row) for row in B)
         got = _enumerated_multi_sum(Q, lin, const, parity, order, s)
@@ -348,7 +352,7 @@ def test_enumerator_matches_fraction_enumerator(p, s, parity, order):
 )
 def test_enumerator_matches_naive(p, lam_frac, sigma, variant, order):
     lam = int(lam_frac * p)
-    spec = fm.FermionicSumSpec(p, lam, sigma, variant, parity=sigma)
+    spec = fm.FermionicSumSpec(p, lam, sigma, variant)
     lin, const = fm._warnaar_data(spec)
     B = fm.inverse_cartan_D(p).B
     naive = _naive_multi_sum(B, lin, const, sigma, F(order), 1)
@@ -358,7 +362,7 @@ def test_enumerator_matches_naive(p, lam_frac, sigma, variant, order):
 
 def test_enumerator_matches_naive_negative_linear():
     # lam = p, variant 1 drives one linear coefficient negative
-    spec = fm.FermionicSumSpec(3, 3, 1, 1, parity=1)
+    spec = fm.FermionicSumSpec(3, 3, 1, 1)
     lin, const = fm._warnaar_data(spec)
     B = fm.inverse_cartan_D(3).B
     assert min(lin) < 0
@@ -380,6 +384,41 @@ def test_enumerator_rejects_negative_entry():
     Q = ((F(1), F(-1, 4)), (F(-1, 4), F(1)))
     with pytest.raises(ValueError):
         _enumerated_multi_sum(Q, [F(0), F(0)], F(0), None, F(4), 1)
+
+
+# -- the Horner kernel --------------------------------------------------------
+
+
+def _series_horner(n: int, terms) -> list:
+    """sum_k q^{s_k} x_k R_0 ... R_{k-1} below q^n, k = 0 the last of
+    `terms`, built from series: R_k is the product of pochhammer factors
+    (1 + q^a) over ups_k and inverted (1 - q^b) over downs_k."""
+    order = F(n - 1)
+    total, prefix = qs.zero(order), qs.one(order)
+    for s, x, ups, downs in reversed(terms):
+        xs = qs.make_series([(s + i, c) for i, c in enumerate(x) if s + i <= order], order)
+        total = qs.add(total, qs.truncate(qs.mul(prefix, xs), order))
+        for a in ups:
+            prefix = qs.mul(prefix, qs.pochhammer(a, 1, 1, 1, order))
+        for b in downs:
+            prefix = qs.mul(prefix, qs.invert(qs.pochhammer(b, 1, -1, 1, order)))
+        prefix = qs.truncate(prefix, order)
+    return [total.coeff(e) for e in range(n)]
+
+
+_TERM = st.tuples(
+    st.integers(0, 45),  # s: some terms lie above the top
+    st.lists(st.integers(-4, 4), max_size=6),  # x, possibly empty
+    st.lists(st.integers(1, 45), max_size=3),  # ups, some at or above n
+    st.lists(st.integers(1, 6), max_size=4),  # downs, often repeated
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(-3, 40), terms=st.lists(_TERM, max_size=8))
+def test_horner_matches_series_oracle(n, terms):
+    got = fm._horner(n, iter(terms))
+    assert got == ([] if n <= 0 else _series_horner(n, terms))
 
 
 # -- the two facts the partial-sum recursion rests on -------------------------
@@ -406,7 +445,7 @@ def test_quadratic_form_is_sum_of_partial_sum_squares(data, p):
     parity=st.integers(0, 1),
 )
 def test_exponents_of_one_spec_lie_in_one_coset(data, p, lam_frac, sigma, variant, parity):
-    spec = fm.FermionicSumSpec(p, int(lam_frac * p), sigma, variant, parity)
+    spec = fm.FermionicSumSpec(p, int(lam_frac * p), sigma, variant)
     B = fm.inverse_cartan_D(p).B
     lin, const = fm._warnaar_data(spec)
 
@@ -429,7 +468,7 @@ def test_multi_sum_rejects_chain_coefficient_outside_nonnegative_integers():
 
 
 def test_multi_sum_rejects_parity_outside_0_1():
-    lin, const = fm._warnaar_data(fm.FermionicSumSpec(3, 1, 0, 1, parity=0))
+    lin, const = fm._warnaar_data(fm.FermionicSumSpec(3, 1, 0, 1))
     for parity in (None, 2, -1):
         with pytest.raises(ValueError):
             fm._multi_sum(3, lin, const, parity, F(10))
@@ -446,7 +485,7 @@ def test_multi_sum_rejects_fork_coefficients_off_one_coset():
 
 
 def test_warnaar_v1_vacuum_frozen():
-    spec = fm.FermionicSumSpec(3, 0, 0, 1, parity=0)
+    spec = fm.FermionicSumSpec(3, 0, 0, 1)
     lhs = fm.warnaar_lhs(spec, 10)
     rhs = fm.warnaar_rhs(spec, 10)
     assert qs.compare(lhs, rhs, 10) is None
@@ -454,7 +493,7 @@ def test_warnaar_v1_vacuum_frozen():
 
 
 def test_warnaar_v2_frozen():
-    spec = fm.FermionicSumSpec(3, 2, 0, 2, parity=0)
+    spec = fm.FermionicSumSpec(3, 2, 0, 2)
     lhs = fm.warnaar_lhs(spec, 10)
     rhs = fm.warnaar_rhs(spec, 10)
     assert qs.compare(lhs, rhs, 10) is None
@@ -463,16 +502,16 @@ def test_warnaar_v2_frozen():
 
 def test_zero_tuple_exponent():
     # the all-zero tuple carries exponent lam*sigma/2 - sigma*p/4
-    _, const = fm._warnaar_data(fm.FermionicSumSpec(3, 2, 1, 1, parity=1))
+    _, const = fm._warnaar_data(fm.FermionicSumSpec(3, 2, 1, 1))
     assert const == F(1, 4)
-    _, const = fm._warnaar_data(fm.FermionicSumSpec(5, 0, 1, 2, parity=1))
+    _, const = fm._warnaar_data(fm.FermionicSumSpec(5, 0, 1, 2))
     assert const == F(-5, 4)
 
 
 def test_rhs_inner_coefficient_documented():
     # variant 2, lam=0, sigma=0: the inner sum has coefficient 2 at q^3
     # (weights 2n+1 at n=1 and n=-1 combine to 3 - 1)
-    spec = fm.FermionicSumSpec(3, 0, 0, 2, parity=0)
+    spec = fm.FermionicSumSpec(3, 0, 0, 2)
     rhs = fm.warnaar_rhs(spec, 11)
     inner = qs.mul(rhs, qs.pochhammer(1, 1, -1, None, 11))
     assert inner.coeff(3) == 2
@@ -481,8 +520,8 @@ def test_rhs_inner_coefficient_documented():
 
 def test_rhs_lambda_p_sigma1_variant1_same_exponents():
     # lam - sigma*p = 0 collapses the exponents to p*n^2
-    a = fm.warnaar_rhs(fm.FermionicSumSpec(3, 3, 1, 1, parity=1), 8)
-    b = fm.warnaar_rhs(fm.FermionicSumSpec(3, 0, 0, 1, parity=0), 8)
+    a = fm.warnaar_rhs(fm.FermionicSumSpec(3, 3, 1, 1), 8)
+    b = fm.warnaar_rhs(fm.FermionicSumSpec(3, 0, 0, 1), 8)
     assert qs.compare(a, b, 8) is None
 
 
@@ -490,7 +529,7 @@ def test_rhs_lambda_p_variant2_vanishes():
     # pairing n <-> -n-1+sigma cancels every term of the variant-2
     # single sum at lam = p; the multi-sum side stays positive
     for sigma in (0, 1):
-        spec = fm.FermionicSumSpec(3, 3, sigma, 2, parity=sigma)
+        spec = fm.FermionicSumSpec(3, 3, sigma, 2)
         assert fm.warnaar_rhs(spec, 12).is_zero()
         assert not fm.warnaar_lhs(spec, 12).is_zero()
 
@@ -534,7 +573,7 @@ def test_verify_warnaar_rejects_small_p():
 
 
 def test_perturbed_matrix_fails():
-    spec = fm.FermionicSumSpec(3, 0, 0, 1, parity=0)
+    spec = fm.FermionicSumSpec(3, 0, 0, 1)
     B = fm.inverse_cartan_D(3).B
     lin, const = fm._warnaar_data(spec)
     Bp = tuple(
@@ -708,6 +747,125 @@ def _product_theta_double_sum(order: Fraction) -> qs.QSeries:
         d += 2
     inv_inf = qs.invert(qs.pochhammer(1, 1, 1, None, inner_order))
     return qs.shift(qs.truncate(qs.mul(total, inv_inf), inner_order), lead)
+
+
+# The Horner recursions the auxiliary sums ran before `fermionic._horner`
+# became the module's one kernel: relative shifts, a multiply-then-shift
+# step and their own size bookkeeping.  Fast, so they serve as oracles
+# at orders the product oracles cannot reach.
+
+
+def _ratio_horner(top: int, sign: int, e, factors) -> list[int]:
+    """Coefficients of u^0..u^top of sum_{n>=0} sign^n u^{e(n)} R_0 ... R_{n-1},
+    for exponents e(0) = 0 < e(1) < ... and the term ratios
+    R_n = prod_{a in ups} (1 + u^a) / prod_{b in downs} (1 - u^b),
+    (ups, downs) = factors(n).  From the top term down (Horner form),
+    acc <- 1 + sign u^{e(n+1)-e(n)} R_n acc on one int list, acc[:size]
+    cut e(n) below the top."""
+    acc = [0] * (top + 1)
+    if top < 0:
+        return acc
+    N = 0  # the last term within the order
+    while e(N + 1) <= top:
+        N += 1
+    acc[0] = 1
+    size = top + 1 - e(N)
+    for n in range(N - 1, -1, -1):
+        _times_ratio(acc, *factors(n), size)
+        step = e(n + 1) - e(n)
+        acc[step:step + size] = acc[:size] if sign > 0 else map(neg, acc[:size])
+        acc[:step] = [1] + [0] * (step - 1)
+        size += step
+    return acc
+
+
+def _times_ratio(acc: list[int], ups, downs, size: int) -> None:
+    """acc[:size] <- acc[:size] prod_{a in ups} (1 + u^a) / prod_{b in downs} (1 - u^b)
+    in place: one shifted add per factor, one running-sum division per divisor."""
+    for a in ups:
+        if a < size:
+            acc[a:size] = map(add, acc[a:size], acc[:size - a])
+    for b in downs:
+        fm._div(acc, b, 0, size)
+
+
+def _ratio_durfee_half(k: int, order: Fraction) -> qs.QSeries:
+    h = Fraction(1, 2)
+    acc = _ratio_horner(floor(2 * order), 1, lambda n: n * n + k * n, lambda n: ((), (n + 1, n + k + 1)))
+    return qs.mul(fm._finite_poch_inv(h, h, -1, k, order), qs.from_slots(2, 0, 1, acc, 1, order))
+
+
+def _ratio_durfee_mixed(k: int, order: Fraction) -> qs.QSeries:
+    h = Fraction(1, 2)
+    acc = _ratio_horner(
+        floor(2 * order), 1, lambda n: n * n + k * n, lambda n: ((n + 1, n + k + 1), (2 * n + 2, 2 * n + 2 * k + 2))
+    )
+    total = qs.mul(qs.from_slots(2, 0, 1, acc, 1, order), fm._finite_poch(h, h, 1, k, order))
+    return qs.mul(total, fm._finite_poch_inv(Fraction(1), Fraction(1), -1, k, order))
+
+
+def _ratio_euler_eta_sum(order: Fraction) -> qs.QSeries:
+    inner_order = order - Fraction(1, 24)
+    acc = _ratio_horner(floor(inner_order), -1, lambda n: n * (n + 1) // 2, lambda n: ((), (n + 1,)))
+    return qs.shift(qs.from_slots(1, 0, 1, acc, 1, inner_order), Fraction(1, 24))
+
+
+def _ratio_eta_double_sum(order: Fraction) -> qs.QSeries:
+    lead = Fraction(5, 48)
+    inner_order = order - lead
+    top = floor(2 * inner_order)
+    if top < 0:
+        return qs.zero(order)
+    s1 = _ratio_horner(top, -1, lambda m: 2 * m * (m + 1), lambda m: ((), (4 * m + 4,)))
+    s2 = _ratio_horner(top, -1, lambda m: m * (m + 1) // 2, lambda m: ((m + 1,), (2 * m + 2,)))
+    prod = qs.mul(qs.from_slots(2, 0, 1, s1, 1, inner_order), qs.from_slots(2, 0, 1, s2, 1, inner_order))
+    return qs.shift(prod, lead)
+
+
+def _ratio_theta_double_sum(order: Fraction) -> qs.QSeries:
+    lead = Fraction(5, 48)
+    inner_order = order - lead
+    top = floor(2 * inner_order)
+    vals = [0] * (top + 1)
+    d_max = -2  # the largest D whose lowest term lies within the order
+    while 3 * (d_max + 2) ** 2 // 4 - (d_max + 2) <= top:
+        d_max += 2
+    for D in range(d_max, -1, -2):
+        # vals <- c_D H_D + (S_{D+2} / S_D) vals
+        _times_ratio(vals, (D + 1, D + 2), (2 * D + 2, 2 * D + 4), top + 1)
+        c = 3 * D * D // 4
+        H = _ratio_horner(
+            top - c + D,
+            1,
+            lambda j: j * j + D * j,
+            lambda j: ((j + 1, j + D + 1), (2 * j + 2, 2 * j + 2 * D + 2)),
+        )
+        for off in {c - D, c + D}:
+            m = max(top + 1 - off, 0)
+            vals[off:off + m] = map(add, vals[off:off + m], H[:m])
+    total = qs.from_slots(2, 0, 1, vals, 1, inner_order)
+    inv_inf = qs.invert(qs.pochhammer(1, 1, 1, None, inner_order))
+    return qs.shift(qs.truncate(qs.mul(total, inv_inf), inner_order), lead)
+
+
+@pytest.mark.parametrize(
+    "got, want",
+    [
+        *[(partial(fm._durfee_half, k), partial(_ratio_durfee_half, k)) for k in range(4)],
+        *[(partial(fm._durfee_mixed, k), partial(_ratio_durfee_mixed, k)) for k in range(4)],
+        (fm._euler_eta_sum, _ratio_euler_eta_sum),
+        (fm._eta_double_sum, _ratio_eta_double_sum),
+        (fm._theta_double_sum, _ratio_theta_double_sum),
+    ],
+    ids=[f"durfee-half-{k}" for k in range(4)] + [f"durfee-mixed-{k}" for k in range(4)]
+    + ["euler-eta", "eta-double-sum", "theta-double-sum"],
+)
+def test_aux_sums_match_ratio_horner_at_high_order(got, want):
+    for order in (F(200), F(801, 2)):
+        assert _fields(got(order)) == _fields(want(order)), order
+    # below the leading exponent: the zero series, as the old recursion gave
+    assert _fields(got(F(-5, 2))) == _fields(want(F(-5, 2)))
+    assert got(F(-5, 2)).is_zero()
 
 
 AUX_ORDERS = [F(10), F(12), F(50), F(61, 2), F(77, 3), F(101, 4)]
