@@ -137,10 +137,7 @@ _SUITES = {
     "characters": ("characters", lambda characters, c: characters.verify_character_suite(c.m, c.order)),
     "warnaar": ("fermionic", lambda fermionic, c: fermionic.verify_warnaar(2 * c.m + 1, c.order)),
     "aux": ("fermionic", lambda fermionic, c: fermionic.verify_aux_identities(c.order)),
-    "zhu": (
-        "zhupoly",
-        lambda zhupoly, c: [*zhupoly.verify_phi_identities(c.m), zhupoly.verify_s_properties(c.m)],
-    ),
+    "zhu": ("zhupoly", lambda zhupoly, c: zhupoly.verify_zhu_suite(c.m)),
     "gm": ("gmverify", lambda gmverify, c: gmverify.verify_gm_suite(c.m)),
     "numeric": ("numeric", lambda numeric, c: numeric.verify_numeric_suite(c.m, c.tau, c.order, c.tol)),
 }

@@ -4,7 +4,9 @@ characters, and the auxiliary single- and double-sum identities.
 
 Every sum here runs through one Horner kernel, `_horner`: from the top
 term down, acc <- R_k acc + q^{s_k} x_k on one int list, where the
-ratio R_k is a product of factors 1 + q^a and divisors 1 - q^b."""
+ratio R_k is a product of factors 1 + q^a and divisors 1 - q^b.  The
+module builds only these fermionic sides: every product side is a
+theta series or an inverse eta or Weber series from `forms`."""
 
 from __future__ import annotations
 
@@ -119,22 +121,27 @@ def _div(acc: list[int], b: int, low: int, n: int) -> None:
         acc[r:n:b] = accumulate(acc[r:n:b])
 
 
-def _multi_sum(p: int, lin: list[Fraction], const: Fraction, parity: int, order: Fraction) -> QSeries:
-    """Sum over n in Z>=0^p with n_{p-1} + n_p = parity mod 2 of
+def _multi_sum(spec: FermionicSumSpec, order: Fraction) -> QSeries:
+    """The multi-sum side of `spec`: the sum over n in Z>=0^p with
+    n_{p-1} + n_p = sigma mod 2 of
 
-        q^{n.B.n + lin.n + const} / prod_i (q;q)_{n_i},   B = inverse_cartan_D(p).B,
+        q^{n.B.n + l.n + const} / prod_i (q;q)_{n_i},   B = inverse_cartan_D(p).B,
 
-    exact to the given order, by recursion over partial sums, as for
-    Andrews-Gordon-type multi-sums (Andrews, The Theory of Partitions,
-    ch. 7).  With a = n_{p-1}, b = n_p, eps = parity/2 and
-    N_i = M_i + eps = n_i + ... + n_{p-2} + (a+b)/2 for i <= p-2,
+    with const = sigma (2 lam - p)/4, chain coefficients
+    l_i = max(0, i - p + lam + 1) for variant 2 (0 for variant 1) and
+    fork pair 2 l_{p-1} = lam, 2 l_p = -lam for variant 1 and lam for
+    variant 2, exact to the given order, by
+    recursion over partial sums, as for Andrews-Gordon-type multi-sums
+    (Andrews, The Theory of Partitions, ch. 7).  With a = n_{p-1},
+    b = n_p, eps = sigma/2 and N_i = M_i + eps = n_i + ... + n_{p-2} + (a+b)/2
+    for i <= p-2,
 
         n.B.n = sum_{i<=p-2} N_i^2 + (a^2 + b^2)/2,
 
-    over the chain M_1 >= ... >= M_{p-2} >= M_{p-1} = (a+b-parity)/2 >= 0.
+    over the chain M_1 >= ... >= M_{p-2} >= M_{p-1} = (a+b-sigma)/2 >= 0.
     So the sum is sum_M G_1(M), where G_{p-1}(M) is the fork kernel
 
-        K(M) = sum_{a+b=2M+parity} q^{(a^2+b^2)/2 + l_a a + l_b b + const} / ((q)_a (q)_b),
+        K(M) = sum_{a+b=2M+sigma} q^{(a^2+b^2)/2 + l_{p-1} a + l_p b + const} / ((q)_a (q)_b),
 
     G_i(M) = q^{(M+eps)^2} sum_k q^{l_i k} / (q)_k G_{i+1}(M-k), and every
     sum over k (or a) is one `_horner` call, acc <- acc / (1 - q^{k+1}) + x_k.
@@ -142,28 +149,21 @@ def _multi_sum(p: int, lin: list[Fraction], const: Fraction, parity: int, order:
     as each of the i-1 levels above it adds at least d(M).
 
     All exponents lie in one coset of Z: each chain level adds eps^2
-    plus an integer, and with l_a - l_b and 2 l_b integers the fork
-    exponent moves by integers over the pairs a+b of one parity.  So the
-    levels are int lists, index j holding exponent lo + j.  A chain
-    coefficient l_i that is not a nonnegative integer, or a fork pair or
-    parity outside this, raises ValueError.
+    plus an integer, and as l_{p-1} - l_p and 2 l_p are integers the
+    fork exponent moves by integers over the pairs a+b of one parity.
+    So the levels are int lists, index j holding exponent lo + j.
     """
-    if parity not in (0, 1):
-        raise ValueError("parity must be 0 or 1")
-    chain, la, lb = lin[:p - 2], lin[p - 2], lin[p - 1]
-    if any(x.denominator != 1 or x < 0 for x in chain):
-        raise ValueError("chain linear coefficients must be nonnegative integers")
-    if (la - lb).denominator != 1 or (2 * lb).denominator != 1:
-        raise ValueError("fork linear coefficients must differ by an integer and lie in Z/2")
-    la2, lb2 = int(2 * la), int(2 * lb)
+    p, lam, parity = spec.p, spec.lam, spec.sigma
+    la2, lb2 = lam, lam if spec.variant == 2 else -lam
 
     def twice_fork(a: int, b: int) -> int:
         return a * a + b * b + la2 * a + lb2 * b
 
     # twice the lowest fork exponent, rounded down into the coset of a+b = parity
     f0 = twice_fork(parity, 0)
-    fork_lo = f0 - 2 * ((f0 - twice_fork(max(0, -la2 // 2), max(0, -lb2 // 2))) // 2)
-    lo = const + Fraction((p - 2) * parity, 4) + Fraction(fork_lo, 2)
+    fork_lo = f0 - 2 * ((f0 - twice_fork(0, max(0, -lb2 // 2))) // 2)
+    # lo = const + (p-2) eps^2 + fork_lo/2
+    lo = Fraction(parity * (lam - 1) + fork_lo, 2)
     top = floor(order - lo)
 
     def d(M: int) -> int:  # (M + eps)^2 - eps^2
@@ -183,7 +183,7 @@ def _multi_sum(p: int, lin: list[Fraction], const: Fraction, parity: int, order:
         for M in range(Ms)
     ]
     for i in range(p - 2, 0, -1):
-        li = int(chain[i - 1])
+        li = max(0, i - p + lam + 1) if spec.variant == 2 else 0
         level = [
             (d(M), _horner(top + 1 - i * d(M), (
                 (level[M - k][0] + li * k, level[M - k][1], (), (k + 1,)) for k in range(M, -1, -1))))
@@ -193,33 +193,30 @@ def _multi_sum(p: int, lin: list[Fraction], const: Fraction, parity: int, order:
     return qs.from_slots(lo.denominator, lo.numerator, lo.denominator, vals, 1, order)
 
 
+def _inv_product(build, lead: Fraction, order: Fraction) -> QSeries:
+    """1/P exact to max(order, 1), for a builder build(n) of q^lead P
+    exact to q^n, P = 1 + O(q): the inverse of the cached eta or Weber
+    series, moved back by q^lead (built to at least q^1, as those
+    series need an order above their leading exponent)."""
+    return qs.shift(qs.invert(build(max(order, 1) + lead)), lead)
+
+
+def _inv_q_inf(order: Fraction) -> QSeries:
+    """1/(q;q)_inf = q^{1/24}/eta, exact to order."""
+    return _inv_product(forms.eta, Fraction(1, 24), order)
+
+
+def _inv_minus_q_inf(order: Fraction) -> QSeries:
+    """1/(-q;q)_inf = q^{1/24}/f2, exact to order."""
+    return _inv_product(partial(forms.weber, "f2"), Fraction(1, 24), order)
+
+
 # -- one-parameter sum families ------------------------------------------------
-
-
-def _warnaar_data(spec: FermionicSumSpec):
-    p = spec.p
-    lin = [Fraction(0)] * p
-    half = Fraction(spec.lam, 2)
-    lin[p - 2] += half
-    if spec.variant == 1:
-        lin[p - 1] -= half
-    else:
-        lin[p - 1] += half
-        for i in range(max(1, p - spec.lam), p - 1):
-            lin[i - 1] += i - p + spec.lam + 1
-    const = half * spec.sigma - Fraction(spec.sigma * p, 4)
-    return lin, const
 
 
 def warnaar_lhs(spec: FermionicSumSpec, order: RatLike) -> QSeries:
     """The multi-sum side: tuples weighted by 1/prod (q;q)_{n_i}."""
-    lin, const = _warnaar_data(spec)
-    return _multi_sum(spec.p, lin, const, spec.sigma, Fraction(order))
-
-
-def _inv_q_inf(order: Fraction) -> QSeries:
-    # 1/(q;q)_inf to order + 1, the product factor of every warnaar_rhs at order
-    return qs.invert(qs.pochhammer(1, 1, -1, None, order + 1))
+    return _multi_sum(spec, Fraction(order))
 
 
 def warnaar_rhs(spec: FermionicSumSpec, order: RatLike) -> QSeries:
@@ -227,25 +224,22 @@ def warnaar_rhs(spec: FermionicSumSpec, order: RatLike) -> QSeries:
     q^{p n^2 + (lam - sigma p) n}, weighted by (2n - sigma + 1) for
     variant 2."""
     order_f = Fraction(order)
-    return _warnaar_rhs(spec, order_f, _inv_q_inf(order_f))
+    return _warnaar_rhs(spec, order_f, _inv_q_inf(order_f + 1))
 
 
 def _warnaar_rhs(spec: FermionicSumSpec, order_f: Fraction, inv_inf: QSeries) -> QSeries:
-    """warnaar_rhs(spec, order_f), given inv_inf = _inv_q_inf(order_f)."""
-    p, lam, sig = spec.p, spec.lam, spec.sigma
-    b = lam - sig * p
-    inner_order = order_f + 1
-    coeffs: dict[int, int] = {}
-    M = 1
-    while p * M * M - abs(b) * M <= inner_order:
-        M += 1
-    for n in range(-M, M + 1):
-        e = p * n * n + b * n
-        if e <= inner_order:
-            w = 1 if spec.variant == 1 else 2 * n - sig + 1
-            coeffs[e] = coeffs.get(e, 0) + w
-    inner = QSeries(1, coeffs, inner_order)
-    return qs.truncate(qs.mul(inv_inf, inner), order_f)
+    """warnaar_rhs(spec, order_f), given inv_inf = 1/(q;q)_inf to order_f + 1.
+    With b = lam - sigma p the single sum is q^{-b^2/4p} Theta_{b,p}, and
+    its variant-2 weight 2n - sigma + 1 is ((2pn + b) + (p - lam)) / p,
+    so the variant-2 sum is q^{-b^2/4p} (dTheta_{b,p} + (p - lam) Theta_{b,p}) / p."""
+    p, lam = spec.p, spec.lam
+    b = lam - spec.sigma * p
+    th, lead = ThetaParams(b, p), Fraction(b * b, 4 * p)
+    n = order_f + 1 + lead
+    inner = forms.theta(th, n)
+    if spec.variant == 2:
+        inner = qs.scale(qs.add(forms.dtheta(th, n), qs.scale(inner, p - lam)), Fraction(1, p))
+    return qs.truncate(qs.mul(inv_inf, qs.shift(inner, -lead)), order_f)
 
 
 def verify_warnaar(p: int, order: RatLike) -> list[VerificationReport]:
@@ -254,7 +248,7 @@ def verify_warnaar(p: int, order: RatLike) -> list[VerificationReport]:
     if p < 3:
         raise ValueError("p must be at least 3")
     order_f = Fraction(order)
-    inv_inf = _inv_q_inf(order_f)
+    inv_inf = _inv_q_inf(order_f + 1)
     reports = []
     for variant in (1, 2):
         for lam in range(p + 1):
@@ -284,23 +278,24 @@ def fermionic_sw_char(module: SWModuleId, order: RatLike) -> tuple[QSeries, Frac
     Returns (series, shift) with shift determined by aligning leading
     exponents against sw_char; the pair satisfies
     series = q^{shift} * sw_char."""
+    return _series_shift_char(module, Fraction(order))[:2]
+
+
+def _series_shift_char(module: SWModuleId, order_f: Fraction) -> tuple[QSeries, Fraction, QSeries]:
+    """fermionic_sw_char(module, order_f) and sw_char(module, order_f)."""
     m, i = module.m, module.i
     p = 2 * m + 1
     if module.kind == "lambda":
         wspec = FermionicSumSpec(p, 2 * (m - i), 0, 2)
     else:
         wspec = FermionicSumSpec(p, 2 * i + 1, 1, 2)
-    order_f = Fraction(order)
     half = qs.substitute_power(warnaar_lhs(wspec, 2 * order_f), Fraction(1, 2))
     if half.is_zero():
         raise ValueError(f"order {order_f} below the leading exponent")
-    inv_inf = qs.invert(
-        qs.pochhammer(1, 1, 1, None, order_f + 1 - min(Fraction(0), half.leading()[0]))
-    )
+    inv_inf = _inv_minus_q_inf(order_f + 1 - min(Fraction(0), half.leading()[0]))
     series = qs.truncate(qs.mul(half, inv_inf), order_f)
     char = characters.sw_char(module, order_f)
-    shift = series.leading()[0] - char.leading()[0]
-    return series, shift
+    return series, series.leading()[0] - char.leading()[0], char
 
 
 def fermionic_char_report(module: SWModuleId, order: RatLike) -> VerificationReport:
@@ -310,11 +305,10 @@ def fermionic_char_report(module: SWModuleId, order: RatLike) -> VerificationRep
     params: dict[str, object] = {"m": module.m, "module": module.label}
 
     def check():
-        series, shift = fermionic_sw_char(module, order_f)
+        series, shift, char = _series_shift_char(module, order_f)
         params["shift"] = shift
-        shifted = qs.shift(characters.sw_char(module, order_f), shift)
         at = min(order_f, order_f + shift)
-        return at, qs.compare(series, shifted, at)
+        return at, qs.compare(series, qs.shift(char, shift), at)
 
     return qs.run_check("fermionic-char", params, check)
 
@@ -406,8 +400,7 @@ def _theta_double_sum(order: Fraction) -> QSeries:
     # 3D^2/4 - D exceeds top from D = 2 isqrt(top) + 2 on
     vals = _horner(top + 1, (t for D in range(2 * isqrt(max(top, 0)) + 2, -1, -2) for t in terms(D)))
     total = qs.from_slots(2, 0, 1, vals, 1, inner_order)
-    inv_inf = qs.invert(qs.pochhammer(1, 1, 1, None, inner_order))
-    return qs.shift(qs.truncate(qs.mul(total, inv_inf), inner_order), lead)
+    return qs.shift(qs.truncate(qs.mul(total, _inv_minus_q_inf(inner_order)), inner_order), lead)
 
 
 def verify_aux_identities(order: RatLike) -> list[VerificationReport]:
@@ -418,10 +411,8 @@ def verify_aux_identities(order: RatLike) -> list[VerificationReport]:
         raise ValueError("order must be at least 10")
     reports = []
 
-    half_inf = qs.truncate(
-        qs.invert(qs.pochhammer(Fraction(1, 2), Fraction(1, 2), -1, None, order_f + 1)),
-        order_f,
-    )
+    # 1/(u;u)_inf = q^{1/48}/eta(tau/2), u = q^{1/2}
+    half_inf = _inv_product(partial(forms.eta_scaled, Fraction(1, 2)), Fraction(1, 48), order_f)
     for k in range(4):
         reports.append(
             qs.compare_report("durfee-half", {"k": k}, lambda: (_durfee_half(k, order_f), half_inf), order_f)

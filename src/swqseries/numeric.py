@@ -19,6 +19,7 @@ import math
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 
 from . import characters, forms
 from . import qseries as qs
@@ -263,9 +264,9 @@ def _rank_columns(m: int, taus: list[TauPoint], order: Fraction, tol: float) -> 
     per point."""
     p = 2 * m + 1
     series = [characters.sw_char(mod, order) for mod in characters.all_module_ids(m)]
-    fe = characters.f_over_eta(order)
     for j in range(1, m + 1):
-        series.append(qs.mul(fe, forms.dtheta(ThetaParams(j, Fraction(p, 2)), order)))
+        dtheta = partial(forms.dtheta, ThetaParams(j, Fraction(p, 2)))
+        series.append(characters._times_f_over_eta(dtheta, order))
     rows = [[eval_series(s, t, tol)[0] for s in series] for t in taus]
     return [[t.tau * row[c] if c >= p else row[c] for t, row in zip(taus, rows)] for c in range(len(series))]
 

@@ -38,6 +38,7 @@ __all__ = [
     "interpolation_L",
     "r_poly",
     "verify_s_properties",
+    "verify_zhu_suite",
 ]
 
 
@@ -427,3 +428,8 @@ def verify_s_properties(m: int) -> VerificationReport:
         return order, None
 
     return run_check("s-properties", {"m": m}, check)
+
+
+def verify_zhu_suite(m: int) -> list[VerificationReport]:
+    """The phi identities, then the s-properties check."""
+    return [*verify_phi_identities(m), verify_s_properties(m)]

@@ -86,6 +86,24 @@ def test_value_types_are_immutable():
 # -- oracle enumerators -------------------------------------------------------
 
 
+def _warnaar_data(spec):
+    """(lin, const) of `spec` for the enumerators below: the linear
+    coefficients of the exponent n.B.n + lin.n + const that
+    `fermionic._multi_sum` reads from the spec."""
+    p = spec.p
+    lin = [Fraction(0)] * p
+    half = Fraction(spec.lam, 2)
+    lin[p - 2] += half
+    if spec.variant == 1:
+        lin[p - 1] -= half
+    else:
+        lin[p - 1] += half
+        for i in range(max(1, p - spec.lam), p - 1):
+            lin[i - 1] += i - p + spec.lam + 1
+    const = half * spec.sigma - Fraction(spec.sigma * p, 4)
+    return lin, const
+
+
 def _one_d_min(qii: Fraction, li: Fraction) -> Fraction:
     # min over integer v >= 0 of qii*v^2 + li*v
     if li >= 0:
@@ -311,17 +329,17 @@ def test_multi_sum_matches_enumerator(p):
     B = fm.inverse_cartan_D(p).B
     # variant 1 at lam = p has l_b < 0, so the lowest exponent either
     # method allows for lies below zero
-    lin, const = fm._warnaar_data(fm.FermionicSumSpec(p, p, 0, 1))
+    lin, const = _warnaar_data(fm.FermionicSumSpec(p, p, 0, 1))
     assert lin[p - 1] < 0
     assert const + sum(_one_d_min(B[i][i], lin[i]) for i in range(p)) < 0
-    for spec, parity in iproduct(_all_specs(p), (0, 1)):
-        lin, const = fm._warnaar_data(spec)
-        lead = fm._multi_sum(p, lin, const, parity, F(20)).leading()[0]
+    for spec in _all_specs(p):
+        lin, const = _warnaar_data(spec)
+        lead = fm._multi_sum(spec, F(20)).leading()[0]
         # the last order lies below the leading exponent: the zero series
         for order in (F(20), F(61, 2), F(77, 3), F(101, 4), lead - F(1, 3)):
-            got = fm._multi_sum(p, lin, const, parity, order)
-            want = _enumerated_multi_sum(B, lin, const, parity, order, 1)
-            assert _fields(got) == _fields(want), (spec, parity, order)
+            got = fm._multi_sum(spec, order)
+            want = _enumerated_multi_sum(B, lin, const, spec.sigma, order, 1)
+            assert _fields(got) == _fields(want), (spec, order)
         assert got.is_zero()
 
 
@@ -334,7 +352,7 @@ def test_enumerator_matches_fraction_enumerator(p, s, parity, order):
     # at lam = 1 shifts the chain coordinates
     B = fm.inverse_cartan_D(p).B
     for spec in (fm.FermionicSumSpec(p, p, 1, 1), fm.FermionicSumSpec(p, 1, 0, 2)):
-        lin, const = fm._warnaar_data(spec)
+        lin, const = _warnaar_data(spec)
         Q = B if s == 1 else tuple(tuple(x / 2 for x in row) for row in B)
         got = _enumerated_multi_sum(Q, lin, const, parity, order, s)
         want = _fraction_multi_sum(Q, lin, const, parity, order, s)
@@ -353,22 +371,22 @@ def test_enumerator_matches_fraction_enumerator(p, s, parity, order):
 def test_enumerator_matches_naive(p, lam_frac, sigma, variant, order):
     lam = int(lam_frac * p)
     spec = fm.FermionicSumSpec(p, lam, sigma, variant)
-    lin, const = fm._warnaar_data(spec)
+    lin, const = _warnaar_data(spec)
     B = fm.inverse_cartan_D(p).B
     naive = _naive_multi_sum(B, lin, const, sigma, F(order), 1)
     assert qs.compare(_enumerated_multi_sum(B, lin, const, sigma, F(order), 1), naive, order) is None
-    assert qs.compare(fm._multi_sum(p, lin, const, sigma, F(order)), naive, order) is None
+    assert qs.compare(fm._multi_sum(spec, F(order)), naive, order) is None
 
 
 def test_enumerator_matches_naive_negative_linear():
     # lam = p, variant 1 drives one linear coefficient negative
     spec = fm.FermionicSumSpec(3, 3, 1, 1)
-    lin, const = fm._warnaar_data(spec)
+    lin, const = _warnaar_data(spec)
     B = fm.inverse_cartan_D(3).B
     assert min(lin) < 0
     naive = _naive_multi_sum(B, lin, const, 1, F(8), 1)
     assert qs.compare(_enumerated_multi_sum(B, lin, const, 1, F(8), 1), naive, 8) is None
-    assert qs.compare(fm._multi_sum(3, lin, const, 1, F(8)), naive, 8) is None
+    assert qs.compare(fm._multi_sum(spec, F(8)), naive, 8) is None
 
 
 def test_enumerator_matches_naive_half_grid():
@@ -442,43 +460,21 @@ def test_quadratic_form_is_sum_of_partial_sum_squares(data, p):
     lam_frac=st.fractions(0, 1),
     sigma=st.integers(0, 1),
     variant=st.integers(1, 2),
-    parity=st.integers(0, 1),
 )
-def test_exponents_of_one_spec_lie_in_one_coset(data, p, lam_frac, sigma, variant, parity):
+def test_exponents_of_one_spec_lie_in_one_coset(data, p, lam_frac, sigma, variant):
     spec = fm.FermionicSumSpec(p, int(lam_frac * p), sigma, variant)
     B = fm.inverse_cartan_D(p).B
-    lin, const = fm._warnaar_data(spec)
+    lin, const = _warnaar_data(spec)
 
     def exponent(n):
         return const + sum(lin[i] * n[i] + B[i][j] * n[i] * n[j] for i in range(p) for j in range(p))
 
     def tuple_of_parity():
         n = data.draw(st.lists(st.integers(0, 4), min_size=p, max_size=p))
-        n[p - 1] += (n[p - 2] + n[p - 1] + parity) % 2
+        n[p - 1] += (n[p - 2] + n[p - 1] + sigma) % 2
         return n
 
     assert (exponent(tuple_of_parity()) - exponent(tuple_of_parity())).denominator == 1
-
-
-def test_multi_sum_rejects_chain_coefficient_outside_nonnegative_integers():
-    const = F(0)
-    for chain in (F(1, 2), F(-1)):
-        with pytest.raises(ValueError):
-            fm._multi_sum(4, [F(0), chain, F(1, 2), F(1, 2)], const, 0, F(10))
-
-
-def test_multi_sum_rejects_parity_outside_0_1():
-    lin, const = fm._warnaar_data(fm.FermionicSumSpec(3, 1, 0, 1))
-    for parity in (None, 2, -1):
-        with pytest.raises(ValueError):
-            fm._multi_sum(3, lin, const, parity, F(10))
-
-
-def test_multi_sum_rejects_fork_coefficients_off_one_coset():
-    # l_a - l_b or 2 l_b not an integer: the fork exponents leave one coset
-    for fork in ((F(1, 2), F(0)), (F(1, 3), F(1, 3))):
-        with pytest.raises(ValueError):
-            fm._multi_sum(3, [F(0), *fork], F(0), 0, F(10))
 
 
 # -- the two sum families ----------------------------------------------------
@@ -502,9 +498,9 @@ def test_warnaar_v2_frozen():
 
 def test_zero_tuple_exponent():
     # the all-zero tuple carries exponent lam*sigma/2 - sigma*p/4
-    _, const = fm._warnaar_data(fm.FermionicSumSpec(3, 2, 1, 1))
+    _, const = _warnaar_data(fm.FermionicSumSpec(3, 2, 1, 1))
     assert const == F(1, 4)
-    _, const = fm._warnaar_data(fm.FermionicSumSpec(5, 0, 1, 2))
+    _, const = _warnaar_data(fm.FermionicSumSpec(5, 0, 1, 2))
     assert const == F(-5, 4)
 
 
@@ -532,6 +528,53 @@ def test_rhs_lambda_p_variant2_vanishes():
         spec = fm.FermionicSumSpec(3, 3, sigma, 2)
         assert fm.warnaar_rhs(spec, 12).is_zero()
         assert not fm.warnaar_lhs(spec, 12).is_zero()
+
+
+def _enumerated_warnaar_rhs(spec, order: Fraction) -> qs.QSeries:
+    """warnaar_rhs by enumerating the single sum over n and dividing by
+    the infinite Pochhammer product (q;q)_inf: the differential oracle
+    for the theta and eta series `fermionic` builds it from."""
+    p, lam, sig = spec.p, spec.lam, spec.sigma
+    b = lam - sig * p
+    inner_order = order + 1
+    coeffs: dict[int, int] = {}
+    M = 1
+    while p * M * M - abs(b) * M <= inner_order:
+        M += 1
+    for n in range(-M, M + 1):
+        e = p * n * n + b * n
+        if e <= inner_order:
+            w = 1 if spec.variant == 1 else 2 * n - sig + 1
+            coeffs[e] = coeffs.get(e, 0) + w
+    inv_inf = qs.invert(qs.pochhammer(1, 1, -1, None, inner_order))
+    return qs.truncate(qs.mul(inv_inf, qs.QSeries(1, coeffs, inner_order)), order)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 7])
+def test_warnaar_rhs_matches_enumerated_oracle(p):
+    for spec in _all_specs(p):
+        for order in (F(10), F(61, 2), F(77, 3), F(40), F(1, 2), F(0), F(-1), F(-5, 2)):
+            got = fm.warnaar_rhs(spec, order)
+            assert _fields(got) == _fields(_enumerated_warnaar_rhs(spec, order)), (spec, order)
+            if order >= 10:
+                # variant 2 at lam = p: the single sum cancels term by term
+                assert got.is_zero() == (spec.variant == 2 and spec.lam == p), (spec, order)
+
+
+@pytest.mark.parametrize(
+    "got, poch",
+    [
+        (fm._inv_q_inf, (1, 1, -1)),
+        (fm._inv_minus_q_inf, (1, 1, 1)),
+        (partial(fm._inv_product, partial(forms.eta_scaled, F(1, 2)), F(1, 48)), (F(1, 2), F(1, 2), -1)),
+    ],
+)
+def test_inverse_products_match_pochhammer(got, poch):
+    # 1/(q;q)_inf, 1/(-q;q)_inf and 1/(q^{1/2};q^{1/2})_inf from the cached
+    # eta and Weber series equal the inverted infinite Pochhammer products
+    for order in (F(1), F(5), F(61, 2), F(77, 3), F(51), F(101)):
+        want = qs.invert(qs.pochhammer(*poch, None, order))
+        assert _fields(got(order)) == _fields(want), order
 
 
 def test_verify_warnaar_p3():
@@ -575,7 +618,7 @@ def test_verify_warnaar_rejects_small_p():
 def test_perturbed_matrix_fails():
     spec = fm.FermionicSumSpec(3, 0, 0, 1)
     B = fm.inverse_cartan_D(3).B
-    lin, const = fm._warnaar_data(spec)
+    lin, const = _warnaar_data(spec)
     Bp = tuple(
         tuple(x + (F(1, 7) if i == j == 0 else 0) for j, x in enumerate(row))
         for i, row in enumerate(B)
@@ -616,6 +659,36 @@ def test_fermionic_matches_char(m):
         assert rep.identity_id == "fermionic-char"
         assert rep.params["m"] == m
         assert rep.params["module"] == mid.label
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_fermionic_sw_char_matches_pochhammer_oracle(m):
+    # the multi-sum on the q^{1/2} grid over the infinite product (-q;q)_inf
+    for mid in ch.all_module_ids(m):
+        for order in (F(10), F(61, 2)):
+            lam, sigma = (2 * (m - mid.i), 0) if mid.kind == "lambda" else (2 * mid.i + 1, 1)
+            spec = fm.FermionicSumSpec(2 * m + 1, lam, sigma, 2)
+            half = qs.substitute_power(fm.warnaar_lhs(spec, 2 * order), F(1, 2))
+            inv = qs.invert(qs.pochhammer(1, 1, 1, None, order + 1 - min(F(0), half.leading()[0])))
+            series, _ = fm.fermionic_sw_char(mid, order)
+            assert _fields(series) == _fields(qs.truncate(qs.mul(half, inv), order)), (mid, order)
+
+
+def test_fermionic_char_report_builds_the_character_once(monkeypatch):
+    calls = []
+
+    def counted(module, order):
+        calls.append(module)
+        return sw_char(module, order)
+
+    sw_char = ch.sw_char
+    monkeypatch.setattr(ch, "sw_char", counted)
+    for mid in ch.all_module_ids(2):
+        calls.clear()
+        rep = fm.fermionic_char_report(mid, 20)
+        assert calls == [mid]
+        assert rep.status == "pass"
+        assert rep.params["shift"] == F(1, 16) - F((2 - mid.i) ** 2, 10)
 
 
 def test_fermionic_char_below_lead_rejected():

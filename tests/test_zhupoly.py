@@ -331,8 +331,15 @@ def test_verify_s_properties(m):
     assert rep.params == {"m": m}
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_zhu_suite_is_phi_identities_then_s_properties(m):
+    reports = zp.verify_zhu_suite(m)
+    assert [r.identity_id for r in reports] == ["phi-binom-product", "phi-fm-composition", "s-properties"]
+    assert all(r.status == "pass" and r.params == {"m": m} for r in reports)
+
+
 def test_zhupoly_rejects_bad_m():
     for fn in (zp.f_m_poly, zp.phi_tilde, zp.verify_phi_identities,
-               zp.interpolation_L, zp.verify_s_properties):
+               zp.interpolation_L, zp.verify_s_properties, zp.verify_zhu_suite):
         with pytest.raises(ValueError):
             fn(0)
