@@ -241,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-8, help="numeric residual tolerance")
         p.add_argument(
             "--tau",
-            nargs="*",
+            nargs="+",
             help="upper half-plane points, e.g. 0.3+1.1j; quote a point with a leading "
             "minus in parentheses, e.g. '(-0.4+0.9j)', so it is not read as a flag",
         )
@@ -276,7 +276,7 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
     if getattr(ns, "module", None) is not None:
         module = _parse_module(ns.m, ns.module)
     taus = _DEFAULT_TAUS
-    if getattr(ns, "tau", None):
+    if getattr(ns, "tau", None) is not None:
         taus = tuple(_parse_tau(t) for t in ns.tau)
     return RunConfig(
         command=command,

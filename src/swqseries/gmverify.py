@@ -67,7 +67,7 @@ def gm_poly(m: int) -> RatPoly:
 
     With n = 4m+1 and the forward differences D_k of the values at 0,
     g(t) = sum_k D_k binom(t,k), so n! g(t) = sum_k D_k (n!/k!) t(t-1)...(t-k+1);
-    that integer polynomial is expanded in Newton-Horner form."""
+    that integer polynomial is expanded in Newton-Horner form over content n!."""
     if m < 1:
         raise ValueError("m must be positive")
     n = 4 * m + 1
@@ -84,7 +84,7 @@ def gm_poly(m: int) -> RatPoly:
         acc.append(0)
         acc[1:] = [x - k * y for x, y in zip(acc, acc[1:])]
         acc[0] = diffs[k] * scale_k - k * acc[0]
-    g = zp.poly([Fraction(c, scale_k) for c in acc])
+    g = zp._normalise(acc, scale_k)
     for t in (4 * m + 2, 4 * m + 3):
         if g(t) != gm_value(m, t):
             raise RuntimeError(f"degree bound violated at t = {t} for m = {m}")

@@ -3,13 +3,18 @@ identities attached to the genus-zero singlet curve: the curve data
 with its parametrization, the weight-root polynomial f_m, the
 alternating binomial-sum polynomial with its two factored forms, the
 Lagrange interpolation polynomial through the upper weight points, and
-the sign recursion that certifies its nonvanishing."""
+the sign recursion that certifies its nonvanishing.
+
+A polynomial is stored as `QSeries` stores a series: integers over one
+content, coefficient i being vals[i] / content, so every kernel works on
+lists of Python ints and builds no Fraction."""
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, Sequence
 
 from .report import RatLike, VerificationReport, run_check
@@ -42,71 +47,98 @@ __all__ = [
 ]
 
 
-class RatPoly(namedtuple("RatPoly", "coeffs")):
-    """Dense polynomial, lowest degree first; () is the zero polynomial."""
+class RatPoly(namedtuple("RatPoly", "vals content")):
+    """Dense polynomial, lowest degree first: coefficient i is
+    vals[i] / content.  Every instance is normalised, so equal
+    polynomials have equal fields and hashes: vals has no trailing zero
+    (() is the zero polynomial, with content 1), content > 0 and
+    gcd(content, *vals) == 1.
+
+    RatPoly(coeffs) builds one from rational coefficients with a nonzero
+    last entry; `coeffs` gives them back as Fractions."""
 
     __slots__ = ()
 
-    def __new__(cls, coeffs: tuple[Fraction, ...]):
+    def __new__(cls, coeffs: Sequence[RatLike]):
         if coeffs and coeffs[-1] == 0:
             raise ValueError("trailing coefficient must be nonzero")
-        return tuple.__new__(cls, (coeffs,))
+        return poly(coeffs)
+
+    def __getnewargs__(self):
+        # pickle and copy rebuild an instance through RatPoly(coeffs)
+        return (self.coeffs,)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.content) for v in self.vals)
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.vals) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.vals
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
+        return Fraction(self.vals[k], self.content) if 0 <= k < len(self.vals) else Fraction(0)
 
     def __call__(self, t: RatLike) -> Fraction:
+        # Horner's rule on integers: with t = num/den and degree n,
+        # acc ends at den^n * content * self(t), and power at den^(n+1)
         t = Fraction(t)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        num, den = t.numerator, t.denominator
+        acc, power = 0, 1
+        for v in reversed(self.vals):
+            acc = acc * num + v * power
+            power *= den
+        return Fraction(acc * den, self.content * power)
+
+
+def _normalise(vals: list[int], content: int) -> RatPoly:
+    """The polynomial sum vals[i] t^i / content, for content > 0: the only
+    place a RatPoly is built.  Drops trailing zeros and divides out the
+    gcd of content and vals."""
+    while vals and not vals[-1]:
+        vals.pop()
+    g = math.gcd(content, *vals)
+    if g != 1:
+        vals = [v // g for v in vals]
+        content //= g
+    return tuple.__new__(RatPoly, (tuple(vals), content))
 
 
 def poly(vals: Sequence[RatLike]) -> RatPoly:
     """Build from a coefficient sequence, dropping trailing zeros."""
     cs = [Fraction(v) for v in vals]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return RatPoly(tuple(cs))
+    content = math.lcm(*(c.denominator for c in cs))
+    return _normalise([c.numerator * (content // c.denominator) for c in cs], content)
 
 
 def add(a: RatPoly, b: RatPoly) -> RatPoly:
-    n = max(len(a.coeffs), len(b.coeffs))
-    return poly([a.coeff(k) + b.coeff(k) for k in range(n)])
+    """Sum over the lcm of the contents."""
+    content = math.lcm(a.content, b.content)
+    fa, fb = content // a.content, content // b.content
+    return _normalise([x * fa + y * fb for x, y in zip_longest(a.vals, b.vals, fillvalue=0)], content)
 
 
 def sub(a: RatPoly, b: RatPoly) -> RatPoly:
-    n = max(len(a.coeffs), len(b.coeffs))
-    return poly([a.coeff(k) - b.coeff(k) for k in range(n)])
+    return add(a, scale(b, -1))
 
 
 def scale(a: RatPoly, c: RatLike) -> RatPoly:
     c = Fraction(c)
-    return poly([x * c for x in a.coeffs])
+    return _normalise([v * c.numerator for v in a.vals], a.content * c.denominator)
 
 
 def mul(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Product: each operand's denominators are cleared into one integer
-    content, the integer vectors are convolved, and only the output
-    coefficients become Fractions again."""
+    """Product: the integer vectors are convolved over the product of
+    the contents."""
     if a.is_zero() or b.is_zero():
         return poly([])
-    da, va = _clear_denominators(a)
-    db, vb = _clear_denominators(b)
-    return _over(_convolve(va, vb), da * db)
+    return _normalise(_convolve(a.vals, b.vals), a.content * b.content)
 
 
-def _convolve(va: list[int], vb: list[int]) -> list[int]:
+def _convolve(va: Sequence[int], vb: Sequence[int]) -> list[int]:
     """Coefficients of the product of two nonempty integer polynomials."""
     out = [0] * (len(va) + len(vb) - 1)
     for i, x in enumerate(va):
@@ -115,37 +147,18 @@ def _convolve(va: list[int], vb: list[int]) -> list[int]:
     return out
 
 
-def _clear_denominators(a: RatPoly) -> tuple[int, list[int]]:
-    """(content, v) with a.coeffs[i] = v[i] / content."""
-    content = math.lcm(*(c.denominator for c in a.coeffs))
-    return content, [c.numerator * (content // c.denominator) for c in a.coeffs]
-
-
-def _over(v: list[int], content: int) -> RatPoly:
-    """The polynomial sum v[i] t^i / content, for v with a nonzero last entry."""
-    if content == 1:
-        return RatPoly(tuple(map(Fraction, v)))
-    return RatPoly(tuple(Fraction(c, content) for c in v))
-
-
 def compose(a: RatPoly, b: RatPoly) -> RatPoly:
     """a(b(t)) by Horner's rule on one integer vector: with
     a = va/da and b = vb/db, acc <- acc*vb + va[k]*db^(n-k) for k from
-    n = deg a down to 0 ends at da*db^n * a(b(t)), and only the output
-    coefficients become Fractions again."""
+    n = deg a down to 0 ends at da*db^n * a(b(t))."""
     if a.is_zero() or b.is_zero():
         return poly([a.coeff(0)])
-    da, va = _clear_denominators(a)
-    db, vb = _clear_denominators(b)
-    acc = [va[-1]]
-    power = 1
-    for c in reversed(va[:-1]):
-        power *= db
-        acc = _convolve(acc, vb)
+    acc, power = [a.vals[-1]], 1
+    for c in reversed(a.vals[:-1]):
+        power *= b.content
+        acc = _convolve(acc, b.vals)
         acc[0] += c * power
-    while acc and not acc[-1]:
-        acc.pop()
-    return _over(acc, da * power) if acc else poly([])
+    return _normalise(acc, a.content * power)
 
 
 def shift_arg(a: RatPoly, c: RatLike) -> RatPoly:
@@ -154,17 +167,10 @@ def shift_arg(a: RatPoly, c: RatLike) -> RatPoly:
 
 
 def from_roots(roots: Sequence[RatLike]) -> RatPoly:
-    """Monic polynomial with the given roots (with multiplicity)."""
-    content, acc = _root_product(roots)
-    return _over(acc, content)
-
-
-def _root_product(roots: Sequence[RatLike]) -> tuple[int, list[int]]:
-    """(content, v) with prod (t - r) = sum v[i] t^i / content: one
+    """Monic polynomial with the given roots (with multiplicity): one
     integer vector is multiplied in place by den*t - num for each root
     num/den, and the product of the den is the content."""
-    acc = [1]
-    content = 1
+    acc, content = [1], 1
     for r in roots:
         r = Fraction(r)
         num, den = r.numerator, r.denominator
@@ -172,7 +178,7 @@ def _root_product(roots: Sequence[RatLike]) -> tuple[int, list[int]]:
         acc[1:] = [den * x - num * y for x, y in zip(acc, acc[1:])]
         acc[0] *= -num
         content *= den
-    return content, acc
+    return _normalise(acc, content)
 
 
 def binom_poly(r: int, arg_shift: RatLike = 0) -> RatPoly:
@@ -192,16 +198,17 @@ def lagrange(points: Sequence[tuple[RatLike, RatLike]]) -> RatPoly:
     acc = poly([])
     for i, (_, y) in enumerate(points):
         num = from_roots([x for j, x in enumerate(xs) if j != i])
-        den = num(xs[i])
-        acc = add(acc, scale(num, Fraction(y) / den))
+        acc = add(acc, scale(num, Fraction(y) / num(xs[i])))
     return acc
 
 
 def _first_difference(a: RatPoly, b: RatPoly) -> tuple[Fraction, Fraction, Fraction] | None:
     """(index, a-coeff, b-coeff) of the lowest differing coefficient."""
-    for k in range(max(len(a.coeffs), len(b.coeffs))):
-        if a.coeff(k) != b.coeff(k):
-            return Fraction(k), a.coeff(k), b.coeff(k)
+    if a == b:
+        return None
+    for k, (x, y) in enumerate(zip_longest(a.vals, b.vals, fillvalue=0)):
+        if x * b.content != y * a.content:
+            return Fraction(k), Fraction(x, a.content), Fraction(y, b.content)
     return None
 
 
@@ -286,17 +293,15 @@ def phi_tilde(m: int) -> RatPoly:
     if m < 1:
         raise ValueError("m must be positive")
     # binom(t, r) = t(t-1)...(t-r+1) / r!: the integer products are summed
-    # over one common denominator and become Fractions once
+    # over one common denominator
     dens = [math.factorial(4 * m + 1 - k) * math.factorial(2 * m + 1 + k) for k in range(2 * m + 1)]
     common = math.lcm(*dens)
     acc = [0] * (6 * m + 3)
     for k in range(2 * m + 1):
-        term = _convolve(_root_product(range(4 * m + 1 - k))[1], _root_product(range(2 * m + 1 + k))[1])
+        term = _convolve(from_roots(range(4 * m + 1 - k)).vals, from_roots(range(2 * m + 1 + k)).vals)
         c = (-1) ** k * math.comb(2 * m, k) * (common // dens[k])
         acc = [x + c * y for x, y in zip(acc, term)]
-    while acc and not acc[-1]:
-        acc.pop()
-    return _over(acc, common)
+    return _normalise(acc, common)
 
 
 def a_bar_constant(m: int) -> Fraction:
@@ -317,22 +322,18 @@ def verify_phi_identities(m: int) -> list[VerificationReport]:
     the composition b_constant * f_m(x_param(t))."""
     if m < 1:
         raise ValueError("m must be positive")
-    phi = phi_tilde(m)
-    return [
-        poly_report(
-            "phi-binom-product",
-            {"m": m},
-            lambda: (
-                phi,
-                scale(mul(binom_poly(3 * m + 1), binom_poly(3 * m + 1, arg_shift=m)), a_bar_constant(m)),
-            ),
-        ),
-        poly_report(
-            "phi-fm-composition",
-            {"m": m},
-            lambda: (phi, scale(compose(f_m_poly(m), _x_param(m)), b_constant(m))),
-        ),
-    ]
+    phi = None
+
+    def binom_product():
+        nonlocal phi  # built inside the first check's timer and reused by the second
+        phi = phi_tilde(m)
+        return phi, scale(mul(binom_poly(3 * m + 1), binom_poly(3 * m + 1, arg_shift=m)), a_bar_constant(m))
+
+    def composition():
+        return phi, scale(compose(f_m_poly(m), _x_param(m)), b_constant(m))
+
+    return [poly_report("phi-binom-product", {"m": m}, binom_product),
+            poly_report("phi-fm-composition", {"m": m}, composition)]
 
 
 # -- interpolation polynomial and the sign recursion --------------------------
@@ -403,9 +404,7 @@ def verify_s_properties(m: int) -> VerificationReport:
         r2, den2 = shift_arg(r, -2), shift_arg(den, -2)
 
         lhs_w = mul(poly([m, 1]), mul(poly([2 * m + 1, -1]), poly([2 * m + 1, -1])))
-        mid_w = scale(
-            mul(poly([m + 1, -1]), poly([2 * m * m - 2, 2 * m + 2, -1])), 2
-        )
+        mid_w = scale(mul(poly([m + 1, -1]), poly([2 * m * m - 2, 2 * m + 2, -1])), 2)
         last_w = mul(mul(poly([-1, 1]), poly([-1, 1])), poly([3 * m + 2, -1]))
 
         lhs = mul(mul(lhs_w, r), mul(den1, den2))

@@ -244,6 +244,14 @@ class TestMain:
         assert cli.main(["numeric", "--m", "1", "--tau", "0.3-1.1j"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["numeric", "verify"])
+    def test_empty_tau_exits_2(self, capsys, command):
+        # an empty --tau used to run the default points and exit 0
+        assert cli.main([command, "--m", "1", "--order", "40", "--tau"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --tau: expected at least one argument" in captured.err
+
     def test_documented_tau_form_exits_0(self, capsys):
         # a point with a leading minus is parenthesized, as the README shows
         argv = ["numeric", "--m", "1", "--order", "60", "--tol", "1e-8", "--tau", "0.3+1.1j", "(-0.4+0.9j)"]

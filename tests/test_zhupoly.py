@@ -1,8 +1,12 @@
 """Polynomial arithmetic, the singlet curve, the binomial-sum
 identities, and the interpolation/sign suite."""
 
+import copy
 import math
+import pickle
+import time
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,47 +18,73 @@ from swqseries import zhupoly as zp
 F = Fraction
 
 
-# -- Fraction oracles for the integer kernels ---------------------------------
+# -- oracles on plain Fraction lists, lowest degree first, no trailing zero ---
+
+
+def _trim(cs):
+    cs = [F(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _fraction_add(a, b, sign=1):
+    return _trim(x + sign * y for x, y in zip_longest(a, b, fillvalue=F(0)))
+
+
+def _fraction_scale(a, c):
+    return _trim(x * F(c) for x in a)
 
 
 def _fraction_mul(a, b):
-    if a.is_zero() or b.is_zero():
-        return zp.poly([])
-    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
+    if not a or not b:
+        return []
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
             out[i + j] += x * y
-    return zp.poly(out)
+    return _trim(out)
 
 
-def _fraction_from_roots(roots):
-    acc = zp.poly([1])
-    for r in roots:
-        acc = _fraction_mul(acc, zp.poly([-Fraction(r), 1]))
+def _fraction_eval(a, t):
+    acc = F(0)
+    for c in reversed(a):
+        acc = acc * F(t) + c
     return acc
 
 
 def _fraction_compose(a, b):
-    acc = zp.poly([])
-    for c in reversed(a.coeffs):
-        acc = zp.add(_fraction_mul(acc, b), zp.poly([c]))
+    acc = []
+    for c in reversed(a):
+        acc = _fraction_add(_fraction_mul(acc, b), [c])
     return acc
 
 
+def _fraction_from_roots(roots):
+    acc = [F(1)]
+    for r in roots:
+        acc = _fraction_mul(acc, [-F(r), F(1)])
+    return acc
+
+
+def _fraction_binom(r):
+    return _fraction_scale(_fraction_from_roots(range(r)), F(1, math.factorial(r)))
+
+
 def _fraction_phi_tilde(m):
-    acc = zp.poly([])
+    acc = []
     for k in range(2 * m + 1):
-        term = zp.mul(zp.binom_poly(4 * m + 1 - k), zp.binom_poly(2 * m + 1 + k))
-        acc = zp.add(acc, zp.scale(term, (-1) ** k * math.comb(2 * m, k)))
+        term = _fraction_mul(_fraction_binom(4 * m + 1 - k), _fraction_binom(2 * m + 1 + k))
+        acc = _fraction_add(acc, _fraction_scale(term, (-1) ** k * math.comb(2 * m, k)))
     return acc
 
 
 def _fraction_lagrange(points):
-    xs = [Fraction(x) for x, _ in points]
-    acc = zp.poly([])
+    xs = [F(x) for x, _ in points]
+    acc = []
     for i, (_, y) in enumerate(points):
         num = _fraction_from_roots([x for j, x in enumerate(xs) if j != i])
-        acc = zp.add(acc, zp.scale(num, Fraction(y) / num(xs[i])))
+        acc = _fraction_add(acc, _fraction_scale(num, F(y) / _fraction_eval(num, xs[i])))
     return acc
 
 
@@ -64,7 +94,15 @@ rationals = st.builds(
     st.integers(min_value=-(2**70), max_value=2**70),
     st.sampled_from([1, 2, 3, 6, 7, 49, 2**64 + 13, 3**41, 10**30]),
 )
-polys = st.lists(rationals, max_size=9).map(zp.poly)
+# coefficient lists: the zero polynomial, negative and non-monic ones, mixed denominators
+coeff_lists = st.lists(rationals, max_size=9).map(_trim)
+short_lists = st.lists(rationals, max_size=4).map(_trim)
+
+
+def _assert_normalised(p):
+    assert all(type(v) is int for v in p.vals) and type(p.content) is int
+    assert p.content > 0 and math.gcd(p.content, *p.vals) == 1
+    assert not p.vals or p.vals[-1] != 0
 
 
 # -- polynomial arithmetic ----------------------------------------------------
@@ -114,13 +152,13 @@ def test_from_roots():
 
 
 @settings(max_examples=150, deadline=None)
-@given(polys, polys)
-@example(zp.poly([]), zp.poly([F(1, 3), 2]))
-@example(zp.poly([F(5, 2**64 + 13)]), zp.poly([F(-7, 3**41)]))
-@example(zp.poly([F(1, 6), 0, F(-1, 10**30)]), zp.poly([0, F(2**69, 7)]))
+@given(coeff_lists, coeff_lists)
+@example([], [F(1, 3), 2])
+@example([F(5, 2**64 + 13)], [F(-7, 3**41)])
+@example([F(1, 6), 0, F(-1, 10**30)], [0, F(2**69, 7)])
 def test_mul_matches_fraction_kernel(a, b):
-    assert zp.mul(a, b) == _fraction_mul(a, b)
-    assert zp.mul(b, a) == _fraction_mul(a, b)
+    assert zp.mul(zp.poly(a), zp.poly(b)).coeffs == tuple(_fraction_mul(a, b))
+    assert zp.mul(zp.poly(b), zp.poly(a)).coeffs == tuple(_fraction_mul(a, b))
 
 
 @settings(max_examples=150, deadline=None)
@@ -129,21 +167,67 @@ def test_mul_matches_fraction_kernel(a, b):
 @example([0, 0, F(1, 2**64 + 13), F(-1, 2**64 + 13), F(5, 3)])
 def test_from_roots_matches_fraction_kernel(roots):
     got = zp.from_roots(roots)
-    assert got == _fraction_from_roots(roots)
+    assert got.coeffs == tuple(_fraction_from_roots(roots))
     assert got.coeff(len(roots)) == 1
     for r in roots:
         assert got(r) == 0
 
 
 @settings(max_examples=150, deadline=None)
-@given(polys, st.lists(rationals, max_size=4).map(zp.poly))
-@example(zp.poly([]), zp.poly([F(1, 3), 2]))
-@example(zp.poly([F(2, 7), 1]), zp.poly([]))
-@example(zp.poly([F(5, 3)]), zp.poly([F(1, 6), 0, F(-1, 10**30)]))
-@example(zp.poly([F(1, 2), F(-3, 2**64 + 13), F(7, 3**41)]), zp.poly([F(-5, 49)]))
-@example(zp.poly([F(1, 6), 0, F(-1, 10**30), 3]), zp.poly([F(2**69, 7), F(1, 2)]))
+@given(coeff_lists, short_lists)
+@example([], [F(1, 3), 2])
+@example([F(2, 7), 1], [])
+@example([F(5, 3)], [F(1, 6), 0, F(-1, 10**30)])
+@example([F(1, 2), F(-3, 2**64 + 13), F(7, 3**41)], [F(-5, 49)])
+@example([F(1, 6), 0, F(-1, 10**30), 3], [F(2**69, 7), F(1, 2)])
 def test_compose_matches_fraction_kernel(a, b):
-    assert zp.compose(a, b) == _fraction_compose(a, b)
+    assert zp.compose(zp.poly(a), zp.poly(b)).coeffs == tuple(_fraction_compose(a, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeff_lists, coeff_lists, short_lists, rationals, st.integers(-50, 50).filter(bool))
+@example([], [], [], F(0), 1)
+@example([F(-3, 2), 0, F(5, 7)], [F(2, 3), F(-1, 6)], [F(1, 2), F(-2)], F(-7, 2**64 + 13), -3)
+@example([F(-6, 49)], [F(6, 49)], [F(7)], F(1, 10**30), 7)
+def test_ratpoly_matches_fraction_lists(a, b, c, t, k):
+    pa, pb, pc = zp.poly(a), zp.poly(b), zp.poly(c)
+    assert pa.coeffs == tuple(a) and pa.degree() == len(a) - 1 and pa.is_zero() == (not a)
+    # equal polynomials have equal fields and hashes, however they are built
+    for q in (
+        zp.RatPoly(tuple(a)),
+        zp.poly([str(x) for x in a] + [0, 0]),
+        zp.scale(zp.scale(pa, k), F(1, k)),
+        zp.sub(zp.add(pa, pb), pb),
+        zp.mul(pa, zp.poly([1])),
+        zp.compose(pa, zp.poly([0, 1])),
+    ):
+        assert (q.vals, q.content) == (pa.vals, pa.content) and hash(q) == hash(pa)
+    cases = [
+        (zp.add(pa, pb), _fraction_add(a, b)),
+        (zp.sub(pa, pb), _fraction_add(a, b, -1)),
+        (zp.scale(pa, t), _fraction_scale(a, t)),
+        (zp.mul(pa, pb), _fraction_mul(a, b)),
+        (zp.compose(pa, pc), _fraction_compose(a, c)),
+        (zp.shift_arg(pa, t), _fraction_compose(a, [t, F(1)])),
+    ]
+    for got, want in [(pa, a), (pb, b), *cases]:
+        _assert_normalised(got)
+        assert got.coeffs == tuple(want)
+    assert pa(t) == _fraction_eval(a, t) and pb(k) == _fraction_eval(b, k)
+    assert [pa.coeff(i) for i in range(-1, len(a) + 2)] == [F(0), *a, F(0), F(0)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(coeff_lists.filter(bool))
+def test_ratpoly_rejects_trailing_zero_and_is_immutable(a):
+    with pytest.raises(ValueError, match="^trailing coefficient must be nonzero$"):
+        zp.RatPoly((*a, F(0)))
+    p = zp.RatPoly(tuple(a))
+    for field in ("vals", "content", "coeffs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, field, ())
+    for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert type(q) is zp.RatPoly and (q.vals, q.content) == (p.vals, p.content)
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,13 +236,13 @@ def test_compose_matches_fraction_kernel(a, b):
 @example([(F(1, 3), 0)])
 @example([(F(-1, 2**64 + 13), F(1, 3**41)), (F(0), F(2)), (F(7, 6), F(-5, 49))])
 def test_lagrange_matches_fraction_kernel(points):
-    assert zp.lagrange(points) == _fraction_lagrange(points)
+    assert zp.lagrange(points).coeffs == tuple(_fraction_lagrange(points))
 
 
 @pytest.mark.parametrize("m", range(1, 5))
 def test_gm_poly_matches_lagrange(m):
     points = [(t, gv.gm_value(m, t)) for t in range(4 * m + 2)]
-    assert gv.gm_poly(m) == _fraction_lagrange(points)
+    assert gv.gm_poly(m).coeffs == tuple(_fraction_lagrange(points))
 
 
 def test_binom_poly():
@@ -263,7 +347,7 @@ def test_phi_values_frozen():
 @pytest.mark.parametrize("m", range(1, 7))
 def test_phi_tilde_matches_fraction_sum(m):
     got = zp.phi_tilde(m)
-    assert got == _fraction_phi_tilde(m)
+    assert got.coeffs == tuple(_fraction_phi_tilde(m))
     assert all(type(c) is F for c in got.coeffs)
 
 
@@ -287,6 +371,22 @@ def test_verify_phi_identities(m):
     for r in reports:
         assert r.status == "pass"
         assert r.params == {"m": m}
+
+
+def test_phi_build_is_timed_by_the_first_report(monkeypatch):
+    # phi_tilde used to run before either report's timer started
+    build, calls = zp.phi_tilde, []
+
+    def slow(m):
+        calls.append(m)
+        time.sleep(0.03)
+        return build(m)
+
+    monkeypatch.setattr(zp, "phi_tilde", slow)
+    first, second = zp.verify_phi_identities(2)
+    assert first.runtime_ms >= 30
+    assert calls == [2]
+    assert first.status == second.status == "pass"
 
 
 def testpoly_report_mismatch():
