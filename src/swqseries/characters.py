@@ -142,6 +142,7 @@ def _times_f_over_eta(g: Callable[[Fraction], QSeries], order: Fraction) -> QSer
     return qs.truncate(qs.mul(f_over_eta(order + 1), g(order + Fraction(17, 16))), order)
 
 
+@lru_cache(maxsize=None)
 def sw_char(module: SWModuleId, order: RatLike) -> QSeries:
     """Theta-form character (f/eta) times the level-(2m+1)/2 theta combination."""
     return _times_f_over_eta(lambda n: _char_combo(module, n), Fraction(order))

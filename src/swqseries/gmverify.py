@@ -41,50 +41,65 @@ def gm_value(m: int, t: int) -> Fraction:
     G = sum_{d=1}^{p} W_d sum_{j<=p-d, k<d} a_j a_k binom(t,p-d-j)
         binom(t,d-1-k) binom(2m-t,j+k+p)
 
-    with a_j = (-1)^j binom(-p,j) = binom(p+j-1,j).  The three binomial
-    rows are built once, so the sum costs O(p^3) integer products."""
+    with a_j = (-1)^j binom(-p,j) = binom(p+j-1,j).  With the polynomials
+    U_N(X) = sum_{j<=N} a_j binom(t,N-j) X^j this is
+
+    G = sum_{s<p} binom(2m-t,s+p) [X^s] E(X),  E = sum_d W_d U_{p-d} U_{d-1},
+
+    and E is evaluated at X = 2^w (Kronecker substitution): each U_N
+    (as V_N below) is packed into one integer, and as W_{p+1-d} = W_d
+    the d and p+1-d terms are equal, so E costs m+1 big-integer
+    products.
+
+    Zero points: for 0 <= t <= 2m, 0 <= 2m-t < p, so every
+    binom(2m-t,s+p) vanishes and G = 0.
+
+    Signs: for t < 0, binom(t,n) = (-1)^n |binom(t,n)|, so
+    U_N(X) = (-1)^N V_N(-X) with V_N built from |binom(t,.)|, and as
+    p-1 is even, U_{p-d} U_{d-1} = (V_{p-d} V_{d-1})(-X).  The packed
+    digits a_j |binom(t,N-j)| are thus nonnegative for every t, and the
+    sign (-1)^s moves onto the read-off.
+
+    Width lemma: let M be the largest coefficient of the V_N, N < p;
+    M <= AB with A = max_j a_j = a_{p-1} and B = max_{n<p} |binom(t,n)|.
+    [X^s] V_{p-d} V_{d-1} is a sum of at most s+1 <= p products, each
+    at most M^2, and sum_d |W_d| = sum_d binom(p-1,d-1) = 2^{p-1}.
+    Hence every e_s = [X^s] E satisfies |e_s| <= p M^2 2^{p-1}
+    <= p (AB)^2 2^{p-1}.
+    With 2^{w-1} above that bound, E(2^w) plus the bias
+    sum_s 2^{w-1} 2^{ws} has the base-2^w digits e_s + 2^{w-1}, all in
+    [0, 2^w), so the digits of E are read back exactly."""
     if m < 1:
         raise ValueError("m must be positive")
     p = 2 * m + 1
+    if 0 <= t <= 2 * m:
+        return Fraction(0)
     a = [math.comb(p + j - 1, j) for j in range(p)]
-    ct = [_binom(t, n) for n in range(p)]
-    cs = [_binom(2 * m - t, n + p) for n in range(p)]
+    ct = [abs(_binom(t, n)) for n in range(p)]
+    rows = [[a[j] * ct[n - j] for j in range(n + 1)] for n in range(p)]
+    bound = p * max(map(max, rows)) ** 2 << (p - 1)
+    width = bound.bit_length() // 8 + 1  # bytes per digit: 2^(8 width - 1) > bound
+    u = [int.from_bytes(b"".join(x.to_bytes(width, "little") for x in row), "little") for row in rows]
+    e = (-1) ** (m + 1) * math.comb(p - 1, m) * u[m] * u[m]
+    for d in range(1, m + 1):
+        e += (-1) ** d * 2 * math.comb(p - 1, d - 1) * u[p - d] * u[d - 1]
+    # the xor turns each biased digit e_s + 2^(w-1) into e_s in two's complement
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * p, "little")
+    buf = ((e + bias) ^ bias).to_bytes(width * p, "little")
+    sign = -1 if t < 0 else 1
     total = 0
-    for d in range(1, p + 1):
-        v = [a[k] * ct[d - 1 - k] for k in range(d)]
-        inner = 0
-        for j in range(p - d + 1):
-            u = a[j] * ct[p - d - j]
-            if u:
-                inner += u * sum(x * y for x, y in zip(v, cs[j:]))
-        total += (-1) ** d * math.comb(p - 1, d - 1) * inner
+    for s in range(p):
+        digit = int.from_bytes(buf[s * width : (s + 1) * width], "little", signed=True)
+        total += sign**s * _binom(2 * m - t, s + p) * digit
     return Fraction(total)
 
 
 def gm_poly(m: int) -> RatPoly:
     """The unique polynomial of degree at most 4m+1 through the values
-    at t = 0..4m+1, consistency-checked at t = 4m+2 and 4m+3.
-
-    With n = 4m+1 and the forward differences D_k of the values at 0,
-    g(t) = sum_k D_k binom(t,k), so n! g(t) = sum_k D_k (n!/k!) t(t-1)...(t-k+1);
-    that integer polynomial is expanded in Newton-Horner form over content n!."""
+    at t = 0..4m+1, consistency-checked at t = 4m+2 and 4m+3."""
     if m < 1:
         raise ValueError("m must be positive")
-    n = 4 * m + 1
-    diffs = []
-    row = [gm_value(m, t).numerator for t in range(n + 1)]
-    while row:
-        diffs.append(row[0])
-        row = [y - x for x, y in zip(row, row[1:])]
-    # acc holds sum_{j>=k} D_j (n!/j!) (t-k)(t-k-1)...(t-j+1), lowest degree first
-    acc = [diffs[n]]
-    scale_k = 1
-    for k in range(n - 1, -1, -1):
-        scale_k *= k + 1
-        acc.append(0)
-        acc[1:] = [x - k * y for x, y in zip(acc, acc[1:])]
-        acc[0] = diffs[k] * scale_k - k * acc[0]
-    g = zp._normalise(acc, scale_k)
+    g = zp._from_values([gm_value(m, t).numerator for t in range(4 * m + 2)])
     for t in (4 * m + 2, 4 * m + 3):
         if g(t) != gm_value(m, t):
             raise RuntimeError(f"degree bound violated at t = {t} for m = {m}")

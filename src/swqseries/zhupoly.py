@@ -202,6 +202,30 @@ def lagrange(points: Sequence[tuple[RatLike, RatLike]]) -> RatPoly:
     return acc
 
 
+def _from_values(values: Sequence[int]) -> RatPoly:
+    """The polynomial of degree at most n = len(values) - 1 that takes
+    the integer value values[t] at t = 0..n.
+
+    With the forward differences D_k of the values at 0,
+    g(t) = sum_k D_k binom(t,k), so n! g(t) = sum_k D_k (n!/k!) t(t-1)...(t-k+1);
+    that integer polynomial is expanded in Newton-Horner form over content n!."""
+    n = len(values) - 1
+    diffs = []
+    row = list(values)
+    while row:
+        diffs.append(row[0])
+        row = [y - x for x, y in zip(row, row[1:])]
+    # acc holds sum_{j>=k} D_j (n!/j!) (t-k)(t-k-1)...(t-j+1), lowest degree first
+    acc = [diffs[n]]
+    scale_k = 1
+    for k in range(n - 1, -1, -1):
+        scale_k *= k + 1
+        acc.append(0)
+        acc[1:] = [x - k * y for x, y in zip(acc, acc[1:])]
+        acc[0] = diffs[k] * scale_k - k * acc[0]
+    return _normalise(acc, scale_k)
+
+
 def _first_difference(a: RatPoly, b: RatPoly) -> tuple[Fraction, Fraction, Fraction] | None:
     """(index, a-coeff, b-coeff) of the lowest differing coefficient."""
     if a == b:
@@ -289,19 +313,19 @@ def f_m_alt_poly(m: int) -> RatPoly:
 
 
 def phi_tilde(m: int) -> RatPoly:
-    """sum_{k=0}^{2m} (-1)^k binom(2m,k) binom(t,4m+1-k) binom(t,2m+1+k)."""
+    """sum_{k=0}^{2m} (-1)^k binom(2m,k) binom(t,4m+1-k) binom(t,2m+1+k).
+
+    Every term is a product of falling factorials of degrees 4m+1-k and
+    2m+1+k, so the sum has degree at most 6m+2, and its 6m+3 integer
+    values at t = 0..6m+2 fix it exactly; they are interpolated by the
+    Newton expansion `_from_values`."""
     if m < 1:
         raise ValueError("m must be positive")
-    # binom(t, r) = t(t-1)...(t-r+1) / r!: the integer products are summed
-    # over one common denominator
-    dens = [math.factorial(4 * m + 1 - k) * math.factorial(2 * m + 1 + k) for k in range(2 * m + 1)]
-    common = math.lcm(*dens)
-    acc = [0] * (6 * m + 3)
-    for k in range(2 * m + 1):
-        term = _convolve(from_roots(range(4 * m + 1 - k)).vals, from_roots(range(2 * m + 1 + k)).vals)
-        c = (-1) ** k * math.comb(2 * m, k) * (common // dens[k])
-        acc = [x + c * y for x, y in zip(acc, term)]
-    return _normalise(acc, common)
+    return _from_values([
+        sum((-1) ** k * math.comb(2 * m, k) * math.comb(t, 4 * m + 1 - k) * math.comb(t, 2 * m + 1 + k)
+            for k in range(2 * m + 1))
+        for t in range(6 * m + 3)
+    ])
 
 
 def a_bar_constant(m: int) -> Fraction:

@@ -1,6 +1,7 @@
 """Tests for the command-line front end and report serialization."""
 
 import csv
+import functools
 import io
 import json
 import os
@@ -219,6 +220,8 @@ class TestRankReport:
             return combo(module, order)
 
         monkeypatch.setattr(characters, "_char_combo", duplicated)
+        # a cache of its own, so no character built before or after this test is shared
+        monkeypatch.setattr(characters, "sw_char", functools.lru_cache(characters.sw_char.__wrapped__))
         rep = numeric._rank_report(2, F(60), 1e-8)
         assert rep.status == "fail"
         assert rep.params["rank"] == 6

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from swqseries import gmverify as gv
 from swqseries import zhupoly as zp
@@ -34,6 +35,25 @@ def _naive_gm_value(m, t):
                         total -= term
                     else:
                         total += term
+    return Fraction(total)
+
+
+def _cubic_gm_value(m, t):
+    """The d-sum with the l-sum in closed form, as O(p^3) integer
+    products: the oracle for gm_value's packed evaluation."""
+    p = 2 * m + 1
+    a = [math.comb(p + j - 1, j) for j in range(p)]
+    ct = [gv._binom(t, n) for n in range(p)]
+    cs = [gv._binom(2 * m - t, n + p) for n in range(p)]
+    total = 0
+    for d in range(1, p + 1):
+        v = [a[k] * ct[d - 1 - k] for k in range(d)]
+        inner = 0
+        for j in range(p - d + 1):
+            u = a[j] * ct[p - d - j]
+            if u:
+                inner += u * sum(x * y for x, y in zip(v, cs[j:]))
+        total += (-1) ** d * math.comb(p - 1, d - 1) * inner
     return Fraction(total)
 
 
@@ -81,6 +101,18 @@ class TestGmValue:
         # t < 0 and t > 2m give binomial rows with a negative top
         for t in range(-4, 4 * m + 7):
             assert gv.gm_value(m, t) == _naive_gm_value(m, t), t
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 14), st.integers(-60, 60))
+    @example(14, -60)
+    @example(14, 60)
+    @example(14, 29)
+    @example(1, -1)
+    @example(1, 3)
+    def test_matches_cubic_sum(self, m, t):
+        # the widest digits come with m = 14 and |t| = 60; t < 0 checks
+        # the sign moved onto the read-off, 0 <= t <= 2m the early zero
+        assert gv.gm_value(m, t) == _cubic_gm_value(m, t)
 
     def test_sum_over_l_closed_form(self):
         for p in range(1, 16):

@@ -79,6 +79,20 @@ def _fraction_phi_tilde(m):
     return acc
 
 
+def _convolved_phi_tilde(m):
+    """phi_tilde as a sum of convolved falling factorials over the lcm
+    of their factorial denominators: the oracle for its interpolation
+    from values."""
+    dens = [math.factorial(4 * m + 1 - k) * math.factorial(2 * m + 1 + k) for k in range(2 * m + 1)]
+    common = math.lcm(*dens)
+    acc = [0] * (6 * m + 3)
+    for k in range(2 * m + 1):
+        term = zp._convolve(zp.from_roots(range(4 * m + 1 - k)).vals, zp.from_roots(range(2 * m + 1 + k)).vals)
+        c = (-1) ** k * math.comb(2 * m, k) * (common // dens[k])
+        acc = [x + c * y for x, y in zip(acc, term)]
+    return zp._normalise(acc, common)
+
+
 def _fraction_lagrange(points):
     xs = [F(x) for x, _ in points]
     acc = []
@@ -349,6 +363,13 @@ def test_phi_tilde_matches_fraction_sum(m):
     got = zp.phi_tilde(m)
     assert got.coeffs == tuple(_fraction_phi_tilde(m))
     assert all(type(c) is F for c in got.coeffs)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_phi_tilde_matches_convolved_sum(m):
+    got = zp.phi_tilde(m)
+    assert got == _convolved_phi_tilde(m)
+    assert got.degree() == 6 * m + 2
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
