@@ -130,8 +130,8 @@ def emit_report(reports: list[VerificationReport], format: str, sink: IO[str]) -
         )
 
 
-# Suite name -> (swqseries module, reports(module, config)); `--suite all`
-# runs them in this order.
+# Suite name -> (swqseries module, reports(module, config)); `--suite all` runs
+# them in order but fermionic, which the pinned report lists of `all` omit.
 _SUITES = {
     "forms": ("forms", lambda forms, c: forms.verify_form_identities(c.order)),
     "characters": ("characters", lambda characters, c: characters.verify_character_suite(c.m, c.order)),
@@ -140,6 +140,7 @@ _SUITES = {
     "zhu": ("zhupoly", lambda zhupoly, c: zhupoly.verify_zhu_suite(c.m)),
     "gm": ("gmverify", lambda gmverify, c: gmverify.verify_gm_suite(c.m)),
     "numeric": ("numeric", lambda numeric, c: numeric.verify_numeric_suite(c.m, c.tau, c.order, c.tol)),
+    "fermionic": ("fermionic", lambda fermionic, c: fermionic.verify_fermionic_chars(c.m, c.order)),
 }
 
 
@@ -178,7 +179,7 @@ def run(config: RunConfig, sink: IO[str]) -> int:
     try:
         if config.command in ("char", "superchar"):
             return _emit_series(config, sink)
-        names = _SUITES if config.suite == "all" else (config.suite,)
+        names = [n for n in _SUITES if n != "fermionic"] if config.suite == "all" else [config.suite]
         if "numeric" in names:
             # a tolerance numeric cannot certify fails before any suite runs
             importlib.import_module(f"{__package__}.numeric").check_tolerance(config.tol)

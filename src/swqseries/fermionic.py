@@ -31,6 +31,7 @@ __all__ = [
     "verify_warnaar",
     "fermionic_sw_char",
     "fermionic_char_report",
+    "verify_fermionic_chars",
     "verify_aux_identities",
 ]
 
@@ -201,6 +202,7 @@ def _inv_product(build, lead: Fraction, order: Fraction) -> QSeries:
     return qs.shift(qs.invert(build(max(order, 1) + lead)), lead)
 
 
+@lru_cache(maxsize=None)
 def _inv_q_inf(order: Fraction) -> QSeries:
     """1/(q;q)_inf = q^{1/24}/eta, exact to order."""
     return _inv_product(forms.eta, Fraction(1, 24), order)
@@ -222,16 +224,11 @@ def warnaar_lhs(spec: FermionicSumSpec, order: RatLike) -> QSeries:
 def warnaar_rhs(spec: FermionicSumSpec, order: RatLike) -> QSeries:
     """The single-sum side: (1/(q;q)_inf) sum over n in Z of
     q^{p n^2 + (lam - sigma p) n}, weighted by (2n - sigma + 1) for
-    variant 2."""
+    variant 2.  With b = lam - sigma p the single sum is
+    q^{-b^2/4p} Theta_{b,p}, and its variant-2 weight 2n - sigma + 1 is
+    ((2pn + b) + (p - lam)) / p, so the variant-2 sum is
+    q^{-b^2/4p} (dTheta_{b,p} + (p - lam) Theta_{b,p}) / p."""
     order_f = Fraction(order)
-    return _warnaar_rhs(spec, order_f, _inv_q_inf(order_f + 1))
-
-
-def _warnaar_rhs(spec: FermionicSumSpec, order_f: Fraction, inv_inf: QSeries) -> QSeries:
-    """warnaar_rhs(spec, order_f), given inv_inf = 1/(q;q)_inf to order_f + 1.
-    With b = lam - sigma p the single sum is q^{-b^2/4p} Theta_{b,p}, and
-    its variant-2 weight 2n - sigma + 1 is ((2pn + b) + (p - lam)) / p,
-    so the variant-2 sum is q^{-b^2/4p} (dTheta_{b,p} + (p - lam) Theta_{b,p}) / p."""
     p, lam = spec.p, spec.lam
     b = lam - spec.sigma * p
     th, lead = ThetaParams(b, p), Fraction(b * b, 4 * p)
@@ -239,7 +236,7 @@ def _warnaar_rhs(spec: FermionicSumSpec, order_f: Fraction, inv_inf: QSeries) ->
     inner = forms.theta(th, n)
     if spec.variant == 2:
         inner = qs.scale(qs.add(forms.dtheta(th, n), qs.scale(inner, p - lam)), Fraction(1, p))
-    return qs.truncate(qs.mul(inv_inf, qs.shift(inner, -lead)), order_f)
+    return qs.truncate(qs.mul(_inv_q_inf(order_f + 1), qs.shift(inner, -lead)), order_f)
 
 
 def verify_warnaar(p: int, order: RatLike) -> list[VerificationReport]:
@@ -248,7 +245,6 @@ def verify_warnaar(p: int, order: RatLike) -> list[VerificationReport]:
     if p < 3:
         raise ValueError("p must be at least 3")
     order_f = Fraction(order)
-    inv_inf = _inv_q_inf(order_f + 1)
     reports = []
     for variant in (1, 2):
         for lam in range(p + 1):
@@ -258,7 +254,7 @@ def verify_warnaar(p: int, order: RatLike) -> list[VerificationReport]:
                     qs.compare_report(
                         f"warnaar-v{variant}",
                         {"p": p, "lambda": lam, "sigma": sig},
-                        lambda: (warnaar_lhs(spec, order_f), _warnaar_rhs(spec, order_f, inv_inf)),
+                        lambda: (warnaar_lhs(spec, order_f), warnaar_rhs(spec, order_f)),
                         order_f,
                     )
                 )
@@ -275,14 +271,13 @@ def fermionic_sw_char(module: SWModuleId, order: RatLike) -> tuple[QSeries, Frac
     and divided by (-q;q)_inf; the required parity of n_{2m}+n_{2m+1}
     equals sigma.
 
-    Returns (series, shift) with shift determined by aligning leading
-    exponents against sw_char; the pair satisfies
-    series = q^{shift} * sw_char."""
-    return _series_shift_char(module, Fraction(order))[:2]
+    Returns (series, shift) with the fixed shift of `_char_shift`; the
+    fermionic form states series = q^{shift} * sw_char, which
+    `fermionic_char_report` checks."""
+    return _fermionic_series(module, Fraction(order)), _char_shift(module)
 
 
-def _series_shift_char(module: SWModuleId, order_f: Fraction) -> tuple[QSeries, Fraction, QSeries]:
-    """fermionic_sw_char(module, order_f) and sw_char(module, order_f)."""
+def _fermionic_series(module: SWModuleId, order_f: Fraction) -> QSeries:
     m, i = module.m, module.i
     p = 2 * m + 1
     if module.kind == "lambda":
@@ -293,24 +288,40 @@ def _series_shift_char(module: SWModuleId, order_f: Fraction) -> tuple[QSeries, 
     if half.is_zero():
         raise ValueError(f"order {order_f} below the leading exponent")
     inv_inf = _inv_minus_q_inf(order_f + 1 - min(Fraction(0), half.leading()[0]))
-    series = qs.truncate(qs.mul(half, inv_inf), order_f)
-    char = characters.sw_char(module, order_f)
-    return series, series.leading()[0] - char.leading()[0], char
+    return qs.truncate(qs.mul(half, inv_inf), order_f)
+
+
+def _char_shift(module: SWModuleId) -> Fraction:
+    """c/24 - h^{2i+1,1}, derived, not fitted.  sw_char is
+    f/eta = q^{-1/16}(1 + O(q^{1/2})) times theta terms at exponents
+    (j + (2m+1)n)^2 / (2(2m+1)), j = m - i; with c/24 = 1/16 - m^2/(2(2m+1))
+    and h^{2i+1,1} = (j^2 - m^2)/(2(2m+1)), q^{shift} sw_char has its n-th
+    term at n(2j + (2m+1)n)/2: the n = 0 term at q^0, where the multi-sum
+    has its zero tuple, and every term on its q^{1/2} grid.  For pi modules
+    both n = 0 terms vanish (weight (2m - 2i) - 2j = 0; sigma = 1 excludes
+    the zero tuple).  So a wrong leading exponent fails the comparison."""
+    cd = characters.central_data(module.m)
+    return cd.c / 24 - cd.h(2 * module.i + 1, 1)
 
 
 def fermionic_char_report(module: SWModuleId, order: RatLike) -> VerificationReport:
-    """Compare the multi-sum form against q^{shift} * sw_char; the
-    derived shift is reported in params."""
+    """Compare the multi-sum form against q^{shift} * sw_char for the
+    fixed shift of `_char_shift`, which is reported in params."""
     order_f = Fraction(order)
-    params: dict[str, object] = {"m": module.m, "module": module.label}
+    shift = _char_shift(module)
 
     def check():
-        series, shift, char = _series_shift_char(module, order_f)
-        params["shift"] = shift
+        series = _fermionic_series(module, order_f)
+        char = characters.sw_char(module, order_f)
         at = min(order_f, order_f + shift)
         return at, qs.compare(series, qs.shift(char, shift), at)
 
-    return qs.run_check("fermionic-char", params, check)
+    return qs.run_check("fermionic-char", {"m": module.m, "module": module.label, "shift": shift}, check)
+
+
+def verify_fermionic_chars(m: int, order: RatLike) -> list[VerificationReport]:
+    """fermionic_char_report for each of the 2m+1 modules."""
+    return [fermionic_char_report(mid, order) for mid in characters.all_module_ids(m)]
 
 
 # -- auxiliary identities ---------------------------------------------------

@@ -221,7 +221,9 @@ def _singular_values(cols: list[list[complex]]) -> list[float]:
         xnorm = math.sqrt(_norm2(x))
         if xnorm == 0.0:
             break  # every remaining column is zero from row k down
-        alpha = -xnorm * (x[0] / abs(x[0]) if x[0] else 1.0)
+        # a subnormal x[0] has an inexact abs(); 2^54 makes it normal, exactly
+        x0 = x[0] if abs(x[0]) >= _TINY else x[0] * 2.0**54
+        alpha = -xnorm * (x0 / abs(x0) if x0 else 1.0)
         v = [x[0] - alpha, *x[1:]]
         vv = _norm2(v)
         for col in a[k + 1 :]:

@@ -6,9 +6,12 @@ exactly represented, nothing is claimed beyond it.  Arithmetic propagates the
 guaranteed order, so a comparison can refuse to certify more than the operands
 support.
 
-A series is stored densely over exact integers: slot i of `vals` is the
+A series is a normalised namedtuple (denom, base, stride, vals, content,
+order) over exact integers: slot i of the tuple `vals` is the
 coefficient vals[i] / content at exponent (base + i*stride) / denom, so
-every kernel works on lists of Python ints and builds no Fraction.
+every kernel works on Python ints and builds no Fraction.  Being a
+tuple, a series cannot change once built, so the caches that share one
+series across checks hand every caller the same value.
 
 Reports come from `report.run_check`, the only report constructor and the
 only timer in the package; `compare_report` runs it on a comparison of two
@@ -19,8 +22,9 @@ series.  `VerificationReport`, `run_check` and `RatLike` are defined in
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .report import RatLike, VerificationReport, run_check
 
@@ -47,32 +51,30 @@ __all__ = [
 ]
 
 
-class QSeries:
+class QSeries(namedtuple("QSeries", "denom base stride vals content order")):
     """Finite q-expansion with exponents in (1/denom)*Z and a truncation order.
 
-    Slot i of `vals` holds the coefficient vals[i] / content at exponent
-    (base + i*stride) / denom.  Every instance is normalised, so equal
-    series have equal fields: `vals` is empty (the zero series, with
-    denom 1) or starts and ends with a nonzero slot; content > 0 and
-    gcd(content, *vals) == 1, so content is the lcm of the coefficient
-    denominators; stride is the gcd of the exponent numerator
-    differences of the nonzero slots (1 for a single term); denom is
-    the gcd-reduced common denominator of the exponents.  Instances are
-    treated as immutable.
+    Slot i of the tuple `vals` holds the coefficient vals[i] / content at
+    exponent (base + i*stride) / denom.  Every instance is normalised, so
+    equal series have equal fields and hashes: `vals` is empty (the zero
+    series, with denom 1) or starts and ends with a nonzero slot;
+    content > 0 and gcd(content, *vals) == 1, so content is the lcm of
+    the coefficient denominators; stride is the gcd of the exponent
+    numerator differences of the nonzero slots (1 for a single term);
+    denom is the gcd-reduced common denominator of the exponents.
 
     QSeries(denom, coeffs, order) builds a series from a dict mapping
     exponent numerators (exponent = numer/denom) to rational
     coefficients.  `coeffs` gives the nonzero coefficients back in that
-    form, as Fractions, built on first access; no kernel reads it.
+    form, as Fractions, built anew on each access; no kernel reads it.
     """
 
-    __slots__ = ("denom", "base", "stride", "vals", "content", "order", "_coeffs")
+    __slots__ = ()
 
-    def __init__(self, denom: int, coeffs: dict[int, Fraction], order: Fraction):
+    def __new__(cls, denom: int, coeffs: dict[int, Fraction], order: Fraction):
         coeffs = {k: c for k, c in coeffs.items() if c}
         if not coeffs:
-            _set(self, *_normalise(denom, 0, 1, [], 1), order)
-            return
+            return _zero(order)
         # slots on the lattice of the keys, so sparse exponents stay compact
         base = min(coeffs)
         stride = math.gcd(*(k - base for k in coeffs)) or 1
@@ -80,15 +82,17 @@ class QSeries:
         vals = [0] * ((max(coeffs) - base) // stride + 1)
         for k, c in coeffs.items():
             vals[(k - base) // stride] = c.numerator * (content // c.denominator)
-        _set(self, *_normalise(denom, base, stride, vals, content), order)
+        return from_slots(denom, base, stride, vals, content, order)
+
+    def __getnewargs__(self):
+        # pickle and copy rebuild an instance through QSeries(denom, coeffs, order)
+        return (self.denom, self.coeffs, self.order)
 
     @property
     def coeffs(self) -> dict[int, Fraction]:
-        """Exponent numerator -> nonzero coefficient; do not mutate."""
-        if self._coeffs is None:
-            base, stride, content = self.base, self.stride, self.content
-            self._coeffs = {base + i * stride: Fraction(v, content) for i, v in enumerate(self.vals) if v}
-        return self._coeffs
+        """Exponent numerator -> nonzero coefficient."""
+        base, stride, content = self.base, self.stride, self.content
+        return {base + i * stride: Fraction(v, content) for i, v in enumerate(self.vals) if v}
 
     # -- inspection helpers -------------------------------------------------
 
@@ -130,18 +134,6 @@ class QSeries:
         base, stride, denom, content = self.base, self.stride, self.denom, self.content
         return [(v / content, (base + i * stride) / denom) for i, v in enumerate(self.vals) if v]
 
-    def _key(self) -> tuple:
-        return (self.order, self.denom, self.base, self.stride, self.content, self.vals)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        # normalised fields are unique per series
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash((*self._key()[:-1], tuple(self.vals)))
-
     def __repr__(self) -> str:
         ts = self.terms()
         shown = ", ".join(f"{c}*q^{e}" for e, c in ts[:6])
@@ -150,20 +142,13 @@ class QSeries:
         return f"QSeries([{shown}]; order={self.order})"
 
 
-def _set(s: QSeries, denom: int, base: int, stride: int, vals: list[int], content: int, order) -> None:
-    s.denom, s.base, s.stride, s.vals, s.content, s.order = denom, base, stride, vals, content, order
-    s._coeffs = None
-
-
-def _new(denom: int, base: int, stride: int, vals: list[int], content: int, order) -> QSeries:
+def _new(denom: int, base: int, stride: int, vals: Sequence[int], content: int, order) -> QSeries:
     """A series from fields that are already normalised."""
-    s = QSeries.__new__(QSeries)
-    _set(s, denom, base, stride, vals, content, order)
-    return s
+    return tuple.__new__(QSeries, (denom, base, stride, tuple(vals), content, order))
 
 
 def _zero(order) -> QSeries:
-    return _new(1, 0, 1, [], 1, order)
+    return _new(1, 0, 1, (), 1, order)
 
 
 def _span(a: QSeries) -> int:
@@ -171,7 +156,7 @@ def _span(a: QSeries) -> int:
     return a.stride if len(a.vals) > 1 else 0
 
 
-def _normalise(denom: int, base: int, stride: int, vals: list[int], content: int) -> tuple:
+def _normalise(denom: int, base: int, stride: int, vals: Sequence[int], content: int) -> tuple:
     """The normalised (denom, base, stride, vals, content) of the series
     with coefficient vals[i] / content at exponent (base + i*stride) / denom;
     content must be positive and vals may be returned as is."""
@@ -182,7 +167,7 @@ def _normalise(denom: int, base: int, stride: int, vals: list[int], content: int
     while lo < hi and not vals[lo]:
         lo += 1
     if lo == hi:
-        return 1, 0, 1, [], 1
+        return 1, 0, 1, (), 1
     if lo or hi < len(vals):
         vals = vals[lo:hi]
         base += lo * stride
@@ -210,11 +195,10 @@ def _normalise(denom: int, base: int, stride: int, vals: list[int], content: int
     return denom, base, span or 1, vals, content
 
 
-def from_slots(denom: int, base: int, stride: int, vals: list[int], content: int, order) -> QSeries:
+def from_slots(denom: int, base: int, stride: int, vals: Sequence[int], content: int, order) -> QSeries:
     """The series with coefficient vals[i] / content at exponent
-    (base + i*stride) / denom and truncation order `order`, normalised.
-    content must be positive; vals may become the series' own list, so
-    the caller must not change it afterwards."""
+    (base + i*stride) / denom and truncation order `order`, normalised;
+    content must be positive."""
     return _new(*_normalise(denom, base, stride, vals, content), order)
 
 
@@ -280,7 +264,7 @@ def zero(order: RatLike) -> QSeries:
 
 
 def one(order: RatLike) -> QSeries:
-    return _new(1, 0, 1, [1], 1, Fraction(order))
+    return _new(1, 0, 1, (1,), 1, Fraction(order))
 
 
 # -- linear operations ------------------------------------------------------
@@ -374,7 +358,7 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
     return from_slots(d, base, stride, vals, a.content * b.content, order)
 
 
-def _spread(vals: list[int], step: int, length: int) -> list[int]:
+def _spread(vals: Sequence[int], step: int, length: int) -> Sequence[int]:
     """vals placed every step slots (step 0 for a single slot), cut
     below length and after the last slot it holds."""
     if step <= 1:
@@ -384,7 +368,7 @@ def _spread(vals: list[int], step: int, length: int) -> list[int]:
     return v
 
 
-def _pack(v: list[int], width: int) -> int:
+def _pack(v: Sequence[int], width: int) -> int:
     """sum v[i] * 256^(width*i) for |v[i]| < 2^(8*width - 1)."""
     zero = bytes(width)
     pos = int.from_bytes(b"".join(x.to_bytes(width, "little") if x > 0 else zero for x in v), "little")

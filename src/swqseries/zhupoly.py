@@ -444,10 +444,10 @@ def verify_s_properties(m: int) -> VerificationReport:
             value = r(t) / den(t)
             if not value < 0:
                 return order, (Fraction(t), value, Fraction(0))
-        L = interpolation_L(m)
-        for w in _weights(m, m + 1):
-            if L(w) == 0:
-                return order, (w, Fraction(0), Fraction(0))
+        # h^{2i+1,1} = x_param(i), so L(h^{2i+1,1}) = r(i)
+        for i in range(m + 1):
+            if r(i) == 0:
+                return order, (_weight(m, 2 * i + 1), Fraction(0), Fraction(0))
         return order, None
 
     return run_check("s-properties", {"m": m}, check)

@@ -200,6 +200,16 @@ class TestEveryM:
             }
 
 
+def test_fermionic_suite_checks_every_module_outside_all(capsys):
+    assert cli.main(["verify", "--suite", "fermionic", "--m", "2", "--order", "30"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert [(r["identity_id"], r["params"]["module"], r["status"]) for r in reports] == [
+        ("fermionic-char", label, "pass") for label in ("lambda:1", "lambda:2", "lambda:3", "pi:1", "pi:2")
+    ]
+    assert cli.main(["verify", "--suite", "all", "--m", "1", "--order", "10"]) == 1
+    assert "fermionic-char" not in {r["identity_id"] for r in json.loads(capsys.readouterr().out)}
+
+
 class TestRankReport:
     @pytest.mark.parametrize("m", [2, 3])
     def test_numeric_exits_0_with_full_rank(self, capsys, m):
@@ -333,6 +343,7 @@ _LOADED = {
     ("zhu", "--m", "1"): (0, ["cli", "report", "zhupoly"]),
     ("char", "--m", "1", "--module", "lambda:1"): (0, ["characters", "cli", "forms", "qseries", "report"]),
     ("numeric", "--m", "1"): (0, ["characters", "cli", "forms", "numeric", "qseries", "report"]),
+    ("verify", "--suite", "fermionic", "--m", "1"): (0, ["characters", "cli", "fermionic", "forms", "qseries", "report"]),
     ("verify", "--suite", "all", "--m", "1", "--order", "10"): (
         1,
         ["characters", "cli", "fermionic", "forms", "gmverify", "numeric", "qseries", "report", "zhupoly"],

@@ -644,7 +644,7 @@ def test_shifts_m1_frozen():
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_shift_closed_form(m):
-    # observed: shift = 1/16 - (m-i)^2 / (2(2m+1)) for both families
+    # c/24 - h^{2i+1,1} = 1/16 - (m-i)^2 / (2(2m+1)) for both families
     for mid in ch.all_module_ids(m):
         _, shift = fm.fermionic_sw_char(mid, 10)
         j = m - mid.i
@@ -689,6 +689,16 @@ def test_fermionic_char_report_builds_the_character_once(monkeypatch):
         assert calls == [mid]
         assert rep.status == "pass"
         assert rep.params["shift"] == F(1, 16) - F((2 - mid.i) ** 2, 10)
+
+
+def test_fermionic_char_report_fails_a_moved_series(monkeypatch):
+    # the shift is fixed, not fitted to the leading exponents: a series
+    # moved by q^{1/2} fails against the same character
+    series = fm._fermionic_series
+    monkeypatch.setattr(fm, "_fermionic_series", lambda module, order: qs.shift(series(module, order), F(1, 2)))
+    for mid in ch.all_module_ids(2):
+        rep = fm.fermionic_char_report(mid, 20)
+        assert rep.status == "fail" and rep.params["shift"] == F(1, 16) - F((2 - mid.i) ** 2, 10)
 
 
 def test_fermionic_char_below_lead_rejected():

@@ -317,6 +317,8 @@ _C = [complex(math.cos(k), math.sin(k)) for k in range(12)]
 @example([[(j + 1) * _C[j] if i == (2 * j) % 5 else 0j for i in range(5)] for j in range(5)])
 # a column whose squared norm underflows once the matrix is scaled
 @example([[3j, 5.404677208365977e-291j], [0.5j, 0j]])
+# a Householder pivot that is subnormal once the matrix is scaled
+@example([[complex(2.225073858507e-311, 2.225073858507e-311), *[0j] * 8, 25j]] + [[0j] * 10] * 9)
 def test_singular_values_match_numpy(cols):
     got = nm._singular_values(cols)
     want = _numpy_singular_values(cols)

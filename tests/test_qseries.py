@@ -1,7 +1,9 @@
 """Core series algebra: frozen expansions, validation, algebraic laws, and
 the integer kernels against the dict kernels they replaced."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -278,6 +280,53 @@ def test_pochhammer_invert_round_trip(step, order):
     p = qs.pochhammer(step, step, -1, None, order)
     prod = qs.mul(p, qs.invert(p))
     assert qs.compare(prod, qs.one(prod.order), prod.order) is None
+
+
+def _built_twice(a, b, r, e):
+    """Pairs of equal series, each built by two different paths, across
+    every constructor and kernel."""
+    pairs = [
+        (a, qs.QSeries(a.denom, a.coeffs, a.order)),
+        (a, qs.from_slots(a.denom, a.base, a.stride, list(a.vals), a.content, a.order)),
+        (a, qs.make_series(a.terms(), a.order)),
+        (a, qs.truncate(a, a.order)),
+        (qs.add(a, b), qs.add(b, a)),
+        (qs.mul(a, b), qs.mul(b, a)),
+        (a, qs.scale(qs.scale(a, r), 1 / r)),
+        (a, qs.shift(qs.shift(a, e), -e)),
+        (a, qs.substitute_power(qs.substitute_power(a, abs(r)), 1 / abs(r))),
+        (
+            qs.pochhammer(abs(r), abs(e), -1, 2, 3),
+            qs.mul(qs.pochhammer(abs(r), 1, -1, 1, 3), qs.pochhammer(abs(r) + abs(e), 1, -1, 1, 3)),
+        ),
+    ]
+    if not a.is_zero():
+        pairs.append((qs.invert(a), qs.invert(qs.QSeries(a.denom, a.coeffs, a.order))))
+    return pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    series(),
+    series(),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    st.fractions(min_value=-2, max_value=2, max_denominator=6),
+)
+def test_qseries_is_an_immutable_value(a, b, r, e):
+    for x, y in _built_twice(a, b, r, e):
+        assert tuple(x) == tuple(y) and hash(x) == hash(y)
+        for s in (x, y):
+            assert type(s) is qs.QSeries and type(s.vals) is tuple
+            with pytest.raises(TypeError):
+                s[3] = [1]
+            if s.vals:
+                with pytest.raises(TypeError):
+                    s.vals[0] = 1
+            for field in (*qs.QSeries._fields, "coeffs", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(s, field, 1)
+            for t in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+                assert type(t) is qs.QSeries and t == s and type(t.vals) is tuple
 
 
 # -- integer kernels against the dict kernels they replace ----------------------

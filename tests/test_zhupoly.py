@@ -436,6 +436,13 @@ def test_r_poly_m1():
     assert zp.r_poly(1).coeffs == (F(1),)
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_r_at_i_is_the_interpolant_at_the_weight(m):
+    # h^{2i+1,1} = x_param(i), so verify_s_properties reads L(h^{2i+1,1}) as r(i)
+    r, L, cd = zp.r_poly(m), zp.interpolation_L(m), ch.central_data(m)
+    assert [r(i) for i in range(3 * m + 1)] == [L(cd.h(2 * i + 1, 1)) for i in range(3 * m + 1)]
+
+
 def test_s_values_m1_frozen():
     r, den = zp.r_poly(1), zp._s_denominator(1)
     assert r(0) / den(0) == F(-1, 3)
