@@ -4,7 +4,6 @@ cross-checks between them."""
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable
@@ -12,6 +11,7 @@ from typing import Callable
 from . import forms, qseries as qs
 from .forms import ThetaParams
 from .qseries import QSeries, RatLike, VerificationReport
+from .report import value_type
 
 __all__ = [
     "SWModuleId",
@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-class SWModuleId(namedtuple("SWModuleId", "m kind index")):
+class SWModuleId(value_type("SWModuleId", "m kind index")):
     """One of the 2m+1 irreducible modules: lambda:1 .. lambda:m+1 or
     pi:1 .. pi:m."""
 
@@ -67,7 +67,7 @@ def all_module_ids(m: int) -> list[SWModuleId]:
     return ids
 
 
-class CentralData(namedtuple("CentralData", "m c")):
+class CentralData(value_type("CentralData", "m c")):
     """Central charge c and conformal weights h^{r,s} for fixed m."""
 
     __slots__ = ()

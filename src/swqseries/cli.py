@@ -23,11 +23,10 @@ import importlib
 import json
 import math
 import sys
-from collections import namedtuple
 from fractions import Fraction
 from typing import IO, TYPE_CHECKING
 
-from .report import VerificationReport
+from .report import VerificationReport, value_type
 
 if TYPE_CHECKING:
     from .characters import SWModuleId
@@ -52,7 +51,7 @@ class UsageError(ValueError):
     """Bad flags or violated preconditions; mapped to exit code 2."""
 
 
-class RunConfig(namedtuple("RunConfig", "command m module order suite format tol tau")):
+class RunConfig(value_type("RunConfig", "command m module order suite format tol tau")):
     """One resolved invocation.  tau holds (re, im) pairs."""
 
     __slots__ = ()

@@ -10,7 +10,6 @@ theta series or an inverse eta or Weber series from `forms`."""
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate
@@ -21,6 +20,7 @@ from . import characters, forms, qseries as qs
 from .characters import SWModuleId
 from .forms import ThetaParams
 from .qseries import QSeries, RatLike, VerificationReport
+from .report import value_type
 
 __all__ = [
     "CartanData",
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-class CartanData(namedtuple("CartanData", "p B")):
+class CartanData(value_type("CartanData", "p B")):
     """Exact inverse Cartan matrix B of D_p, a p-tuple of p-tuples of
     Fractions: chain nodes 1..p-2, fork nodes p-1 and p both attached to
     node p-2."""
@@ -72,7 +72,7 @@ def inverse_cartan_D(p: int) -> CartanData:
     return CartanData(p, tuple(tuple(b(i, j) for j in nodes) for i in nodes))
 
 
-class FermionicSumSpec(namedtuple("FermionicSumSpec", "p lam sigma variant")):
+class FermionicSumSpec(value_type("FermionicSumSpec", "p lam sigma variant")):
     """Parameters of one multi-sum: lattice size p, integer lam in 0..p,
     sigma in {0,1} (also the required parity of n_{p-1} + n_p) and
     variant 1 or 2."""
@@ -191,7 +191,7 @@ def _multi_sum(spec: FermionicSumSpec, order: Fraction) -> QSeries:
             for M in range(Ms)
         ]
     vals = _horner(top + 1, ((off, x, (), ()) for off, x in level))
-    return qs.from_slots(lo.denominator, lo.numerator, lo.denominator, vals, 1, order)
+    return QSeries(lo.denominator, lo.numerator, lo.denominator, vals, 1, order)
 
 
 def _inv_product(build, lead: Fraction, order: Fraction) -> QSeries:
@@ -274,10 +274,9 @@ def fermionic_sw_char(module: SWModuleId, order: RatLike) -> tuple[QSeries, Frac
     Returns (series, shift) with the fixed shift of `_char_shift`; the
     fermionic form states series = q^{shift} * sw_char, which
     `fermionic_char_report` checks."""
-    return _fermionic_series(module, Fraction(order)), _char_shift(module)
-
-
-def _fermionic_series(module: SWModuleId, order_f: Fraction) -> QSeries:
+    order_f = Fraction(order)
+    if order_f < 0:
+        raise ValueError("order must be nonnegative")
     m, i = module.m, module.i
     p = 2 * m + 1
     if module.kind == "lambda":
@@ -285,10 +284,10 @@ def _fermionic_series(module: SWModuleId, order_f: Fraction) -> QSeries:
     else:
         wspec = FermionicSumSpec(p, 2 * i + 1, 1, 2)
     half = qs.substitute_power(warnaar_lhs(wspec, 2 * order_f), Fraction(1, 2))
-    if half.is_zero():
-        raise ValueError(f"order {order_f} below the leading exponent")
-    inv_inf = _inv_minus_q_inf(order_f + 1 - min(Fraction(0), half.leading()[0]))
-    return qs.truncate(qs.mul(half, inv_inf), order_f)
+    # a multi-sum with no term up to the order is zero there: lead 0
+    lead = Fraction(0) if half.is_zero() else half.leading()[0]
+    inv_inf = _inv_minus_q_inf(order_f + 1 - min(Fraction(0), lead))
+    return qs.truncate(qs.mul(half, inv_inf), order_f), _char_shift(module)
 
 
 def _char_shift(module: SWModuleId) -> Fraction:
@@ -306,17 +305,19 @@ def _char_shift(module: SWModuleId) -> Fraction:
 
 def fermionic_char_report(module: SWModuleId, order: RatLike) -> VerificationReport:
     """Compare the multi-sum form against q^{shift} * sw_char for the
-    fixed shift of `_char_shift`, which is reported in params."""
+    fixed shift that `fermionic_sw_char` returns, which is reported in
+    params."""
     order_f = Fraction(order)
-    shift = _char_shift(module)
+    params = {"m": module.m, "module": module.label}
 
     def check():
-        series = _fermionic_series(module, order_f)
+        series, shift = fermionic_sw_char(module, order_f)
+        params["shift"] = shift
         char = characters.sw_char(module, order_f)
         at = min(order_f, order_f + shift)
         return at, qs.compare(series, qs.shift(char, shift), at)
 
-    return qs.run_check("fermionic-char", {"m": module.m, "module": module.label, "shift": shift}, check)
+    return qs.run_check("fermionic-char", params, check)
 
 
 def verify_fermionic_chars(m: int, order: RatLike) -> list[VerificationReport]:
@@ -349,7 +350,7 @@ def _durfee_half(k: int, order: Fraction) -> QSeries:
     top = floor(2 * order)
     acc = _horner(top + 1, (
         (n * n + k * n, [1], (), (n + 1, n + k + 1)) for n in range(isqrt(max(top, 0)), -1, -1)))
-    return qs.mul(_finite_poch_inv(h, h, -1, k, order), qs.from_slots(2, 0, 1, acc, 1, order))
+    return qs.mul(_finite_poch_inv(h, h, -1, k, order), QSeries(2, 0, 1, acc, 1, order))
 
 
 def _durfee_mixed(k: int, order: Fraction) -> QSeries:
@@ -359,7 +360,7 @@ def _durfee_mixed(k: int, order: Fraction) -> QSeries:
     acc = _horner(top + 1, (
         (n * n + k * n, [1], (n + 1, n + k + 1), (2 * n + 2, 2 * n + 2 * k + 2))
         for n in range(isqrt(max(top, 0)), -1, -1)))
-    total = qs.mul(qs.from_slots(2, 0, 1, acc, 1, order), _finite_poch(h, h, 1, k, order))
+    total = qs.mul(QSeries(2, 0, 1, acc, 1, order), _finite_poch(h, h, 1, k, order))
     return qs.mul(total, _finite_poch_inv(Fraction(1), Fraction(1), -1, k, order))
 
 
@@ -369,7 +370,7 @@ def _euler_eta_sum(order: Fraction) -> QSeries:
     top = floor(inner_order)
     acc = _horner(top + 1, (
         (n * (n + 1) // 2, [(-1) ** n], (), (n + 1,)) for n in range(isqrt(2 * max(top, 0)), -1, -1)))
-    return qs.shift(qs.from_slots(1, 0, 1, acc, 1, inner_order), Fraction(1, 24))
+    return qs.shift(QSeries(1, 0, 1, acc, 1, inner_order), Fraction(1, 24))
 
 
 def _eta_double_sum(order: Fraction) -> QSeries:
@@ -384,7 +385,7 @@ def _eta_double_sum(order: Fraction) -> QSeries:
     s1 = _horner(top + 1, ((2 * m * (m + 1), [(-1) ** m], (), (4 * m + 4,)) for m in range(isqrt(top), -1, -1)))
     s2 = _horner(top + 1, (
         (m * (m + 1) // 2, [(-1) ** m], (m + 1,), (2 * m + 2,)) for m in range(isqrt(2 * top), -1, -1)))
-    prod = qs.mul(qs.from_slots(2, 0, 1, s1, 1, inner_order), qs.from_slots(2, 0, 1, s2, 1, inner_order))
+    prod = qs.mul(QSeries(2, 0, 1, s1, 1, inner_order), QSeries(2, 0, 1, s2, 1, inner_order))
     return qs.shift(prod, lead)
 
 
@@ -410,7 +411,7 @@ def _theta_double_sum(order: Fraction) -> QSeries:
 
     # 3D^2/4 - D exceeds top from D = 2 isqrt(top) + 2 on
     vals = _horner(top + 1, (t for D in range(2 * isqrt(max(top, 0)) + 2, -1, -2) for t in terms(D)))
-    total = qs.from_slots(2, 0, 1, vals, 1, inner_order)
+    total = QSeries(2, 0, 1, vals, 1, inner_order)
     return qs.shift(qs.truncate(qs.mul(total, _inv_minus_q_inf(inner_order)), inner_order), lead)
 
 

@@ -5,13 +5,13 @@ with an exact identity suite relating them."""
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
 from . import qseries as qs
 from .qseries import QSeries, RatLike, VerificationReport
+from .report import value_type
 
 __all__ = [
     "ThetaParams",
@@ -24,7 +24,7 @@ __all__ = [
 ]
 
 
-class ThetaParams(namedtuple("ThetaParams", "j k")):
+class ThetaParams(value_type("ThetaParams", "j k")):
     """Index pair (j, k); k a positive integer or half-integer, stored as
     a Fraction."""
 
@@ -85,7 +85,7 @@ def _theta_sum(p: ThetaParams, order: Fraction, weighted: bool) -> QSeries:
     # every a = j mod K with a^2 <= limit, from the least one >= -top up
     for a in range(-top + (p.j + top) % K, top + 1, K):
         coeffs[a * a] = coeffs.get(a * a, 0) + (a if weighted else 1)
-    return QSeries(2 * K, coeffs, order)
+    return qs._from_coeffs(2 * K, coeffs, order)
 
 
 def theta(p: ThetaParams, order: RatLike) -> QSeries:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
@@ -25,6 +24,7 @@ from . import characters, forms
 from . import qseries as qs
 from .forms import ThetaParams
 from .qseries import QSeries, RatLike, VerificationReport
+from .report import value_type
 
 __all__ = [
     "TauPoint",
@@ -55,7 +55,7 @@ _TINY = sys.float_info.min
 _S_LEVELS = (3, 5, 6, 10)
 
 
-class TauPoint(namedtuple("TauPoint", "re im")):
+class TauPoint(value_type("TauPoint", "re im")):
     """A point of the upper half-plane, so |q| = exp(-2 pi im) < 1."""
 
     __slots__ = ()

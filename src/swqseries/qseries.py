@@ -6,12 +6,14 @@ exactly represented, nothing is claimed beyond it.  Arithmetic propagates the
 guaranteed order, so a comparison can refuse to certify more than the operands
 support.
 
-A series is a normalised namedtuple (denom, base, stride, vals, content,
-order) over exact integers: slot i of the tuple `vals` is the
+A series is a normalised namedtuple QSeries(denom, base, stride, vals,
+content, order) over exact integers: slot i of the tuple `vals` is the
 coefficient vals[i] / content at exponent (base + i*stride) / denom, so
-every kernel works on Python ints and builds no Fraction.  Being a
-tuple, a series cannot change once built, so the caches that share one
-series across checks hand every caller the same value.
+every kernel works on Python ints and builds no Fraction.  That
+constructor is the only way to build one (`_make`, `_replace`, pickle
+and copy run it too), and it normalises its fields.  Being a tuple, a
+series cannot change once built, so the caches that share one series
+across checks hand every caller the same value.
 
 Reports come from `report.run_check`, the only report constructor and the
 only timer in the package; `compare_report` runs it on a comparison of two
@@ -22,17 +24,15 @@ series.  `VerificationReport`, `run_check` and `RatLike` are defined in
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .report import RatLike, VerificationReport, run_check
+from .report import RatLike, VerificationReport, run_check, value_type
 
 __all__ = [
     "QSeries",
     "VerificationReport",
     "make_series",
-    "from_slots",
     "zero",
     "one",
     "add",
@@ -51,42 +51,30 @@ __all__ = [
 ]
 
 
-class QSeries(namedtuple("QSeries", "denom base stride vals content order")):
+class QSeries(value_type("QSeries", "denom base stride vals content order")):
     """Finite q-expansion with exponents in (1/denom)*Z and a truncation order.
 
-    Slot i of the tuple `vals` holds the coefficient vals[i] / content at
-    exponent (base + i*stride) / denom.  Every instance is normalised, so
-    equal series have equal fields and hashes: `vals` is empty (the zero
-    series, with denom 1) or starts and ends with a nonzero slot;
-    content > 0 and gcd(content, *vals) == 1, so content is the lcm of
-    the coefficient denominators; stride is the gcd of the exponent
+    QSeries(denom, base, stride, vals, content, order) is the series
+    with coefficient vals[i] / content at exponent (base + i*stride) / denom,
+    for positive denom, stride and content, stored normalised, so equal
+    series have equal fields and hashes: `vals` is a tuple, empty (the
+    zero series, with denom 1) or starting and ending with a nonzero
+    slot; gcd(content, *vals) == 1, so content is the lcm of the
+    coefficient denominators; stride is the gcd of the exponent
     numerator differences of the nonzero slots (1 for a single term);
     denom is the gcd-reduced common denominator of the exponents.
-
-    QSeries(denom, coeffs, order) builds a series from a dict mapping
-    exponent numerators (exponent = numer/denom) to rational
-    coefficients.  `coeffs` gives the nonzero coefficients back in that
-    form, as Fractions, built anew on each access; no kernel reads it.
+    `coeffs` gives the nonzero coefficients as a dict mapping exponent
+    numerators (exponent = numer/denom) to Fractions, built anew on each
+    access; no kernel reads it.
     """
 
     __slots__ = ()
 
-    def __new__(cls, denom: int, coeffs: dict[int, Fraction], order: Fraction):
-        coeffs = {k: c for k, c in coeffs.items() if c}
-        if not coeffs:
-            return _zero(order)
-        # slots on the lattice of the keys, so sparse exponents stay compact
-        base = min(coeffs)
-        stride = math.gcd(*(k - base for k in coeffs)) or 1
-        content = math.lcm(*(c.denominator for c in coeffs.values()))
-        vals = [0] * ((max(coeffs) - base) // stride + 1)
-        for k, c in coeffs.items():
-            vals[(k - base) // stride] = c.numerator * (content // c.denominator)
-        return from_slots(denom, base, stride, vals, content, order)
-
-    def __getnewargs__(self):
-        # pickle and copy rebuild an instance through QSeries(denom, coeffs, order)
-        return (self.denom, self.coeffs, self.order)
+    def __new__(cls, denom: int, base: int, stride: int, vals: Sequence[int], content: int, order):
+        if denom < 1 or stride < 1 or content < 1:
+            raise ValueError("denom, stride and content must be positive")
+        denom, base, stride, vals, content = _normalise(denom, base, stride, vals, content)
+        return tuple.__new__(cls, (denom, base, stride, tuple(vals), content, order))
 
     @property
     def coeffs(self) -> dict[int, Fraction]:
@@ -142,13 +130,8 @@ class QSeries(namedtuple("QSeries", "denom base stride vals content order")):
         return f"QSeries([{shown}]; order={self.order})"
 
 
-def _new(denom: int, base: int, stride: int, vals: Sequence[int], content: int, order) -> QSeries:
-    """A series from fields that are already normalised."""
-    return tuple.__new__(QSeries, (denom, base, stride, tuple(vals), content, order))
-
-
 def _zero(order) -> QSeries:
-    return _new(1, 0, 1, (), 1, order)
+    return QSeries(1, 0, 1, (), 1, order)
 
 
 def _span(a: QSeries) -> int:
@@ -158,8 +141,8 @@ def _span(a: QSeries) -> int:
 
 def _normalise(denom: int, base: int, stride: int, vals: Sequence[int], content: int) -> tuple:
     """The normalised (denom, base, stride, vals, content) of the series
-    with coefficient vals[i] / content at exponent (base + i*stride) / denom;
-    content must be positive and vals may be returned as is."""
+    with coefficient vals[i] / content at exponent (base + i*stride) / denom,
+    for positive content; vals may be returned as is."""
     hi = len(vals)
     while hi and not vals[hi - 1]:
         hi -= 1
@@ -193,13 +176,6 @@ def _normalise(denom: int, base: int, stride: int, vals: Sequence[int], content:
     if g > 1:
         denom, base, span = denom // g, base // g, span // g
     return denom, base, span or 1, vals, content
-
-
-def from_slots(denom: int, base: int, stride: int, vals: Sequence[int], content: int, order) -> QSeries:
-    """The series with coefficient vals[i] / content at exponent
-    (base + i*stride) / denom and truncation order `order`, normalised;
-    content must be positive."""
-    return _new(*_normalise(denom, base, stride, vals, content), order)
 
 
 def _on_common_lattice(series: list[QSeries], order) -> tuple[int, int, int, int, list[list[int]]]:
@@ -255,8 +231,23 @@ def make_series(terms: Iterable[tuple[RatLike, RatLike]], order: RatLike) -> QSe
             raise ValueError(f"exponent {e} exceeds order {order_f}")
         pairs.append((e, Fraction(c_raw)))
     denom = math.lcm(1, *(e.denominator for e, _ in pairs)) if pairs else 1
-    coeffs = {int(e * denom): c for e, c in pairs if c}
-    return QSeries(denom, coeffs, order_f)
+    return _from_coeffs(denom, {int(e * denom): c for e, c in pairs}, order_f)
+
+
+def _from_coeffs(denom: int, coeffs: dict[int, int | Fraction], order) -> QSeries:
+    """The series with coefficient coeffs[k] at exponent k/denom, for
+    int or Fraction coefficients; the slots lie on the lattice of the
+    keys, so sparse exponents stay compact."""
+    coeffs = {k: c for k, c in coeffs.items() if c}
+    if not coeffs:
+        return _zero(order)
+    base = min(coeffs)
+    stride = math.gcd(*(k - base for k in coeffs)) or 1
+    content = math.lcm(*(c.denominator for c in coeffs.values()))
+    vals = [0] * ((max(coeffs) - base) // stride + 1)
+    for k, c in coeffs.items():
+        vals[(k - base) // stride] = c.numerator * (content // c.denominator)
+    return QSeries(denom, base, stride, vals, content, order)
 
 
 def zero(order: RatLike) -> QSeries:
@@ -264,7 +255,7 @@ def zero(order: RatLike) -> QSeries:
 
 
 def one(order: RatLike) -> QSeries:
-    return _new(1, 0, 1, (1,), 1, Fraction(order))
+    return QSeries(1, 0, 1, (1,), 1, Fraction(order))
 
 
 # -- linear operations ------------------------------------------------------
@@ -274,7 +265,7 @@ def add(a: QSeries, b: QSeries) -> QSeries:
     """Sum, truncated to the smaller guarantee."""
     order = min(a.order, b.order)
     d, base, stride, content, (va, vb) = _on_common_lattice([a, b], order)
-    return from_slots(d, base, stride, [x + y for x, y in zip(va, vb)], content, order)
+    return QSeries(d, base, stride, [x + y for x, y in zip(va, vb)], content, order)
 
 
 def scale(a: QSeries, c: RatLike) -> QSeries:
@@ -282,7 +273,7 @@ def scale(a: QSeries, c: RatLike) -> QSeries:
     if not c:
         return _zero(a.order)
     vals = [v * c.numerator for v in a.vals] if c.numerator != 1 else a.vals
-    return from_slots(a.denom, a.base, a.stride, vals, a.content * c.denominator, a.order)
+    return QSeries(a.denom, a.base, a.stride, vals, a.content * c.denominator, a.order)
 
 
 def sub(a: QSeries, b: QSeries) -> QSeries:
@@ -295,7 +286,7 @@ def shift(a: QSeries, e: RatLike) -> QSeries:
     d = math.lcm(a.denom, e.denominator)
     m = d // a.denom
     base = a.base * m + e.numerator * (d // e.denominator)
-    return from_slots(d, base, a.stride * m, a.vals, a.content, a.order + e)
+    return QSeries(d, base, a.stride * m, a.vals, a.content, a.order + e)
 
 
 def truncate(a: QSeries, order: RatLike) -> QSeries:
@@ -305,9 +296,7 @@ def truncate(a: QSeries, order: RatLike) -> QSeries:
         raise ValueError(f"cannot raise order {a.order} to {order_f}")
     limit = order_f.numerator * a.denom // order_f.denominator
     n = (limit - a.base) // a.stride + 1 if limit >= a.base else 0
-    if n >= len(a.vals):
-        return _new(a.denom, a.base, a.stride, a.vals, a.content, order_f)
-    return from_slots(a.denom, a.base, a.stride, a.vals[:n], a.content, order_f)
+    return QSeries(a.denom, a.base, a.stride, a.vals[:n], a.content, order_f)
 
 
 # -- multiplicative operations ----------------------------------------------
@@ -355,7 +344,7 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
     low = (_pack(va, width) * _pack(vb, width) + bias) & ((1 << (8 * width * n_out)) - 1)
     buf = (low ^ bias).to_bytes(width * n_out, "little")
     vals = [int.from_bytes(buf[i : i + width], "little", signed=True) for i in range(0, width * n_out, width)]
-    return from_slots(d, base, stride, vals, a.content * b.content, order)
+    return QSeries(d, base, stride, vals, a.content * b.content, order)
 
 
 def _spread(vals: Sequence[int], step: int, length: int) -> Sequence[int]:
@@ -411,7 +400,7 @@ def invert(a: QSeries) -> QSeries:
         out = [x * a.content * lcd ** (top - n) for n, x in enumerate(r)]
     if content < 0:
         out, content = [-x for x in out], -content
-    return from_slots(a.denom, -a.base, a.stride, out, content, order)
+    return QSeries(a.denom, -a.base, a.stride, out, content, order)
 
 
 def substitute_power(a: QSeries, r: RatLike) -> QSeries:
@@ -419,7 +408,7 @@ def substitute_power(a: QSeries, r: RatLike) -> QSeries:
     r = Fraction(r)
     if r <= 0:
         raise ValueError("substitution power must be positive")
-    return from_slots(
+    return QSeries(
         a.denom * r.denominator, a.base * r.numerator, a.stride * r.numerator, a.vals, a.content, a.order * r
     )
 
@@ -465,7 +454,7 @@ def pochhammer(
             out[e:] = [x + y for x, y in zip(out[e:], out)]
         else:
             out[e:] = [x - y for x, y in zip(out[e:], out)]
-    return from_slots(d, 0, g, out, 1, order_f)
+    return QSeries(d, 0, g, out, 1, order_f)
 
 
 # -- comparison and reporting ------------------------------------------------

@@ -1,5 +1,6 @@
 """The outcome of one identity check and `run_check`, the only report
-constructor and the only timer in the package.
+constructor and the only timer in the package; `value_type`, the base of
+every value type in the package.
 
 This module imports no other module of the package, so a command that
 checks no q-series (`swq --help`, `gm`, `zhu`) never loads `qseries`.
@@ -14,11 +15,20 @@ from typing import Callable, Optional, Union
 
 RatLike = Union[int, str, Fraction]
 
-__all__ = ["RatLike", "VerificationReport", "run_check"]
+__all__ = ["RatLike", "VerificationReport", "run_check", "value_type"]
+
+
+def value_type(name: str, fields: str) -> type:
+    """A namedtuple base whose `_make` is cls(*fields).  A subclass's
+    __new__ takes exactly its fields, so `_make`, `_replace`, pickle and
+    copy all build an instance through that one checked constructor."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
 
 
 class VerificationReport(
-    namedtuple("VerificationReport", "identity_id params order status first_mismatch runtime_ms")
+    value_type("VerificationReport", "identity_id params order status first_mismatch runtime_ms")
 ):
     """Outcome of one identity check at one truncation order.
 

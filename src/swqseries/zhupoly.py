@@ -5,19 +5,19 @@ alternating binomial-sum polynomial with its two factored forms, the
 Lagrange interpolation polynomial through the upper weight points, and
 the sign recursion that certifies its nonvanishing.
 
-A polynomial is stored as `QSeries` stores a series: integers over one
-content, coefficient i being vals[i] / content, so every kernel works on
-lists of Python ints and builds no Fraction."""
+A polynomial RatPoly(vals, content) is stored as `QSeries` stores a
+series: integers over one content, coefficient i being vals[i] / content,
+normalised by that one constructor, so every kernel works on lists of
+Python ints and builds no Fraction."""
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Callable, Sequence
 
-from .report import RatLike, VerificationReport, run_check
+from .report import RatLike, VerificationReport, run_check, value_type
 
 __all__ = [
     "RatPoly",
@@ -47,26 +47,29 @@ __all__ = [
 ]
 
 
-class RatPoly(namedtuple("RatPoly", "vals content")):
-    """Dense polynomial, lowest degree first: coefficient i is
-    vals[i] / content.  Every instance is normalised, so equal
-    polynomials have equal fields and hashes: vals has no trailing zero
-    (() is the zero polynomial, with content 1), content > 0 and
-    gcd(content, *vals) == 1.
-
-    RatPoly(coeffs) builds one from rational coefficients with a nonzero
-    last entry; `coeffs` gives them back as Fractions."""
+class RatPoly(value_type("RatPoly", "vals content")):
+    """Dense polynomial, lowest degree first: RatPoly(vals, content) has
+    coefficient i equal to vals[i] / content, for integers vals and a
+    positive content.  It is stored normalised, so equal polynomials
+    have equal fields and hashes: vals is a tuple with no trailing zero
+    (() is the zero polynomial, with content 1) and
+    gcd(content, *vals) == 1.  `poly` builds one from rational
+    coefficients; `coeffs` gives them back as Fractions."""
 
     __slots__ = ()
 
-    def __new__(cls, coeffs: Sequence[RatLike]):
-        if coeffs and coeffs[-1] == 0:
-            raise ValueError("trailing coefficient must be nonzero")
-        return poly(coeffs)
-
-    def __getnewargs__(self):
-        # pickle and copy rebuild an instance through RatPoly(coeffs)
-        return (self.coeffs,)
+    def __new__(cls, vals: Sequence[int], content: int):
+        if content < 1:
+            raise ValueError("content must be positive")
+        hi = len(vals)
+        while hi and not vals[hi - 1]:
+            hi -= 1
+        vals = vals[:hi]
+        g = math.gcd(content, *vals)
+        if g != 1:
+            vals = [v // g for v in vals]
+            content //= g
+        return tuple.__new__(cls, (tuple(vals), content))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -94,31 +97,18 @@ class RatPoly(namedtuple("RatPoly", "vals content")):
         return Fraction(acc * den, self.content * power)
 
 
-def _normalise(vals: list[int], content: int) -> RatPoly:
-    """The polynomial sum vals[i] t^i / content, for content > 0: the only
-    place a RatPoly is built.  Drops trailing zeros and divides out the
-    gcd of content and vals."""
-    while vals and not vals[-1]:
-        vals.pop()
-    g = math.gcd(content, *vals)
-    if g != 1:
-        vals = [v // g for v in vals]
-        content //= g
-    return tuple.__new__(RatPoly, (tuple(vals), content))
-
-
 def poly(vals: Sequence[RatLike]) -> RatPoly:
     """Build from a coefficient sequence, dropping trailing zeros."""
     cs = [Fraction(v) for v in vals]
     content = math.lcm(*(c.denominator for c in cs))
-    return _normalise([c.numerator * (content // c.denominator) for c in cs], content)
+    return RatPoly([c.numerator * (content // c.denominator) for c in cs], content)
 
 
 def add(a: RatPoly, b: RatPoly) -> RatPoly:
     """Sum over the lcm of the contents."""
     content = math.lcm(a.content, b.content)
     fa, fb = content // a.content, content // b.content
-    return _normalise([x * fa + y * fb for x, y in zip_longest(a.vals, b.vals, fillvalue=0)], content)
+    return RatPoly([x * fa + y * fb for x, y in zip_longest(a.vals, b.vals, fillvalue=0)], content)
 
 
 def sub(a: RatPoly, b: RatPoly) -> RatPoly:
@@ -127,7 +117,7 @@ def sub(a: RatPoly, b: RatPoly) -> RatPoly:
 
 def scale(a: RatPoly, c: RatLike) -> RatPoly:
     c = Fraction(c)
-    return _normalise([v * c.numerator for v in a.vals], a.content * c.denominator)
+    return RatPoly([v * c.numerator for v in a.vals], a.content * c.denominator)
 
 
 def mul(a: RatPoly, b: RatPoly) -> RatPoly:
@@ -135,7 +125,7 @@ def mul(a: RatPoly, b: RatPoly) -> RatPoly:
     the contents."""
     if a.is_zero() or b.is_zero():
         return poly([])
-    return _normalise(_convolve(a.vals, b.vals), a.content * b.content)
+    return RatPoly(_convolve(a.vals, b.vals), a.content * b.content)
 
 
 def _convolve(va: Sequence[int], vb: Sequence[int]) -> list[int]:
@@ -158,7 +148,7 @@ def compose(a: RatPoly, b: RatPoly) -> RatPoly:
         power *= b.content
         acc = _convolve(acc, b.vals)
         acc[0] += c * power
-    return _normalise(acc, a.content * power)
+    return RatPoly(acc, a.content * power)
 
 
 def shift_arg(a: RatPoly, c: RatLike) -> RatPoly:
@@ -178,7 +168,7 @@ def from_roots(roots: Sequence[RatLike]) -> RatPoly:
         acc[1:] = [den * x - num * y for x, y in zip(acc, acc[1:])]
         acc[0] *= -num
         content *= den
-    return _normalise(acc, content)
+    return RatPoly(acc, content)
 
 
 def binom_poly(r: int, arg_shift: RatLike = 0) -> RatPoly:
@@ -223,7 +213,7 @@ def _from_values(values: Sequence[int]) -> RatPoly:
         acc.append(0)
         acc[1:] = [x - k * y for x, y in zip(acc, acc[1:])]
         acc[0] = diffs[k] * scale_k - k * acc[0]
-    return _normalise(acc, scale_k)
+    return RatPoly(acc, scale_k)
 
 
 def _first_difference(a: RatPoly, b: RatPoly) -> tuple[Fraction, Fraction, Fraction] | None:
@@ -252,7 +242,7 @@ def poly_report(
 # -- singlet curve and weight polynomials -------------------------------------
 
 
-class SingletCurve(namedtuple("SingletCurve", "m Cm p_x x_param y_param")):
+class SingletCurve(value_type("SingletCurve", "m Cm p_x x_param y_param")):
     """Genus-zero curve y^2 = p_x(x) with its rational parametrization
     x = x_param(t), y = y_param(t); Cm is the leading coefficient of p_x."""
 

@@ -210,6 +210,15 @@ def test_fermionic_suite_checks_every_module_outside_all(capsys):
     assert "fermionic-char" not in {r["identity_id"] for r in json.loads(capsys.readouterr().out)}
 
 
+@pytest.mark.parametrize("m, order", [(3, "1"), (6, "2")])
+def test_fermionic_suite_passes_below_the_pi_multi_sums(capsys, m, order):
+    # the pi modules' multi-sums have no term up to these orders: both
+    # sides are zero there, which is a pass, not a usage error
+    assert cli.main(["verify", "--suite", "fermionic", "--m", str(m), "--order", order]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert [r["status"] for r in reports] == ["pass"] * (2 * m + 1)
+
+
 class TestRankReport:
     @pytest.mark.parametrize("m", [2, 3])
     def test_numeric_exits_0_with_full_rank(self, capsys, m):

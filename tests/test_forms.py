@@ -230,7 +230,7 @@ def _two_loop_theta_sum(p, order, weighted):
         if arg * arg <= limit:
             visit(arg)
         n -= 1
-    return qs.QSeries(denom, coeffs, order)
+    return qs._from_coeffs(denom, coeffs, order)
 
 
 @pytest.mark.parametrize("k", [F(n, 2) for n in range(1, 21)])

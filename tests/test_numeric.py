@@ -108,7 +108,7 @@ def _eval_series_inputs(draw):
     coeffs = {lead + stride * i: F(draw(nums), content) for i in steps}
     order = F(lead + stride * max(steps, default=0), d) + draw(st.fractions(0, 3, max_denominator=6))
     tau = nm.TauPoint(draw(st.floats(-1, 1)), draw(st.floats(0.3, 2.5)))
-    return qs.QSeries(d, coeffs, order), tau
+    return qs._from_coeffs(d, coeffs, order), tau
 
 
 @settings(max_examples=300, deadline=None)

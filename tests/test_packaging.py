@@ -1,7 +1,7 @@
 """The package has no runtime dependency: its modules import only the
 standard library and each other, and pyproject.toml declares none.  No
-module imports dataclasses, and the modules behind --help, gm and zhu
-do not load qseries."""
+module imports dataclasses, the modules behind --help, gm and zhu do
+not load qseries, and every value type derives from report.value_type."""
 
 import ast
 import sys
@@ -63,3 +63,21 @@ def test_no_dataclasses_and_light_commands_skip_qseries():
 def test_pyproject_declares_no_dependencies():
     lines = (ROOT / "pyproject.toml").read_text().splitlines()
     assert [line for line in lines if line.startswith("dependencies")] == ["dependencies = []"]
+
+
+def test_only_report_builds_namedtuples():
+    # report.value_type is a namedtuple whose _make runs the subclass's
+    # checked constructor; a value type built on namedtuple (or
+    # typing.NamedTuple) directly would let _make and _replace skip it
+    sources = sorted((ROOT / "src" / "swqseries").glob("*.py"))
+    users = sorted(
+        {
+            path.name
+            for path in sources
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if (isinstance(node, ast.Name) and node.id in ("namedtuple", "NamedTuple"))
+            or (isinstance(node, ast.Attribute) and node.attr in ("namedtuple", "NamedTuple"))
+            or (isinstance(node, ast.alias) and node.name in ("namedtuple", "NamedTuple"))
+        }
+    )
+    assert users == ["report.py"]

@@ -223,7 +223,7 @@ def series(draw, max_denom=4, max_terms=5):
         )
     )
     coeffs = {k: c for k, c in zip(ks, cs) if c}
-    return qs.QSeries(d, coeffs, F(order_num, d))
+    return qs._from_coeffs(d, coeffs, F(order_num, d))
 
 
 def equal_upto_common(a, b):
@@ -286,8 +286,8 @@ def _built_twice(a, b, r, e):
     """Pairs of equal series, each built by two different paths, across
     every constructor and kernel."""
     pairs = [
-        (a, qs.QSeries(a.denom, a.coeffs, a.order)),
-        (a, qs.from_slots(a.denom, a.base, a.stride, list(a.vals), a.content, a.order)),
+        (a, qs._from_coeffs(a.denom, a.coeffs, a.order)),
+        (a, qs.QSeries(a.denom, a.base, a.stride, list(a.vals), a.content, a.order)),
         (a, qs.make_series(a.terms(), a.order)),
         (a, qs.truncate(a, a.order)),
         (qs.add(a, b), qs.add(b, a)),
@@ -301,7 +301,7 @@ def _built_twice(a, b, r, e):
         ),
     ]
     if not a.is_zero():
-        pairs.append((qs.invert(a), qs.invert(qs.QSeries(a.denom, a.coeffs, a.order))))
+        pairs.append((qs.invert(a), qs.invert(qs._from_coeffs(a.denom, a.coeffs, a.order))))
     return pairs
 
 
@@ -574,11 +574,11 @@ def kernel_series(draw, grids=(1, 2, 3, 12, 16, 48), max_order=12, big=True):
             for _ in steps
         ]
     coeffs = {lead + stride * i: F(n, content) for i, n in zip(steps, nums) if n}
-    return qs.QSeries(d, coeffs, order)
+    return qs._from_coeffs(d, coeffs, order)
 
 
 def _series(d, order, coeffs):
-    return qs.QSeries(d, {k: F(c) for k, c in coeffs.items()}, F(order))
+    return qs._from_coeffs(d, {k: F(c) for k, c in coeffs.items()}, F(order))
 
 
 @settings(max_examples=300, deadline=None)
@@ -721,7 +721,7 @@ def test_edge_series_have_the_shapes_the_examples_need():
 def test_from_slots_matches_dict_normalisation(denom, base, stride, vals, content, mult):
     vals = [v * mult for v in vals]
     coeffs = {base + i * stride: F(v, content) for i, v in enumerate(vals)}
-    assert_identical(qs.from_slots(denom, base, stride, vals, content, F(7)), _dict_normalized(denom, coeffs, F(7)))
+    assert_identical(qs.QSeries(denom, base, stride, vals, content, F(7)), _dict_normalized(denom, coeffs, F(7)))
 
 
 @settings(max_examples=200, deadline=None)
