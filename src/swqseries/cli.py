@@ -112,8 +112,8 @@ def emit_report(reports: list[VerificationReport], format: str, sink: IO[str]) -
     as "num/den" strings.  CSV: fixed header, params as sorted k=v
     pairs joined by semicolons, empty mismatch columns on a pass."""
     if format == "json":
-        json.dump([_report_payload(r) for r in reports], sink, separators=(",", ":"))
-        sink.write("\n")
+        # json.dumps runs the C encoder; json.dump would run the Python one
+        sink.write(json.dumps([_report_payload(r) for r in reports], separators=(",", ":")) + "\n")
         return
     if format != "csv":
         raise UsageError(f"unknown format {format!r}")

@@ -4,15 +4,19 @@ characters, and the auxiliary single- and double-sum identities.
 
 Every sum here runs through one Horner kernel, `_horner`: from the top
 term down, acc <- R_k acc + q^{s_k} x_k on one int list, where the
-ratio R_k is a product of factors 1 + q^a and divisors 1 - q^b.  The
-module builds only these fermionic sides: every product side is a
-theta series or an inverse eta or Weber series from `forms`."""
+ratio R_k is a product of factors 1 + q^a and divisors 1 - q^b.  A
+last term with no x applies its ratio to the whole sum, so a finite
+product in front of a sum (the Durfee factors) is one more Horner step,
+and a sum whose terms carry another sum as their x is a product of two
+sums.  The module multiplies series only by the bosonic infinite
+products it takes from `forms`: every product side is a theta series or
+an inverse eta or Weber series from there."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import floor, isqrt
 from operator import add
 
@@ -97,7 +101,9 @@ def _horner(n: int, terms) -> list[int]:
     term down, x_k a list from q^0 and
     R_k = prod_{a in ups_k} (1 + q^a) / prod_{b in downs_k} (1 - q^b).
     Each step is acc <- R_k acc + t_k: a factor is one shifted add, a
-    divisor running sums (`_div`), and both skip acc[:low], which is zero."""
+    divisor running sums (`_div`), and both skip acc[:low], which is zero.
+    A term with an empty x adds nothing, so as the last term it applies
+    R_k to the whole sum."""
     if n <= 0:
         return []
     acc = [0] * n
@@ -304,18 +310,18 @@ def _char_shift(module: SWModuleId) -> Fraction:
 
 
 def fermionic_char_report(module: SWModuleId, order: RatLike) -> VerificationReport:
-    """Compare the multi-sum form against q^{shift} * sw_char for the
-    fixed shift that `fermionic_sw_char` returns, which is reported in
-    params."""
+    """Compare the multi-sum form against q^{shift} * sw_char up to the
+    requested order, for the fixed shift that `fermionic_sw_char`
+    returns, which is reported in params.  sw_char is built to
+    order - min(shift, 0), so that q^{shift} * sw_char is exact there."""
     order_f = Fraction(order)
     params = {"m": module.m, "module": module.label}
 
     def check():
         series, shift = fermionic_sw_char(module, order_f)
         params["shift"] = shift
-        char = characters.sw_char(module, order_f)
-        at = min(order_f, order_f + shift)
-        return at, qs.compare(series, qs.shift(char, shift), at)
+        char = characters.sw_char(module, order_f - min(shift, 0))
+        return order_f, qs.compare(series, qs.shift(char, shift), order_f)
 
     return qs.run_check("fermionic-char", params, check)
 
@@ -328,6 +334,7 @@ def verify_fermionic_chars(m: int, order: RatLike) -> list[VerificationReport]:
 # -- auxiliary identities ---------------------------------------------------
 
 
+# Uncalled: kept only because swqbench/tracer.py reads their cache_info() (ROADMAP item 2).
 @lru_cache(maxsize=None)
 def _finite_poch(start: Fraction, step: Fraction, sign: int, count: int, order: Fraction) -> QSeries:
     return qs.pochhammer(start, step, sign, count, order)
@@ -345,23 +352,25 @@ def _finite_poch_inv(start: Fraction, step: Fraction, sign: int, count: int, ord
 
 
 def _durfee_half(k: int, order: Fraction) -> QSeries:
-    # sum_n q^{(n^2+kn)/2} / [(u;u)_n (u;u)_{n+k}],  u = q^{1/2}
-    h = Fraction(1, 2)
+    # sum_n q^{(n^2+kn)/2} / [(u;u)_n (u;u)_{n+k}],  u = q^{1/2}; the
+    # ratios give (u;u)_n (u^{k+1};u)_n, and the last term, with no x,
+    # divides by the rest, (u;u)_k
     top = floor(2 * order)
-    acc = _horner(top + 1, (
-        (n * n + k * n, [1], (), (n + 1, n + k + 1)) for n in range(isqrt(max(top, 0)), -1, -1)))
-    return qs.mul(_finite_poch_inv(h, h, -1, k, order), QSeries(2, 0, 1, acc, 1, order))
+    acc = _horner(top + 1, chain(
+        ((n * n + k * n, [1], (), (n + 1, n + k + 1)) for n in range(isqrt(max(top, 0)), -1, -1)),
+        [(0, (), (), range(1, k + 1))]))
+    return QSeries(2, 0, 1, acc, 1, order)
 
 
 def _durfee_mixed(k: int, order: Fraction) -> QSeries:
-    # sum_n (-u;u)_n (-u;u)_{n+k} q^{(n^2+kn)/2} / [(q)_n (q)_{n+k}]
-    h = Fraction(1, 2)
+    # sum_n (-u;u)_n (-u;u)_{n+k} q^{(n^2+kn)/2} / [(q)_n (q)_{n+k}]; the
+    # last term, with no x, applies the rest, (-u;u)_k / (q)_k
     top = floor(2 * order)
-    acc = _horner(top + 1, (
-        (n * n + k * n, [1], (n + 1, n + k + 1), (2 * n + 2, 2 * n + 2 * k + 2))
-        for n in range(isqrt(max(top, 0)), -1, -1)))
-    total = qs.mul(QSeries(2, 0, 1, acc, 1, order), _finite_poch(h, h, 1, k, order))
-    return qs.mul(total, _finite_poch_inv(Fraction(1), Fraction(1), -1, k, order))
+    acc = _horner(top + 1, chain(
+        ((n * n + k * n, [1], (n + 1, n + k + 1), (2 * n + 2, 2 * n + 2 * k + 2))
+         for n in range(isqrt(max(top, 0)), -1, -1)),
+        [(0, (), range(1, k + 1), range(2, 2 * k + 1, 2))]))
+    return QSeries(2, 0, 1, acc, 1, order)
 
 
 def _euler_eta_sum(order: Fraction) -> QSeries:
@@ -376,17 +385,18 @@ def _euler_eta_sum(order: Fraction) -> QSeries:
 def _eta_double_sum(order: Fraction) -> QSeries:
     # q^{5/48} sum_{m1,m2 >= 0} (-1)^{m1+m2} (-u;u)_{m2}
     #   q^{m1(m1+1) + m2(m2+1)/4} / [(q^2;q^2)_{m1} (q)_{m2}],
-    # a product of the sum over m1 and the sum over m2
+    # the sum over m1 with the sum over m2 as the x of its terms
     lead = Fraction(5, 48)
     inner_order = order - lead
     top = floor(2 * inner_order)
     if top < 0:
         return qs.zero(order)
-    s1 = _horner(top + 1, ((2 * m * (m + 1), [(-1) ** m], (), (4 * m + 4,)) for m in range(isqrt(top), -1, -1)))
     s2 = _horner(top + 1, (
         (m * (m + 1) // 2, [(-1) ** m], (m + 1,), (2 * m + 2,)) for m in range(isqrt(2 * top), -1, -1)))
-    prod = qs.mul(QSeries(2, 0, 1, s1, 1, inner_order), QSeries(2, 0, 1, s2, 1, inner_order))
-    return qs.shift(prod, lead)
+    neg_s2 = [-c for c in s2]
+    acc = _horner(top + 1, (
+        (2 * m * (m + 1), neg_s2 if m % 2 else s2, (), (4 * m + 4,)) for m in range(isqrt(top), -1, -1)))
+    return qs.shift(QSeries(2, 0, 1, acc, 1, inner_order), lead)
 
 
 def _theta_double_sum(order: Fraction) -> QSeries:

@@ -94,11 +94,16 @@ def eval_series(a: QSeries, tau: TauPoint, tol: float | None = None) -> tuple[co
     ValueError naming an order that would suffice.
     """
     log_q = 2.0 * math.pi * complex(-tau.im, tau.re)
+    # int true division rounds correctly, so each coefficient and
+    # exponent equals float() of its exact Fraction
+    base, stride, denom, content, exp = a.base, a.stride, a.denom, a.content, cmath.exp
     value = complex(0.0)
     big = 1.0
-    for cf, e in a.float_terms():
-        value += cf * cmath.exp(log_q * e)
-        big = max(big, abs(cf))
+    for i, v in enumerate(a.vals):
+        if v:
+            cf = v / content
+            value += cf * exp(log_q * ((base + i * stride) / denom))
+            big = max(big, abs(cf))
     step = tau.q_abs ** (1.0 / a.denom)
     if step == 1.0:
         raise ValueError(f"Im tau = {tau.im:.3g} is too small: |q|^(1/{a.denom}) rounds to 1, no tail bound")

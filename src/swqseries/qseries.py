@@ -115,13 +115,6 @@ class QSeries(value_type("QSeries", "denom base stride vals content order")):
             if v
         ]
 
-    def float_terms(self) -> list[tuple[float, float]]:
-        """(coefficient, exponent) as floats for the nonzero terms, in
-        increasing exponent; int true division rounds correctly, so each
-        equals float() of the exact Fraction."""
-        base, stride, denom, content = self.base, self.stride, self.denom, self.content
-        return [(v / content, (base + i * stride) / denom) for i, v in enumerate(self.vals) if v]
-
     def __repr__(self) -> str:
         ts = self.terms()
         shown = ", ".join(f"{c}*q^{e}" for e, c in ts[:6])

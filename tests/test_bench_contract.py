@@ -56,9 +56,10 @@ def test_traced_run_matches_plain_run_and_reaches_every_kernel(tmp_path):
     # A kernel bound to another name before the tracer wraps it (say
     # `from .qseries import mul` in a module the package imports
     # eagerly, or an alias inside qseries) escapes the wrappers and
-    # reads as zero work; the traced run must see every kernel, each
-    # auxiliary sum (their spans are fermionic.aux.self_s) and both
-    # Pochhammer caches.
+    # reads as zero work; the traced run must see every kernel and each
+    # auxiliary sum (their spans are fermionic.aux.self_s).  The Durfee
+    # sums and the eta double sum are single Horner sums: no series
+    # product, Pochhammer product or inverse runs inside them.
     args = ["verify", "--suite", "all", "--m", "1", "--order", "12"]
     out = tmp_path / "spans.jsonl"
     traced = _python(str(TRACER), "--out", str(out), "--", *args)
@@ -74,6 +75,12 @@ def test_traced_run_matches_plain_run_and_reaches_every_kernel(tmp_path):
         "fermionic._eta_double_sum", "fermionic._theta_double_sum",
     ):
         assert names[name] > 0, name
-    for name in ("fermionic._finite_poch", "fermionic._finite_poch_inv"):
-        hits, misses = trace["caches"][name]
-        assert hits + misses > 0, name
+    by_id = {span["id"]: span["name"] for span in trace["spans"]}
+    horner_only = ("fermionic._durfee_half", "fermionic._durfee_mixed", "fermionic._eta_double_sum")
+    inside = [
+        (span["name"], by_id.get(span["parent"]))
+        for span in trace["spans"]
+        if span["name"] in ("qseries.mul", "qseries.invert", "qseries.pochhammer")
+        and by_id.get(span["parent"]) in horner_only
+    ]
+    assert inside == []

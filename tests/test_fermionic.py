@@ -693,16 +693,31 @@ def test_fermionic_char_report_builds_the_character_once(monkeypatch):
 
 def test_fermionic_char_report_fails_a_moved_series(monkeypatch):
     # the shift is fixed, not fitted to the leading exponents: a series
-    # moved by q^{1/2} fails against the same character
+    # moved by q^{1/2} fails against the same character, also at order
+    # 1/2 (pi:2 has its first term at q^{1/2}), for every module whose
+    # series has a term up to the order
     def moved(module, order):
         series, shift = sw_char(module, order)
         return qs.shift(series, F(1, 2)), shift
 
     sw_char = fm.fermionic_sw_char
     monkeypatch.setattr(fm, "fermionic_sw_char", moved)
-    for mid in ch.all_module_ids(2):
-        rep = fm.fermionic_char_report(mid, 20)
-        assert rep.status == "fail" and rep.params["shift"] == F(1, 16) - F((2 - mid.i) ** 2, 10)
+    for order in (F(20), F(1, 2)):
+        for mid in ch.all_module_ids(2):
+            rep = fm.fermionic_char_report(mid, order)
+            want = "pass" if sw_char(mid, order)[0].is_zero() else "fail"
+            assert rep.status == want, (mid, order)
+            assert rep.params["shift"] == F(1, 16) - F((2 - mid.i) ** 2, 10)
+
+
+def test_fermionic_char_report_compares_to_the_requested_order():
+    # the shift is negative for most modules; the comparison still runs
+    # up to the order asked for, not up to order + shift, where at small
+    # orders both sides would be empty
+    reports = fm.verify_fermionic_chars(5, F(1, 2))
+    assert [r.order for r in reports] == [F(1, 2)] * 11
+    assert all(r.status == "pass" for r in reports)
+    assert any(r.params["shift"] < 0 for r in reports)
 
 
 def test_fermionic_char_below_lead_rejected():
@@ -879,7 +894,7 @@ def _times_ratio(acc: list[int], ups, downs, size: int) -> None:
 def _ratio_durfee_half(k: int, order: Fraction) -> qs.QSeries:
     h = Fraction(1, 2)
     acc = _ratio_horner(floor(2 * order), 1, lambda n: n * n + k * n, lambda n: ((), (n + 1, n + k + 1)))
-    return qs.mul(fm._finite_poch_inv(h, h, -1, k, order), qs.QSeries(2, 0, 1, acc, 1, order))
+    return qs.mul(_finite_poch_inv(h, h, -1, k, order), qs.QSeries(2, 0, 1, acc, 1, order))
 
 
 def _ratio_durfee_mixed(k: int, order: Fraction) -> qs.QSeries:
@@ -887,8 +902,8 @@ def _ratio_durfee_mixed(k: int, order: Fraction) -> qs.QSeries:
     acc = _ratio_horner(
         floor(2 * order), 1, lambda n: n * n + k * n, lambda n: ((n + 1, n + k + 1), (2 * n + 2, 2 * n + 2 * k + 2))
     )
-    total = qs.mul(qs.QSeries(2, 0, 1, acc, 1, order), fm._finite_poch(h, h, 1, k, order))
-    return qs.mul(total, fm._finite_poch_inv(Fraction(1), Fraction(1), -1, k, order))
+    total = qs.mul(qs.QSeries(2, 0, 1, acc, 1, order), _finite_poch(h, h, 1, k, order))
+    return qs.mul(total, _finite_poch_inv(Fraction(1), Fraction(1), -1, k, order))
 
 
 def _ratio_euler_eta_sum(order: Fraction) -> qs.QSeries:

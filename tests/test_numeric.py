@@ -97,6 +97,22 @@ def _fraction_eval_series(a, tau):
     return value, tail
 
 
+def _float_terms_eval_series(a, tau):
+    """eval_series as it was written over the float (coefficient,
+    exponent) pairs of the nonzero terms: the oracle for the loop over
+    the series fields."""
+    log_q = 2.0 * math.pi * complex(-tau.im, tau.re)
+    value = complex(0.0)
+    big = 1.0
+    terms = [(v / a.content, (a.base + i * a.stride) / a.denom) for i, v in enumerate(a.vals) if v]
+    for cf, e in terms:
+        value += cf * cmath.exp(log_q * e)
+        big = max(big, abs(cf))
+    step = tau.q_abs ** (1.0 / a.denom)
+    tail = big * tau.q_abs ** (float(a.order) + 1.0 / a.denom) / (1.0 - step)
+    return value, tail
+
+
 @st.composite
 def _eval_series_inputs(draw):
     d = draw(st.sampled_from([1, 2, 3, 12, 24, 48]))
@@ -121,8 +137,8 @@ def _eval_series_inputs(draw):
 def test_eval_series_floats_are_bit_identical(case):
     a, tau = case
     got = nm.eval_series(a, tau)
-    want = _fraction_eval_series(a, tau)
-    assert got[0] == want[0] and got[1] == want[1]
+    for want in (_fraction_eval_series(a, tau), _float_terms_eval_series(a, tau)):
+        assert got[0] == want[0] and got[1] == want[1]
 
 
 class TestLaws:
