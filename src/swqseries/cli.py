@@ -7,18 +7,21 @@ calling process, so they share its lru_caches.
 
 Every report comes from `report.run_check`, the only report constructor
 and the only timer in the package.  Each suite calls only its own
-module; a --tol under numeric's floor fails before any suite runs.
+module; a --tol under numeric's floor, or an --m or --order over the
+cost budget, fails before any suite runs.  One table, `_COMMANDS`, gives
+each command its help, default --order, suite and flags, and one writer
+serves the reports and the char/superchar series alike.
 
 A process imports only the modules its command runs: `report` always, a
-suite's module when the suite runs, `characters` for --module and
-`numeric` for --tau.  `qseries` loads only with a suite that checks
-q-series, so `--help`, `gm` and `zhu` never compile it.
+suite's module when the suite runs, `characters` for --module,
+`numeric` for --tau and `csv` for --format csv.  `qseries` loads only
+with a suite that checks q-series, so `--help`, `gm` and `zhu` never
+compile it.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib
 import json
 import math
@@ -33,18 +36,52 @@ if TYPE_CHECKING:
 
 __all__ = ["RunConfig", "UsageError", "run", "emit_report", "main"]
 
-_COMMANDS = ("char", "superchar", "verify", "gm", "zhu", "numeric")
+# Suite name -> (swqseries module, reports(module, config)); `--suite all` runs
+# them in order but fermionic, which the pinned report lists of `all` omit.
+_SUITES = {
+    "forms": ("forms", lambda forms, c: forms.verify_form_identities(c.order)),
+    "characters": ("characters", lambda characters, c: characters.verify_character_suite(c.m, c.order)),
+    "warnaar": ("fermionic", lambda fermionic, c: fermionic.verify_warnaar(2 * c.m + 1, c.order)),
+    "aux": ("fermionic", lambda fermionic, c: fermionic.verify_aux_identities(c.order)),
+    "zhu": ("zhupoly", lambda zhupoly, c: zhupoly.verify_zhu_suite(c.m)),
+    "gm": ("gmverify", lambda gmverify, c: gmverify.verify_gm_suite(c.m)),
+    "numeric": ("numeric", lambda numeric, c: numeric.verify_numeric_suite(c.m, c.tau, c.order, c.tol)),
+    "fermionic": ("fermionic", lambda fermionic, c: fermionic.verify_fermionic_chars(c.m, c.order)),
+}
+
+# Flag -> add_argument keywords, for the flags beyond --m, --order and --format;
+# the defaults of all four come from each subparser's set_defaults.
+_FLAGS = {
+    "--module": {"required": True, "help": "module selector, lambda:N or pi:N"},
+    "--suite": {"choices": ("all", *_SUITES)},
+    "--tol": {"type": float, "help": "numeric residual tolerance"},
+    "--tau": {
+        "nargs": "+",
+        "help": "upper half-plane points, e.g. 0.3+1.1j; quote a point with a leading "
+        "minus in parentheses, e.g. '(-0.4+0.9j)', so it is not read as a flag",
+    },
+}
+
+# Command -> (help, default --order, suite it runs, flags it takes from _FLAGS)
+_COMMANDS = {
+    "char": ("print one character expansion", "10", "all", ("--module",)),
+    "superchar": ("print one supercharacter expansion", "10", "all", ("--module",)),
+    "verify": ("run a verification suite", "20", "all", ("--suite", "--tol", "--tau")),
+    "gm": ("shortcut for verify --suite gm", "20", "gm", ()),
+    "zhu": ("shortcut for verify --suite zhu", "20", "zhu", ()),
+    "numeric": ("shortcut for verify --suite numeric", "300", "numeric", ("--tol", "--tau")),
+}
+_DEFAULT_TOL = 1e-8
 _DEFAULT_TAUS = ((0.0, 1.0), (0.3, 1.1), (-0.4, 0.9))
-_CSV_HEADER = [
-    "identity_id",
-    "params",
-    "order",
-    "status",
-    "mismatch_exponent",
-    "lhs",
-    "rhs",
-    "runtime_ms",
-]
+_CSV_HEADER = ["identity_id", "params", "order", "status", "mismatch_exponent", "lhs", "rhs", "runtime_ms"]
+# Cost preflight: a larger --m, or --m times --order, exits 2 before any work.
+# gm costs about m^4.3 and a q-series suite about c*order^2, with c growing
+# steeply in m (warnaar about m^4 at order 20).  At the corners of the budget,
+# on 2 vCPUs with Python 3.11.7: `gm --m 50` takes 3.7 s, `verify --suite
+# warnaar --m 50 --order 80` 13 s, `verify --m 1 --order 4000` 58 s (64 MB);
+# `gm --m 500` would take hours.
+_MAX_M = 50
+_MAX_M_ORDER = 4000
 
 
 class UsageError(ValueError):
@@ -52,7 +89,8 @@ class UsageError(ValueError):
 
 
 class RunConfig(value_type("RunConfig", "command m module order suite format tol tau")):
-    """One resolved invocation.  tau holds (re, im) pairs."""
+    """One resolved invocation.  tau holds (re, im) pairs.  An order,
+    suite or tau left at None takes the command's default."""
 
     __slots__ = ()
 
@@ -61,14 +99,18 @@ class RunConfig(value_type("RunConfig", "command m module order suite format tol
         command: str,
         m: int = 1,
         module: SWModuleId | None = None,
-        order: Fraction = Fraction(20),
-        suite: str = "all",
+        order: Fraction | None = None,
+        suite: str | None = None,
         format: str = "json",
-        tol: float = 1e-8,
-        tau: tuple[tuple[float, float], ...] = _DEFAULT_TAUS,
+        tol: float = _DEFAULT_TOL,
+        tau: tuple[tuple[float, float], ...] | None = None,
     ):
         if command not in _COMMANDS:
             raise UsageError(f"unknown command {command!r}")
+        _, default_order, default_suite, _ = _COMMANDS[command]
+        order = Fraction(default_order) if order is None else order
+        suite = default_suite if suite is None else suite
+        tau = _DEFAULT_TAUS if tau is None else tau
         if suite not in ("all", *_SUITES):
             raise UsageError(f"unknown suite {suite!r}")
         if format not in ("json", "csv"):
@@ -77,6 +119,11 @@ class RunConfig(value_type("RunConfig", "command m module order suite format tol
             raise UsageError("m must be positive")
         if order <= 0:
             raise UsageError("order must be positive")
+        if m > _MAX_M:
+            raise UsageError(f"m = {m} is over the budget of {_MAX_M}")
+        # gm and zhu do not read the order
+        if suite not in ("gm", "zhu") and m * order > _MAX_M_ORDER:
+            raise UsageError(f"m * order = {m * order} is over the budget of {_MAX_M_ORDER}")
         if command in ("char", "superchar") and module is None:
             raise UsageError(f"{command} requires --module")
         if not tau:
@@ -86,6 +133,21 @@ class RunConfig(value_type("RunConfig", "command m module order suite format tol
         if not math.isfinite(tol):
             raise UsageError(f"tol must be finite, got {tol}")
         return tuple.__new__(cls, (command, m, module, order, suite, format, tol, tau))
+
+
+def _write(format: str, sink: IO[str], payload, header: list[str], rows) -> None:
+    """JSON: payload on one line.  CSV: the header, then rows."""
+    if format == "json":
+        # json.dumps runs the C encoder; json.dump would run the Python one
+        sink.write(json.dumps(payload, separators=(",", ":")) + "\n")
+        return
+    if format != "csv":
+        raise UsageError(f"unknown format {format!r}")
+    import csv
+
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def _json_value(v):
@@ -107,40 +169,17 @@ def _report_payload(r: VerificationReport) -> dict:
     }
 
 
+def _report_row(r: VerificationReport) -> list[str]:
+    params = ";".join(f"{k}={r.params[k]}" for k in sorted(r.params))
+    e, lhs, rhs = ("", "", "") if r.first_mismatch is None else (str(x) for x in r.first_mismatch)
+    return [r.identity_id, params, str(r.order), r.status, e, lhs, rhs, f"{r.runtime_ms:.3f}"]
+
+
 def emit_report(reports: list[VerificationReport], format: str, sink: IO[str]) -> None:
     """JSON: array of objects with exactly the report fields, rationals
     as "num/den" strings.  CSV: fixed header, params as sorted k=v
     pairs joined by semicolons, empty mismatch columns on a pass."""
-    if format == "json":
-        # json.dumps runs the C encoder; json.dump would run the Python one
-        sink.write(json.dumps([_report_payload(r) for r in reports], separators=(",", ":")) + "\n")
-        return
-    if format != "csv":
-        raise UsageError(f"unknown format {format!r}")
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
-    for r in reports:
-        params = ";".join(f"{k}={r.params[k]}" for k in sorted(r.params))
-        e, lhs, rhs = ("", "", "")
-        if r.first_mismatch is not None:
-            e, lhs, rhs = (str(x) for x in r.first_mismatch)
-        writer.writerow(
-            [r.identity_id, params, str(r.order), r.status, e, lhs, rhs, f"{r.runtime_ms:.3f}"]
-        )
-
-
-# Suite name -> (swqseries module, reports(module, config)); `--suite all` runs
-# them in order but fermionic, which the pinned report lists of `all` omit.
-_SUITES = {
-    "forms": ("forms", lambda forms, c: forms.verify_form_identities(c.order)),
-    "characters": ("characters", lambda characters, c: characters.verify_character_suite(c.m, c.order)),
-    "warnaar": ("fermionic", lambda fermionic, c: fermionic.verify_warnaar(2 * c.m + 1, c.order)),
-    "aux": ("fermionic", lambda fermionic, c: fermionic.verify_aux_identities(c.order)),
-    "zhu": ("zhupoly", lambda zhupoly, c: zhupoly.verify_zhu_suite(c.m)),
-    "gm": ("gmverify", lambda gmverify, c: gmverify.verify_gm_suite(c.m)),
-    "numeric": ("numeric", lambda numeric, c: numeric.verify_numeric_suite(c.m, c.tau, c.order, c.tol)),
-    "fermionic": ("fermionic", lambda fermionic, c: fermionic.verify_fermionic_chars(c.m, c.order)),
-}
+    _write(format, sink, [_report_payload(r) for r in reports], _CSV_HEADER, map(_report_row, reports))
 
 
 def _suite_reports(name: str, config: RunConfig) -> list[VerificationReport]:
@@ -156,20 +195,9 @@ def _emit_series(config: RunConfig, sink: IO[str]) -> int:
     from . import characters
 
     build = characters.sw_char if config.command == "char" else characters.sw_superchar_theta
-    series = build(config.module, config.order)
-    if config.format == "csv":
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(["exponent", "coefficient"])
-        for e, c in series.terms():
-            writer.writerow([str(e), str(c)])
-    else:
-        payload = {
-            "module": config.module.label,
-            "order": str(config.order),
-            "terms": [[str(e), str(c)] for e, c in series.terms()],
-        }
-        json.dump(payload, sink, separators=(",", ":"))
-        sink.write("\n")
+    terms = [[str(e), str(c)] for e, c in build(config.module, config.order).terms()]
+    payload = {"module": config.module.label, "order": str(config.order), "terms": terms}
+    _write(config.format, sink, payload, ["exponent", "coefficient"], terms)
     return 0
 
 
@@ -231,62 +259,27 @@ def _build_parser() -> argparse.ArgumentParser:
         "N=1 super-triplet family; see `swq verify --help` for the suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, order_default: str) -> None:
+    for name, (summary, order, suite, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--m", type=int, default=1, help="family index, one per odd 2m+1")
-        p.add_argument("--order", default=order_default, help="truncation order, e.g. 25 or 51/2")
+        p.add_argument("--order", default=order, help="truncation order, e.g. 25 or 51/2")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    def numeric_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol", type=float, default=1e-8, help="numeric residual tolerance")
-        p.add_argument(
-            "--tau",
-            nargs="+",
-            help="upper half-plane points, e.g. 0.3+1.1j; quote a point with a leading "
-            "minus in parentheses, e.g. '(-0.4+0.9j)', so it is not read as a flag",
-        )
-
-    for name in ("char", "superchar"):
-        p = sub.add_parser(name, help=f"print one {name}acter expansion")
-        common(p, "10")
-        p.add_argument("--module", required=True, help="module selector, lambda:N or pi:N")
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    common(p, "20")
-    p.add_argument("--suite", choices=("all", *_SUITES), default="all")
-    numeric_flags(p)
-
-    p = sub.add_parser("gm", help="shortcut for verify --suite gm")
-    common(p, "20")
-    p = sub.add_parser("zhu", help="shortcut for verify --suite zhu")
-    common(p, "20")
-    p = sub.add_parser("numeric", help="shortcut for verify --suite numeric")
-    common(p, "300")
-    numeric_flags(p)
-
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(suite=suite, module=None, tol=_DEFAULT_TOL, tau=None)
     return parser
 
 
 def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    command = ns.command
-    suite = getattr(ns, "suite", None)
-    if suite is None:
-        suite = command if command in _SUITES else "all"
-    module = None
-    if getattr(ns, "module", None) is not None:
-        module = _parse_module(ns.m, ns.module)
-    taus = _DEFAULT_TAUS
-    if getattr(ns, "tau", None) is not None:
-        taus = tuple(_parse_tau(t) for t in ns.tau)
     return RunConfig(
-        command=command,
+        command=ns.command,
         m=ns.m,
-        module=module,
+        module=None if ns.module is None else _parse_module(ns.m, ns.module),
         order=_parse_order(ns.order),
-        suite=suite,
+        suite=ns.suite,
         format=ns.format,
-        tol=getattr(ns, "tol", 1e-8),
-        tau=taus,
+        tol=ns.tol,
+        tau=None if ns.tau is None else tuple(_parse_tau(t) for t in ns.tau),
     )
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 from . import qseries as qs
@@ -152,29 +152,17 @@ def _pair_eta_half_inverse(order: Fraction) -> tuple[QSeries, QSeries]:
     return lhs, rhs
 
 
-def _pair_theta_half_level(mm: int, j: int, order: Fraction) -> tuple[QSeries, QSeries]:
+def _pair_half_level(weighted: bool, mm: int, j: int, order: Fraction) -> tuple[QSeries, QSeries]:
+    # Theta_{2j,2mm+1}(tau/2) = Theta_{j,(2mm+1)/2}(tau); each weight 2kn+j doubles
+    build = dtheta if weighted else theta
     n = order + 2
-    lhs = qs.substitute_power(theta(ThetaParams(2 * j, Fraction(2 * mm + 1)), 2 * n), Fraction(1, 2))
-    rhs = theta(ThetaParams(j, Fraction(2 * mm + 1, 2)), n)
-    return lhs, rhs
+    lhs = qs.substitute_power(build(ThetaParams(2 * j, Fraction(2 * mm + 1)), 2 * n), Fraction(1, 2))
+    rhs = build(ThetaParams(j, Fraction(2 * mm + 1, 2)), n)
+    return lhs, qs.scale(rhs, 2) if weighted else rhs
 
 
-def _pair_dtheta_half_level(mm: int, j: int, order: Fraction) -> tuple[QSeries, QSeries]:
-    n = order + 2
-    lhs = qs.substitute_power(dtheta(ThetaParams(2 * j, Fraction(2 * mm + 1)), 2 * n), Fraction(1, 2))
-    rhs = qs.scale(dtheta(ThetaParams(j, Fraction(2 * mm + 1, 2)), n), 2)
-    return lhs, rhs
-
-
-def _pair_theta_negate(j: int, k: Fraction, order: Fraction) -> tuple[QSeries, QSeries]:
-    return theta(ThetaParams(j, k), order + 1), theta(ThetaParams(-j, k), order + 1)
-
-
-def _pair_theta_reflect(j: int, k: Fraction, order: Fraction) -> tuple[QSeries, QSeries]:
-    return (
-        theta(ThetaParams(j, k), order + 1),
-        theta(ThetaParams(int(2 * k) - j, k), order + 1),
-    )
+def _pair_theta_partner(j: int, partner: int, k: Fraction, order: Fraction) -> tuple[QSeries, QSeries]:
+    return theta(ThetaParams(j, k), order + 1), theta(ThetaParams(partner, k), order + 1)
 
 
 def _suite(order: Fraction) -> list[tuple[str, dict, Callable[[], tuple[QSeries, QSeries]]]]:
@@ -186,27 +174,12 @@ def _suite(order: Fraction) -> list[tuple[str, dict, Callable[[], tuple[QSeries,
     ]
     for mm in (1, 2, 3):
         for j in range(0, 2 * mm + 2):
-            items.append(
-                (
-                    "theta-half-level",
-                    {"m": mm, "j": j},
-                    lambda mm=mm, j=j: _pair_theta_half_level(mm, j, order),
-                )
-            )
-            items.append(
-                (
-                    "dtheta-half-level",
-                    {"m": mm, "j": j},
-                    lambda mm=mm, j=j: _pair_dtheta_half_level(mm, j, order),
-                )
-            )
+            for identity_id, weighted in (("theta-half-level", False), ("dtheta-half-level", True)):
+                items.append((identity_id, {"m": mm, "j": j}, partial(_pair_half_level, weighted, mm, j, order)))
+    # Theta_{j,k} is even in j and depends only on j mod 2k
     for j, k in ((1, Fraction(3, 2)), (2, Fraction(3, 2)), (1, Fraction(5, 2)), (2, Fraction(6))):
-        items.append(
-            ("theta-symmetry-negate", {"j": j, "k": k}, lambda j=j, k=k: _pair_theta_negate(j, k, order))
-        )
-        items.append(
-            ("theta-symmetry-reflect", {"j": j, "k": k}, lambda j=j, k=k: _pair_theta_reflect(j, k, order))
-        )
+        for identity_id, partner in (("theta-symmetry-negate", -j), ("theta-symmetry-reflect", int(2 * k) - j)):
+            items.append((identity_id, {"j": j, "k": k}, partial(_pair_theta_partner, j, partner, k, order)))
     return items
 
 

@@ -58,6 +58,75 @@ class TestRunConfig:
             cli.RunConfig(command="verify").m = 2
 
 
+_CONFIG_DEFAULTS = {"m": 1, "module": None, "format": "json", "tol": 1e-8, "tau": cli._DEFAULT_TAUS}
+
+
+@pytest.mark.parametrize(
+    "argv, fields",
+    [
+        (["char", "--module", "lambda:1"], {"order": F(10), "suite": "all", "module": ("lambda", 1)}),
+        (
+            ["superchar", "--m", "2", "--module", "pi:2"],
+            {"m": 2, "order": F(10), "suite": "all", "module": ("pi", 2)},
+        ),
+        (["verify"], {"order": F(20), "suite": "all"}),
+        (
+            ["verify", "--suite", "aux", "--order", "51/2", "--format", "csv"],
+            {"order": F(51, 2), "suite": "aux", "format": "csv"},
+        ),
+        (["gm", "--m", "3"], {"m": 3, "order": F(20), "suite": "gm"}),
+        (["zhu"], {"order": F(20), "suite": "zhu"}),
+        (["numeric"], {"order": F(300), "suite": "numeric"}),
+        (
+            ["numeric", "--tol", "1e-10", "--tau", "0.3+1.1j", "(-0.4+0.9j)"],
+            {"order": F(300), "suite": "numeric", "tol": 1e-10, "tau": ((0.3, 1.1), (-0.4, 0.9))},
+        ),
+    ],
+)
+def test_argv_resolves_through_the_command_table(argv, fields):
+    config = cli._config_from_args(cli._build_parser().parse_args(argv))
+    expected = {**_CONFIG_DEFAULTS, "command": argv[0], **fields}
+    if expected["module"] is not None:
+        expected["module"] = characters.SWModuleId(expected["m"], *expected["module"])
+    assert config._asdict() == expected
+
+
+@pytest.mark.parametrize("command", ["verify", "gm", "zhu", "numeric"])
+def test_run_config_defaults_match_the_parser(command):
+    assert cli.RunConfig(command) == cli._config_from_args(cli._build_parser().parse_args([command]))
+
+
+class TestCostBudget:
+    def test_m_boundary(self):
+        assert cli.RunConfig(command="gm", m=50).m == 50
+        with pytest.raises(cli.UsageError, match="^m = 51 is over the budget of 50$"):
+            cli.RunConfig(command="gm", m=51)
+        with pytest.raises(cli.UsageError, match="^m = 500 is over the budget of 50$"):
+            cli._config_from_args(cli._build_parser().parse_args(["gm", "--m", "500"]))
+
+    def test_m_times_order_boundary(self):
+        assert cli.RunConfig(command="verify", m=2, order=F(2000)).order == 2000
+        with pytest.raises(cli.UsageError, match="^m \\* order = 8001/2 is over the budget of 4000$"):
+            cli.RunConfig(command="verify", m=2, order=F(8001, 4))
+        with pytest.raises(cli.UsageError):
+            cli.RunConfig(command="char", m=50, order=F(81), module=characters.SWModuleId(50, "pi", 1))
+        with pytest.raises(cli.UsageError):
+            cli.RunConfig(command="verify", suite="numeric", m=1, order=F(4001))
+
+    def test_gm_and_zhu_ignore_the_order(self):
+        for command in ("gm", "zhu"):
+            assert cli.RunConfig(command=command, m=50, order=F(10**6)).order == 10**6
+
+    def test_every_benchmark_invocation_fits(self):
+        path = os.path.join(os.path.dirname(__file__), "..", "swqbench", "workloads.json")
+        with open(path) as f:
+            workloads = json.load(f)
+        for workload in workloads.values():
+            for argv in workload["invocations"] + workload["smoke"]:
+                argv = ["0.3+1.1j" if arg == "{taus}" else arg for arg in argv]
+                cli._config_from_args(cli._build_parser().parse_args(argv))
+
+
 class TestEmitJson:
     def test_empty(self):
         sink = io.StringIO()
@@ -335,7 +404,7 @@ class TestMain:
 # Each command below, in a fresh process, loads exactly the swqseries
 # modules _LOADED names for it with the exit code given there, and none
 # of the process-pool machinery, numpy, or dataclasses and the inspect
-# module it pulls in.
+# module it pulls in; it loads `csv` exactly when it writes CSV.
 _MODULES_PROBE = """
 import contextlib, io, json, sys
 from swqseries import cli
@@ -343,14 +412,19 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
 unwanted = ("concurrent.futures.process", "multiprocessing", "numpy", "dataclasses", "inspect")
 print(json.dumps([code, sorted(k for k in sys.modules if k.startswith("swqseries.")),
-                  [k for k in unwanted if k in sys.modules]]))
+                  [k for k in unwanted if k in sys.modules], "csv" in sys.modules]))
 """
 
 _LOADED = {
     ("--help",): (0, ["cli", "report"]),
     ("gm", "--m", "1"): (0, ["cli", "gmverify", "report", "zhupoly"]),
     ("zhu", "--m", "1"): (0, ["cli", "report", "zhupoly"]),
+    ("zhu", "--m", "1", "--format", "csv"): (0, ["cli", "report", "zhupoly"]),
     ("char", "--m", "1", "--module", "lambda:1"): (0, ["characters", "cli", "forms", "qseries", "report"]),
+    ("char", "--m", "1", "--module", "lambda:1", "--format", "csv"): (
+        0,
+        ["characters", "cli", "forms", "qseries", "report"],
+    ),
     ("numeric", "--m", "1"): (0, ["characters", "cli", "forms", "numeric", "qseries", "report"]),
     ("verify", "--suite", "fermionic", "--m", "1"): (0, ["characters", "cli", "fermionic", "forms", "qseries", "report"]),
     ("verify", "--suite", "all", "--m", "1", "--order", "10"): (
@@ -372,7 +446,7 @@ def _probe(argv, script=_MODULES_PROBE):
 @pytest.mark.parametrize("argv", list(_LOADED))
 def test_command_loads_only_its_modules(argv):
     code, modules = _LOADED[argv]
-    assert _probe(argv) == [code, [f"swqseries.{n}" for n in modules], []]
+    assert _probe(argv) == [code, [f"swqseries.{n}" for n in modules], [], "csv" in argv]
 
 
 def test_package_root_is_lazy():
