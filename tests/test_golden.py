@@ -8,10 +8,12 @@ numpy's LAPACK SVD.  verify-all-m3-o40.json and the m=3 lambda:2 char
 and superchar files (the first to pin a lambda supercharacter) come from
 the integer engine and the package's own Jacobi SVD, before the theta
 enumerator, the Weber products and the lambda/pi combination were each
-written once.  min_singular, the smallest singular value of a nearly
-singular floating-point matrix, is compared to a relative tolerance:
-the two SVDs agree to about 1e-6 at m <= 5, and the matrix entries come
-from libm's exp, whose last bits may differ between platforms.
+written once.  fermionic-m2-o30.json pins `--suite fermionic`, the one
+suite outside `all`, before its products were built as eta quotients.
+min_singular, the smallest singular value of a nearly singular
+floating-point matrix, is compared to a relative tolerance: the two
+SVDs agree to about 1e-6 at m <= 5, and the matrix entries come from
+libm's exp, whose last bits may differ between platforms.
 """
 
 import os
@@ -37,6 +39,7 @@ CASES = {
     "verify-all-m3-o40.json": (["verify", "--suite", "all", "--m", "3", "--order", "40"], 1),
     "char-m3-lambda2-o12.json": (["char", "--m", "3", "--module", "lambda:2", "--order", "12"], 0),
     "superchar-m3-lambda2-o12.json": (["superchar", "--m", "3", "--module", "lambda:2", "--order", "12"], 0),
+    "fermionic-m2-o30.json": (["verify", "--suite", "fermionic", "--m", "2", "--order", "30"], 0),
 }
 
 
