@@ -86,18 +86,17 @@ def central_data(m: int) -> CentralData:
 
 @lru_cache(maxsize=None)
 def f_over_eta(order: RatLike) -> QSeries:
-    """f/eta = q^{-1/16} prod (1+q^{n-1/2}) / prod (1-q^n)."""
-    n = Fraction(order) + 1
-    quot = qs.mul(forms.weber("f", n), qs.invert(forms.eta(n)))
-    return qs.truncate(quot, Fraction(order))
+    """f/eta = eta(tau) / (eta(tau/2) eta(2 tau))
+    = q^{-1/16} prod (1+q^{n-1/2}) / prod (1-q^n), exact to
+    max(order, -1/16)."""
+    return forms.eta_quotient(((1, 1), (Fraction(1, 2), -1), (2, -1)), order)
 
 
 @lru_cache(maxsize=None)
 def f2_over_eta(order: RatLike) -> QSeries:
-    """f2/eta = prod (1+q^n) / prod (1-q^n)."""
-    n = Fraction(order) + 1
-    quot = qs.mul(forms.weber("f2", n), qs.invert(forms.eta(n)))
-    return qs.truncate(quot, Fraction(order))
+    """f2/eta = eta(2 tau) / eta(tau)^2 = prod (1+q^n) / prod (1-q^n),
+    exact to max(order, 0)."""
+    return forms.eta_quotient(((2, 1), (1, -2)), order)
 
 
 def ns_irr_char(m: int, i: int, n: int, order: RatLike) -> QSeries:

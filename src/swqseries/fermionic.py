@@ -10,7 +10,8 @@ product in front of a sum (the Durfee factors) is one more Horner step,
 and a sum whose terms carry another sum as their x is a product of two
 sums.  The module multiplies series only by the bosonic infinite
 products it takes from `forms`: every product side is a theta series or
-an inverse eta or Weber series from there."""
+an eta quotient from `forms.eta_quotient`, and the module builds no
+infinite product itself."""
 
 from __future__ import annotations
 
@@ -200,25 +201,6 @@ def _multi_sum(spec: FermionicSumSpec, order: Fraction) -> QSeries:
     return QSeries(lo.denominator, lo.numerator, lo.denominator, vals, 1, order)
 
 
-def _inv_product(build, lead: Fraction, order: Fraction) -> QSeries:
-    """1/P exact to max(order, 1), for a builder build(n) of q^lead P
-    exact to q^n, P = 1 + O(q): the inverse of the cached eta or Weber
-    series, moved back by q^lead (built to at least q^1, as those
-    series need an order above their leading exponent)."""
-    return qs.shift(qs.invert(build(max(order, 1) + lead)), lead)
-
-
-@lru_cache(maxsize=None)
-def _inv_q_inf(order: Fraction) -> QSeries:
-    """1/(q;q)_inf = q^{1/24}/eta, exact to order."""
-    return _inv_product(forms.eta, Fraction(1, 24), order)
-
-
-def _inv_minus_q_inf(order: Fraction) -> QSeries:
-    """1/(-q;q)_inf = q^{1/24}/f2, exact to order."""
-    return _inv_product(partial(forms.weber, "f2"), Fraction(1, 24), order)
-
-
 # -- one-parameter sum families ------------------------------------------------
 
 
@@ -238,11 +220,13 @@ def warnaar_rhs(spec: FermionicSumSpec, order: RatLike) -> QSeries:
     p, lam = spec.p, spec.lam
     b = lam - spec.sigma * p
     th, lead = ThetaParams(b, p), Fraction(b * b, 4 * p)
-    n = order_f + 1 + lead
+    n = order_f + lead
     inner = forms.theta(th, n)
     if spec.variant == 2:
         inner = qs.scale(qs.add(forms.dtheta(th, n), qs.scale(inner, p - lam)), Fraction(1, p))
-    return qs.truncate(qs.mul(_inv_q_inf(order_f + 1), qs.shift(inner, -lead)), order_f)
+    # 1/(q;q)_inf = q^{1/24} / eta; the single sum has no term below q^0
+    inv_eta = forms.eta_quotient(((1, -1),), order_f - Fraction(1, 24))
+    return qs.mul(inv_eta, qs.shift(inner, Fraction(1, 24) - lead))
 
 
 def verify_warnaar(p: int, order: RatLike) -> list[VerificationReport]:
@@ -292,7 +276,9 @@ def fermionic_sw_char(module: SWModuleId, order: RatLike) -> tuple[QSeries, Frac
     half = qs.substitute_power(warnaar_lhs(wspec, 2 * order_f), Fraction(1, 2))
     # a multi-sum with no term up to the order is zero there: lead 0
     lead = Fraction(0) if half.is_zero() else half.leading()[0]
-    inv_inf = _inv_minus_q_inf(order_f + 1 - min(Fraction(0), lead))
+    # 1/(-q;q)_inf = q^{1/24} eta(tau) / eta(2 tau), exact to order_f - min(0, lead)
+    n = order_f - min(Fraction(0), lead) - Fraction(1, 24)
+    inv_inf = qs.shift(forms.eta_quotient(((1, 1), (2, -1)), n), Fraction(1, 24))
     return qs.truncate(qs.mul(half, inv_inf), order_f), _char_shift(module)
 
 
@@ -422,7 +408,9 @@ def _theta_double_sum(order: Fraction) -> QSeries:
     # 3D^2/4 - D exceeds top from D = 2 isqrt(top) + 2 on
     vals = _horner(top + 1, (t for D in range(2 * isqrt(max(top, 0)) + 2, -1, -2) for t in terms(D)))
     total = QSeries(2, 0, 1, vals, 1, inner_order)
-    return qs.shift(qs.truncate(qs.mul(total, _inv_minus_q_inf(inner_order)), inner_order), lead)
+    # 1/(-q;q)_inf = q^{1/24} eta(tau) / eta(2 tau)
+    inv_inf = qs.shift(forms.eta_quotient(((1, 1), (2, -1)), inner_order - Fraction(1, 24)), Fraction(1, 24))
+    return qs.shift(qs.truncate(qs.mul(total, inv_inf), inner_order), lead)
 
 
 def verify_aux_identities(order: RatLike) -> list[VerificationReport]:
@@ -433,8 +421,8 @@ def verify_aux_identities(order: RatLike) -> list[VerificationReport]:
         raise ValueError("order must be at least 10")
     reports = []
 
-    # 1/(u;u)_inf = q^{1/48}/eta(tau/2), u = q^{1/2}
-    half_inf = _inv_product(partial(forms.eta_scaled, Fraction(1, 2)), Fraction(1, 48), order_f)
+    # 1/(u;u)_inf = q^{1/48} / eta(tau/2), u = q^{1/2}
+    half_inf = qs.shift(forms.eta_quotient(((Fraction(1, 2), -1),), order_f - Fraction(1, 48)), Fraction(1, 48))
     for k in range(4):
         reports.append(
             qs.compare_report("durfee-half", {"k": k}, lambda: (_durfee_half(k, order_f), half_inf), order_f)
@@ -443,10 +431,7 @@ def verify_aux_identities(order: RatLike) -> list[VerificationReport]:
             qs.compare_report("durfee-mixed", {"k": k}, lambda: (_durfee_mixed(k, order_f), half_inf), order_f)
         )
     th = ThetaParams(1, Fraction(3, 2))
-    double_product = qs.truncate(
-        qs.mul(forms.eta_scaled(2, order_f + 1), forms.eta_scaled(Fraction(1, 2), order_f + 1)),
-        order_f,
-    )
+    double_product = forms.eta_quotient(((2, 1), (Fraction(1, 2), 1)), order_f)
     checks = [
         ("euler-eta", lambda: (_euler_eta_sum(order_f), forms.eta(order_f))),
         (

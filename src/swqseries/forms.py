@@ -1,12 +1,13 @@
 """Dedekind eta, the Weber functions, and the indexed theta series
 Theta_{j,k} = sum_n q^{(2kn+j)^2/4k} with their weighted variants, together
-with an exact identity suite relating them."""
+with an exact identity suite relating them.  eta is a theta difference,
+and every eta quotient comes from one cached builder, `eta_quotient`."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from typing import Callable
 
 from . import qseries as qs
@@ -20,6 +21,7 @@ __all__ = [
     "theta",
     "dtheta",
     "eta_scaled",
+    "eta_quotient",
     "verify_form_identities",
 ]
 
@@ -37,16 +39,6 @@ class ThetaParams(value_type("ThetaParams", "j k")):
         if k.denominator not in (1, 2):
             raise ValueError("k must be an integer or half-integer")
         return tuple.__new__(cls, (j, k))
-
-
-@lru_cache(maxsize=None)
-def eta(order: RatLike) -> QSeries:
-    """q^{1/24} prod_{n>=1} (1 - q^n), exact to the given order."""
-    order_f = Fraction(order)
-    if order_f <= 0:
-        raise ValueError("order must be positive")
-    prod = qs.pochhammer(1, 1, -1, None, order_f)
-    return qs.truncate(qs.shift(prod, Fraction(1, 24)), order_f)
 
 
 # Weber function -> (leading exponent, first exponent, sign) of
@@ -98,11 +90,38 @@ def dtheta(p: ThetaParams, order: RatLike) -> QSeries:
     return _theta_sum(p, Fraction(order), weighted=True)
 
 
+@lru_cache(maxsize=None)
+def eta(order: RatLike) -> QSeries:
+    """q^{1/24} prod_{n>=1} (1 - q^n), exact to the given order, as
+    Theta_{1,6} - Theta_{5,6} = sum_n (-1)^n q^{(6n+1)^2/24} (Euler's
+    pentagonal theorem): O(sqrt(order)) nonzero terms, no product."""
+    order_f = Fraction(order)
+    if order_f <= 0:
+        raise ValueError("order must be positive")
+    return qs.sub(theta(ThetaParams(1, 6), order_f), theta(ThetaParams(5, 6), order_f))
+
+
 def eta_scaled(r: RatLike, order: RatLike) -> QSeries:
     """eta with q replaced by q^r (the tau -> r*tau substitution)."""
     r_f, order_f = Fraction(r), Fraction(order)
     base_order = order_f / r_f + 1
     return qs.truncate(qs.substitute_power(eta(base_order), r_f), order_f)
+
+
+@lru_cache(maxsize=None)
+def eta_quotient(powers: tuple[tuple[RatLike, int], ...], order: RatLike) -> QSeries:
+    """prod eta(d tau)^{r_d} over the pairs (d, r_d) of `powers`, some r_d
+    nonzero, exact to max(order, lead) for its lead sum d r_d / 24.  As
+    eta(d tau)^{+-1} leads at +-d/24, each factor is built to the order less
+    the other factors' leads (at least to its own lead); a negative power
+    is an inverse over the O(sqrt(order)) nonzero terms of eta."""
+    order_f = Fraction(order)
+    lead = sum(Fraction(d) * r for d, r in powers) / 24
+    factors = []
+    for d, r in powers:
+        e = eta_scaled(d, max(order_f - lead, 0) + Fraction(d) / 24)
+        factors += [e if r > 0 else qs.invert(e)] * abs(r)
+    return reduce(qs.mul, factors)
 
 
 # -- identity suite -----------------------------------------------------------
@@ -111,21 +130,14 @@ def eta_scaled(r: RatLike, order: RatLike) -> QSeries:
 def _pair_dtheta_eta_cube(order: Fraction) -> tuple[QSeries, QSeries]:
     n = order + 2
     lhs = dtheta(ThetaParams(1, Fraction(3, 2)), n)
-    e = eta(n)
     f = weber("f", n)
-    rhs = qs.mul(qs.mul(qs.mul(e, e), e), qs.invert(qs.mul(f, f)))
-    return lhs, rhs
+    return lhs, qs.mul(eta_quotient(((1, 3),), n), qs.invert(qs.mul(f, f)))
 
 
 def _pair_weber_eta_quotient(order: Fraction) -> tuple[QSeries, QSeries]:
+    # f = eta(tau)^2 / (eta(tau/2) eta(2 tau))
     n = order + 2
-    lhs = weber("f", n)
-    e = eta(n)
-    rhs = qs.mul(
-        qs.mul(e, e),
-        qs.invert(qs.mul(eta_scaled(Fraction(1, 2), n), eta_scaled(2, n))),
-    )
-    return lhs, rhs
+    return weber("f", n), eta_quotient(((1, 2), (Fraction(1, 2), -1), (2, -1)), n)
 
 
 def _pair_odd_even_split(order: Fraction) -> tuple[QSeries, QSeries]:
@@ -147,7 +159,7 @@ def _pair_odd_even_split(order: Fraction) -> tuple[QSeries, QSeries]:
 def _pair_eta_half_inverse(order: Fraction) -> tuple[QSeries, QSeries]:
     # 1/eta(tau/2) = (f/eta) * f2
     n = order + 2
-    lhs = qs.invert(eta_scaled(Fraction(1, 2), n))
+    lhs = eta_quotient(((Fraction(1, 2), -1),), n)
     rhs = qs.mul(qs.mul(weber("f", n), qs.invert(eta(n))), weber("f2", n))
     return lhs, rhs
 

@@ -561,20 +561,71 @@ def test_warnaar_rhs_matches_enumerated_oracle(p):
                 assert got.is_zero() == (spec.variant == 2 and spec.lam == p), (spec, order)
 
 
-@pytest.mark.parametrize(
-    "got, poch",
-    [
-        (fm._inv_q_inf, (1, 1, -1)),
-        (fm._inv_minus_q_inf, (1, 1, 1)),
-        (partial(fm._inv_product, partial(forms.eta_scaled, F(1, 2)), F(1, 48)), (F(1, 2), F(1, 2), -1)),
-    ],
-)
-def test_inverse_products_match_pochhammer(got, poch):
-    # 1/(q;q)_inf, 1/(-q;q)_inf and 1/(q^{1/2};q^{1/2})_inf from the cached
-    # eta and Weber series equal the inverted infinite Pochhammer products
-    for order in (F(1), F(5), F(61, 2), F(77, 3), F(51), F(101)):
-        want = qs.invert(qs.pochhammer(*poch, None, order))
-        assert _fields(got(order)) == _fields(want), order
+def _poch_product(lead: Fraction, factors, order: Fraction) -> qs.QSeries:
+    """q^lead prod P^r over (start, step, sign, r) in factors, for the
+    infinite Pochhammer products P = prod (1 + sign q^{start + n step}),
+    multiplied and inverted as they are, exact to order >= lead."""
+    n = order - lead
+    out = qs.one(n)
+    for start, step, sign, r in factors:
+        p = qs.pochhammer(start, step, sign, None, n)
+        for _ in range(abs(r)):
+            out = qs.mul(out, p if r > 0 else qs.invert(p))
+    return qs.shift(out, lead)
+
+
+# quotient -> (builder, leading exponent, (start, step, sign, power) of its product form)
+_QUOTIENTS = {
+    # 1/(q;q)_inf = q^{1/24} / eta
+    "q-inf": (
+        lambda o: qs.shift(forms.eta_quotient(((1, -1),), o - F(1, 24)), F(1, 24)),
+        F(0), [(1, 1, -1, -1)],
+    ),
+    # 1/(-q;q)_inf = q^{1/24} eta(tau) / eta(2 tau)
+    "minus-q-inf": (
+        lambda o: qs.shift(forms.eta_quotient(((1, 1), (2, -1)), o - F(1, 24)), F(1, 24)),
+        F(0), [(1, 1, 1, -1)],
+    ),
+    # 1/(u;u)_inf = q^{1/48} / eta(tau/2), u = q^{1/2}
+    "u-inf": (
+        lambda o: qs.shift(forms.eta_quotient(((F(1, 2), -1),), o - F(1, 48)), F(1, 48)),
+        F(0), [(F(1, 2), F(1, 2), -1, -1)],
+    ),
+    "f-over-eta": (ch.f_over_eta, F(-1, 16), [(F(1, 2), 1, 1, 1), (1, 1, -1, -1)]),
+    "f2-over-eta": (ch.f2_over_eta, F(0), [(1, 1, 1, 1), (1, 1, -1, -1)]),
+    "eta-double-product": (
+        partial(forms.eta_quotient, ((2, 1), (F(1, 2), 1))),
+        F(5, 48), [(2, 2, -1, 1), (F(1, 2), F(1, 2), -1, 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _QUOTIENTS)
+def test_inverse_products_match_pochhammer(name):
+    # every eta quotient that `characters` and `fermionic` use equals its
+    # product of inverted infinite Pochhammer products; below its leading
+    # exponent it is exact to that exponent
+    build, lead, factors = _QUOTIENTS[name]
+    for order in (F(1), F(5), F(61, 2), F(77, 3), F(51), F(101), F(0), F(-1), F(-5, 2)):
+        got = build(order)
+        assert got.order == max(order, lead), order
+        assert _fields(got) == _fields(_poch_product(lead, factors, got.order)), order
+
+
+_POWERS = st.lists(
+    st.tuples(st.sampled_from([F(1, 2), 1, 2]), st.integers(-2, 2)), min_size=1, max_size=3
+).filter(lambda powers: any(r for _, r in powers))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_POWERS, st.integers(-120, 1440).map(lambda k: F(k, 48)))
+def test_eta_quotient_matches_pochhammer_product(powers, order):
+    # eta(d tau) = q^{d/24} (q^d;q^d)_inf
+    powers = tuple(powers)
+    lead = sum(F(d) * r for d, r in powers) / 24
+    got = forms.eta_quotient(powers, order)
+    assert got.order == max(order, lead)
+    assert _fields(got) == _fields(_poch_product(lead, [(d, d, -1, r) for d, r in powers], got.order))
 
 
 def test_verify_warnaar_p3():

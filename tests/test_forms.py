@@ -35,6 +35,12 @@ class TestEta:
         with pytest.raises(ValueError):
             eta(0)
 
+    def test_theta_difference_equals_product(self):
+        # Euler's pentagonal theorem, field by field, against the product
+        # eta was built from before
+        for n in (F(1, 48), F(1), F(61, 2), F(77, 3), F(1605)):
+            assert eta(n) == qs.truncate(qs.shift(qs.pochhammer(1, 1, -1, None, n), F(1, 24)), n), n
+
 
 class TestWeber:
     def test_f_expansion(self):

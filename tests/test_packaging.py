@@ -1,7 +1,8 @@
 """The package has no runtime dependency: its modules import only the
 standard library and each other, and pyproject.toml declares none.  No
 module imports dataclasses, the modules behind --help, gm and zhu do
-not load qseries, and every value type derives from report.value_type."""
+not load qseries, every value type derives from report.value_type, and
+`characters` and `fermionic` build no infinite product."""
 
 import ast
 import sys
@@ -81,3 +82,22 @@ def test_only_report_builds_namedtuples():
         }
     )
     assert users == ["report.py"]
+
+
+def test_characters_and_fermionic_build_no_infinite_product():
+    # their bosonic products are eta quotients from forms.eta_quotient; the
+    # two uncalled Pochhammer caches stay while the benchmark tracer reads them
+    banned = {"weber", "pochhammer", "invert"}
+    found = []
+    for name in ("characters.py", "fermionic.py"):
+        tree = ast.parse((ROOT / "src" / "swqseries" / name).read_text(), name)
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and top.name in ("_finite_poch", "_finite_poch_inv"):
+                continue
+            found += [
+                f"{name}:{node.lineno}"
+                for node in ast.walk(top)
+                if (isinstance(node, ast.Attribute) and node.attr in banned)
+                or (isinstance(node, ast.ImportFrom) and banned & {alias.name for alias in node.names})
+            ]
+    assert found == []
