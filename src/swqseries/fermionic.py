@@ -279,7 +279,7 @@ def fermionic_sw_char(module: SWModuleId, order: RatLike) -> tuple[QSeries, Frac
     # 1/(-q;q)_inf = q^{1/24} eta(tau) / eta(2 tau), exact to order_f - min(0, lead)
     n = order_f - min(Fraction(0), lead) - Fraction(1, 24)
     inv_inf = qs.shift(forms.eta_quotient(((1, 1), (2, -1)), n), Fraction(1, 24))
-    return qs.truncate(qs.mul(half, inv_inf), order_f), _char_shift(module)
+    return qs.mul(half, inv_inf), _char_shift(module)
 
 
 def _char_shift(module: SWModuleId) -> Fraction:
@@ -410,7 +410,7 @@ def _theta_double_sum(order: Fraction) -> QSeries:
     total = QSeries(2, 0, 1, vals, 1, inner_order)
     # 1/(-q;q)_inf = q^{1/24} eta(tau) / eta(2 tau)
     inv_inf = qs.shift(forms.eta_quotient(((1, 1), (2, -1)), inner_order - Fraction(1, 24)), Fraction(1, 24))
-    return qs.shift(qs.truncate(qs.mul(total, inv_inf), inner_order), lead)
+    return qs.shift(qs.mul(total, inv_inf), lead)
 
 
 def verify_aux_identities(order: RatLike) -> list[VerificationReport]:
