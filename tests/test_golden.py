@@ -10,6 +10,10 @@ the integer engine and the package's own Jacobi SVD, before the theta
 enumerator, the Weber products and the lambda/pi combination were each
 written once.  fermionic-m2-o30.json pins `--suite fermionic`, the one
 suite outside `all`, before its products were built as eta quotients.
+verify-characters-m6-o61_2.json, superchar-m5-lambda3-o25_2.json and
+verify-forms-o21_2.json, the first at a fractional order and the first
+characters at m >= 5, come from the builders that built their factors
+past the order and truncated the product back.
 min_singular, the smallest singular value of a nearly singular
 floating-point matrix, is compared to a relative tolerance: the two
 SVDs agree to about 1e-6 at m <= 5, and the matrix entries come from
@@ -40,6 +44,9 @@ CASES = {
     "char-m3-lambda2-o12.json": (["char", "--m", "3", "--module", "lambda:2", "--order", "12"], 0),
     "superchar-m3-lambda2-o12.json": (["superchar", "--m", "3", "--module", "lambda:2", "--order", "12"], 0),
     "fermionic-m2-o30.json": (["verify", "--suite", "fermionic", "--m", "2", "--order", "30"], 0),
+    "verify-characters-m6-o61_2.json": (["verify", "--suite", "characters", "--m", "6", "--order", "61/2"], 0),
+    "superchar-m5-lambda3-o25_2.json": (["superchar", "--m", "5", "--module", "lambda:3", "--order", "25/2"], 0),
+    "verify-forms-o21_2.json": (["verify", "--suite", "forms", "--order", "21/2"], 0),
 }
 
 
