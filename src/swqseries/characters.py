@@ -104,23 +104,19 @@ def ns_irr_char(m: int, i: int, n: int, order: RatLike) -> QSeries:
     central charge c(m) and lowest weight h^{2i+1,2n+1}:
 
     q^{m^2/(2(2m+1))} * (f/eta) * (q^{h^{2i+1,2n+1}} - q^{h^{2i+1,-2n-1}})
+
+    exact to the given order.  With o = m^2/(2(2m+1)), h^{r,s} + o =
+    (s(2m+1) - r)^2 / (8(2m+1)) >= 0, so the factor q^{h+o} - q^{h'+o}
+    has no term below q^0 and goes through `_times_f_over_eta`.
     """
     if not (m >= 1 and 0 <= i <= m and n >= 0):
         raise ValueError("parameter out of range")
     cd = central_data(m)
     offset = Fraction(m * m, 2 * (2 * m + 1))
-    order_f = Fraction(order)
-    # the lowest weight h^{2m+1,1} is -offset, which falls below -17/16
-    # from m = 5 on
-    inner_order = order_f - offset + max(Fraction(17, 16), offset)
-    terms = [
-        (e, s)
-        for e, s in ((cd.h(2 * i + 1, 2 * n + 1), 1), (cd.h(2 * i + 1, -2 * n - 1), -1))
-        if e <= inner_order
-    ]
-    two = qs.make_series(terms, inner_order)
-    prod = qs.mul(f_over_eta(inner_order), two)
-    return qs.truncate(qs.shift(prod, offset), order_f)
+    weights = ((cd.h(2 * i + 1, 2 * n + 1) + offset, 1), (cd.h(2 * i + 1, -2 * n - 1) + offset, -1))
+    return _times_f_over_eta(
+        lambda top: qs.make_series([(e, s) for e, s in weights if e <= top], top), Fraction(order)
+    )
 
 
 def _lambda_pi(module: SWModuleId, th: QSeries, dth: QSeries, c: int) -> QSeries:
@@ -136,9 +132,12 @@ def _char_combo(module: SWModuleId, order: Fraction) -> QSeries:
 
 
 def _times_f_over_eta(g: Callable[[Fraction], QSeries], order: Fraction) -> QSeries:
-    """(f/eta) g to the given order, for a builder g(n) of a series exact
-    to q^n with no term below q^0: f/eta starts at q^{-1/16}."""
-    return qs.truncate(qs.mul(f_over_eta(order + 1), g(order + Fraction(17, 16))), order)
+    """(f/eta) g exact to the given order, for a builder g(n) of a series
+    exact to q^n with no term below q^0; the callers are the characters,
+    `ns_irr_char` and the theta products of `fermionic` and `numeric`.
+    f/eta leads at q^{-1/16}, so g is built to the order + 1/16 and f/eta
+    to the order, and `qs.mul` makes the product exact to the order."""
+    return qs.mul(f_over_eta(order), g(order + Fraction(1, 16)))
 
 
 @lru_cache(maxsize=None)
@@ -149,15 +148,15 @@ def sw_char(module: SWModuleId, order: RatLike) -> QSeries:
 
 def sw_superchar_theta(module: SWModuleId, order: RatLike) -> QSeries:
     """Supercharacter in theta form: (f2/eta) times the level-2(2m+1)
-    theta combination, implemented exactly as displayed."""
+    theta combination, implemented exactly as displayed.  Both factors
+    lead at q^0 or above, so both are built to the order."""
     order_f = Fraction(order)
     m, i = module.m, module.i
     k2 = 2 * (2 * m + 1)
-    n = order_f + 1
     a, b = ThetaParams(2 * (m - i), k2), ThetaParams(2 * (m + i + 1), k2)
-    th = qs.sub(forms.theta(a, n), forms.theta(b, n))
-    dth = qs.sub(forms.dtheta(a, n), forms.dtheta(b, n))
-    return qs.truncate(qs.mul(f2_over_eta(n), _lambda_pi(module, th, dth, 1)), order_f)
+    th = qs.sub(forms.theta(a, order_f), forms.theta(b, order_f))
+    dth = qs.sub(forms.dtheta(a, order_f), forms.dtheta(b, order_f))
+    return qs.mul(f2_over_eta(order_f), _lambda_pi(module, th, dth, 1))
 
 
 def module_weight(module: SWModuleId) -> Fraction:

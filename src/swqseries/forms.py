@@ -64,8 +64,7 @@ def weber(which: str, order: RatLike) -> QSeries:
     lead, first, sign = _WEBER[which]
     if order_f <= lead:
         raise ValueError("order must exceed the leading exponent")
-    prod = qs.pochhammer(first, 1, sign, None, order_f - lead)
-    return qs.truncate(qs.shift(prod, lead), order_f)
+    return qs.shift(qs.pochhammer(first, 1, sign, None, order_f - lead), lead)
 
 
 def _theta_sum(p: ThetaParams, order: Fraction, weighted: bool) -> QSeries:
@@ -102,10 +101,10 @@ def eta(order: RatLike) -> QSeries:
 
 
 def eta_scaled(r: RatLike, order: RatLike) -> QSeries:
-    """eta with q replaced by q^r (the tau -> r*tau substitution)."""
-    r_f, order_f = Fraction(r), Fraction(order)
-    base_order = order_f / r_f + 1
-    return qs.truncate(qs.substitute_power(eta(base_order), r_f), order_f)
+    """eta with q replaced by q^r (the tau -> r*tau substitution), exact
+    to the given order."""
+    r_f = Fraction(r)
+    return qs.substitute_power(eta(Fraction(order) / r_f), r_f)
 
 
 @lru_cache(maxsize=None)
@@ -128,53 +127,49 @@ def eta_quotient(powers: tuple[tuple[RatLike, int], ...], order: RatLike) -> QSe
 
 
 def _pair_dtheta_eta_cube(order: Fraction) -> tuple[QSeries, QSeries]:
-    n = order + 2
-    lhs = dtheta(ThetaParams(1, Fraction(3, 2)), n)
-    f = weber("f", n)
-    return lhs, qs.mul(eta_quotient(((1, 3),), n), qs.invert(qs.mul(f, f)))
+    # 1/f^2 leads at q^{1/24}, so the rhs is exact to order + 1/24
+    f = weber("f", order)
+    rhs = qs.mul(eta_quotient(((1, 3),), order), qs.invert(qs.mul(f, f)))
+    return dtheta(ThetaParams(1, Fraction(3, 2)), order), rhs
 
 
 def _pair_weber_eta_quotient(order: Fraction) -> tuple[QSeries, QSeries]:
     # f = eta(tau)^2 / (eta(tau/2) eta(2 tau))
-    n = order + 2
-    return weber("f", n), eta_quotient(((1, 2), (Fraction(1, 2), -1), (2, -1)), n)
+    return weber("f", order), eta_quotient(((1, 2), (Fraction(1, 2), -1), (2, -1)), order)
 
 
 def _pair_odd_even_split(order: Fraction) -> tuple[QSeries, QSeries]:
     # prod(1+q^{n-1/2}) / prod(1-q^n)  =  1 / [prod(1-q^{n/2})(1+q^n)]
-    n = order + 2
     lhs = qs.mul(
-        qs.pochhammer(Fraction(1, 2), 1, 1, None, n),
-        qs.invert(qs.pochhammer(1, 1, -1, None, n)),
+        qs.pochhammer(Fraction(1, 2), 1, 1, None, order),
+        qs.invert(qs.pochhammer(1, 1, -1, None, order)),
     )
     rhs = qs.invert(
         qs.mul(
-            qs.pochhammer(Fraction(1, 2), Fraction(1, 2), -1, None, n),
-            qs.pochhammer(1, 1, 1, None, n),
+            qs.pochhammer(Fraction(1, 2), Fraction(1, 2), -1, None, order),
+            qs.pochhammer(1, 1, 1, None, order),
         )
     )
     return lhs, rhs
 
 
 def _pair_eta_half_inverse(order: Fraction) -> tuple[QSeries, QSeries]:
-    # 1/eta(tau/2) = (f/eta) * f2
-    n = order + 2
-    lhs = eta_quotient(((Fraction(1, 2), -1),), n)
-    rhs = qs.mul(qs.mul(weber("f", n), qs.invert(eta(n))), weber("f2", n))
-    return lhs, rhs
+    # 1/eta(tau/2) = (f/eta) * f2; f/eta leads at q^{-1/16}
+    n = order + Fraction(1, 16)
+    rhs = qs.mul(qs.mul(weber("f", order), qs.invert(eta(n))), weber("f2", n))
+    return eta_quotient(((Fraction(1, 2), -1),), order), rhs
 
 
 def _pair_half_level(weighted: bool, mm: int, j: int, order: Fraction) -> tuple[QSeries, QSeries]:
     # Theta_{2j,2mm+1}(tau/2) = Theta_{j,(2mm+1)/2}(tau); each weight 2kn+j doubles
     build = dtheta if weighted else theta
-    n = order + 2
-    lhs = qs.substitute_power(build(ThetaParams(2 * j, Fraction(2 * mm + 1)), 2 * n), Fraction(1, 2))
-    rhs = build(ThetaParams(j, Fraction(2 * mm + 1, 2)), n)
+    lhs = qs.substitute_power(build(ThetaParams(2 * j, Fraction(2 * mm + 1)), 2 * order), Fraction(1, 2))
+    rhs = build(ThetaParams(j, Fraction(2 * mm + 1, 2)), order)
     return lhs, qs.scale(rhs, 2) if weighted else rhs
 
 
 def _pair_theta_partner(j: int, partner: int, k: Fraction, order: Fraction) -> tuple[QSeries, QSeries]:
-    return theta(ThetaParams(j, k), order + 1), theta(ThetaParams(partner, k), order + 1)
+    return theta(ThetaParams(j, k), order), theta(ThetaParams(partner, k), order)
 
 
 def _suite(order: Fraction) -> list[tuple[str, dict, Callable[[], tuple[QSeries, QSeries]]]]:

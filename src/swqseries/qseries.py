@@ -416,6 +416,9 @@ def pochhammer(
     """Product of (1 + sign * q^{start + n*step}) for n = 0..count-1.
 
     count=None means the infinite product; factors beyond the order are 1.
+    At a negative order the result keeps its constant term 1 beyond the
+    order, so that `invert` still has a leading term to divide by; as
+    nothing is claimed beyond the order, that term is not a claim.
     """
     start_f, step_f, order_f = Fraction(start), Fraction(step), Fraction(order)
     if sign not in (1, -1):

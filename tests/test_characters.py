@@ -2,8 +2,11 @@
 module characters."""
 
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import swqseries.qseries as qs
 from swqseries.characters import (
@@ -235,6 +238,8 @@ def _two_copy_char_combo(module, order):
 
 
 def _two_copy_superchar(module, order):
+    """sw_superchar_theta with two copies of the theta combination, built
+    past the order and truncated back."""
     order_f = F(order)
     m, i = module.m, module.i
     k2 = F(2 * (2 * m + 1))
@@ -254,3 +259,58 @@ def test_combinations_match_two_copy_bodies(m):
         for order in (F(12), F(61, 2)):
             assert _char_combo(module, order) == _two_copy_char_combo(module, order)
             assert sw_superchar_theta(module, order) == _two_copy_superchar(module, order)
+
+
+# -- the builders against their margin-and-truncate bodies --------------------
+
+
+def _margin_times_f_over_eta(g, order):
+    """_times_f_over_eta with both factors built past the order."""
+    return qs.truncate(qs.mul(f_over_eta(order + 1), g(order + F(17, 16))), order)
+
+
+def _margin_ns_irr_char(m, i, n, order):
+    """ns_irr_char as its own (f/eta) product, shifted by q^offset."""
+    cd = central_data(m)
+    offset = F(m * m, 2 * (2 * m + 1))
+    order_f = F(order)
+    # the lowest weight h^{2m+1,1} is -offset, which falls below -17/16
+    # from m = 5 on
+    inner_order = order_f - offset + max(F(17, 16), offset)
+    terms = [
+        (e, s)
+        for e, s in ((cd.h(2 * i + 1, 2 * n + 1), 1), (cd.h(2 * i + 1, -2 * n - 1), -1))
+        if e <= inner_order
+    ]
+    two = qs.make_series(terms, inner_order)
+    prod = qs.mul(f_over_eta(inner_order), two)
+    return qs.truncate(qs.shift(prod, offset), order_f)
+
+
+def assert_exact_to(s, order):
+    """s claims exactly the order and holds no slot beyond it."""
+    assert s.order == order
+    assert not s.vals or F(s.base + (len(s.vals) - 1) * s.stride, s.denom) <= order
+
+
+_MODULES = st.integers(1, 8).flatmap(lambda m: st.sampled_from(all_module_ids(m)))
+_ORDERS = st.one_of(st.integers(1, 2880).map(lambda k: F(k, 48)), st.just(F(1, 1000)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MODULES, _ORDERS, st.integers(0, 3))
+@example(SWModuleId(8, "pi", 1), F(60), 3)
+@example(SWModuleId(8, "lambda", 9), F(1, 1000), 0)
+@example(SWModuleId(5, "lambda", 6), F(1, 48), 1)
+def test_builders_match_margin_bodies(module, order, n):
+    # `swq char` and `swq superchar` print the requested order as the
+    # series' order, so each builder must be exact to it and no further
+    m, i = module.m, module.i
+    pairs = {
+        "sw_char": (sw_char(module, order), _margin_times_f_over_eta(partial(_char_combo, module), order)),
+        "sw_superchar_theta": (sw_superchar_theta(module, order), _two_copy_superchar(module, order)),
+        "ns_irr_char": (ns_irr_char(m, i, n, order), _margin_ns_irr_char(m, i, n, order)),
+    }
+    for name, (got, want) in pairs.items():
+        assert got == want, name
+        assert_exact_to(got, order)

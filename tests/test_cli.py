@@ -255,7 +255,8 @@ class TestRun:
 class TestEveryM:
     @pytest.mark.parametrize("m", range(5, 9))
     def test_characters_suite_from_m_5(self, capsys, m):
-        # the lowest weight -m^2/(2(2m+1)) falls below -17/16 from m = 5 on
+        # the lowest weight -m^2/(2(2m+1)) falls below -1 from m = 5 on, while
+        # ns_irr_char's factor q^(h+o) - q^(h'+o) stays at q^0 or above
         assert cli.main(["verify", "--suite", "characters", "--m", str(m), "--order", "20"]) == 0
         assert all(r["status"] == "pass" for r in json.loads(capsys.readouterr().out))
 

@@ -3,10 +3,13 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import swqseries.qseries as qs
 from swqseries.forms import (
     ThetaParams,
+    _suite,
     dtheta,
     eta,
     eta_scaled,
@@ -171,7 +174,7 @@ class TestIdentitySuite:
 
 
 def _branch_weber(which, order):
-    """weber as three if/elif branches."""
+    """weber as three if/elif branches, truncated to the order."""
     order_f = F(order)
     if which == "f":
         lead = F(-1, 48)
@@ -247,3 +250,33 @@ def test_theta_enumerator_matches_two_loops(k):
         for order in (F(-1), F(0), F(7), F(23, 2), F(40, 3)):
             assert theta(p, order) == _two_loop_theta_sum(p, order, False)
             assert dtheta(p, order) == _two_loop_theta_sum(p, order, True)
+
+
+# -- the builders against their margin-and-truncate bodies --------------------
+
+
+def _margin_eta_scaled(r, order):
+    """eta_scaled with eta built one past order / r and truncated back."""
+    r_f, order_f = F(r), F(order)
+    return qs.truncate(qs.substitute_power(eta(order_f / r_f + 1), r_f), order_f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.integers(1, 2880).map(lambda k: F(k, 48)), st.just(F(1, 1000))))
+@example(F(60))
+def test_builders_match_margin_bodies(order):
+    pairs = [(r, eta_scaled(r, order), _margin_eta_scaled(r, order)) for r in (F(1, 2), 1, 2, 3)]
+    pairs += [(which, weber(which, order), _branch_weber(which, order)) for which in _LEAD if order > _LEAD[which]]
+    for name, got, want in pairs:
+        assert got == want, name
+        assert got.order == order
+        assert F(got.base + (len(got.vals) - 1) * got.stride, got.denom) <= order
+
+
+@pytest.mark.parametrize("order", [F(1, 48), F(1), F(10), F(21, 2), F(77, 3), F(50), F(400)])
+def test_identity_sides_are_exact_to_the_order(order):
+    # each side takes its factors' orders from their leads, and compare
+    # needs both sides exact to the order it checks
+    for identity_id, params, build in _suite(order):
+        lhs, rhs = build()
+        assert min(lhs.order, rhs.order) >= order, (identity_id, params)

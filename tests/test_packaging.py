@@ -1,8 +1,9 @@
 """The package has no runtime dependency: its modules import only the
 standard library and each other, and pyproject.toml declares none.  No
 module imports dataclasses, the modules behind --help, gm and zhu do
-not load qseries, every value type derives from report.value_type, and
-`characters` and `fermionic` build no infinite product."""
+not load qseries, every value type derives from report.value_type,
+`characters` and `fermionic` build no infinite product, and no builder
+outside `qseries` truncates a series."""
 
 import ast
 import sys
@@ -100,4 +101,22 @@ def test_characters_and_fermionic_build_no_infinite_product():
                 if (isinstance(node, ast.Attribute) and node.attr in banned)
                 or (isinstance(node, ast.ImportFrom) and banned & {alias.name for alias in node.names})
             ]
+    assert found == []
+
+
+def test_only_qseries_truncates():
+    # every builder is exact to the order it is given: it derives its
+    # factors' orders from their leads, so none builds past the order and
+    # cuts the result back
+    found = []
+    for path in sorted((ROOT / "src" / "swqseries").glob("*.py")):
+        if path.name == "qseries.py":
+            continue
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if (isinstance(node, ast.Attribute) and node.attr == "truncate")
+            or (isinstance(node, ast.Name) and node.id == "truncate")
+            or (isinstance(node, ast.alias) and node.name == "truncate")
+        ]
     assert found == []
