@@ -135,7 +135,7 @@ def _times_f_over_eta(g: Callable[[Fraction], QSeries], order: Fraction) -> QSer
     """(f/eta) g exact to the given order, for a builder g(n) of a series
     exact to q^n with no term below q^0; the callers are the characters,
     `ns_irr_char` and the theta products of `fermionic` and `numeric`.
-    f/eta leads at q^{-1/16}, so g is built to the order + 1/16 and f/eta
+    f/eta leads at q^{-1/16}, so g is built 1/16 past the order and f/eta
     to the order, and `qs.mul` makes the product exact to the order."""
     return qs.mul(f_over_eta(order), g(order + Fraction(1, 16)))
 

@@ -127,7 +127,7 @@ def eta_quotient(powers: tuple[tuple[RatLike, int], ...], order: RatLike) -> QSe
 
 
 def _pair_dtheta_eta_cube(order: Fraction) -> tuple[QSeries, QSeries]:
-    # 1/f^2 leads at q^{1/24}, so the rhs is exact to order + 1/24
+    # 1/f^2 leads at q^{1/24}, so the rhs is exact 1/24 past the order
     f = weber("f", order)
     rhs = qs.mul(eta_quotient(((1, 3),), order), qs.invert(qs.mul(f, f)))
     return dtheta(ThetaParams(1, Fraction(3, 2)), order), rhs
