@@ -14,6 +14,9 @@ verify-characters-m6-o61_2.json, superchar-m5-lambda3-o25_2.json and
 verify-forms-o21_2.json, the first at a fractional order and the first
 characters at m >= 5, come from the builders that built their factors
 past the order and truncated the product back.
+numeric-m2-o61_2.json, the first numeric laws at a fractional order,
+comes from the code that checked the T-laws by floating-point
+evaluation at tau+1 and tau+2.
 min_singular, the smallest singular value of a nearly singular
 floating-point matrix, is compared to a relative tolerance: the two
 SVDs agree to about 1e-6 at m <= 5, and the matrix entries come from
@@ -47,6 +50,7 @@ CASES = {
     "verify-characters-m6-o61_2.json": (["verify", "--suite", "characters", "--m", "6", "--order", "61/2"], 0),
     "superchar-m5-lambda3-o25_2.json": (["superchar", "--m", "5", "--module", "lambda:3", "--order", "25/2"], 0),
     "verify-forms-o21_2.json": (["verify", "--suite", "forms", "--order", "21/2"], 0),
+    "numeric-m2-o61_2.json": (["numeric", "--m", "2", "--order", "61/2", "--tau", "0.3+1.1j", "(-0.4+0.9j)"], 0),
 }
 
 
