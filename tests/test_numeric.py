@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from swqseries import forms
+from swqseries import cli, forms
 from swqseries import numeric as nm
 from swqseries import qseries as qs
 
@@ -172,7 +172,7 @@ class TestLaws:
         assert all(r.runtime_ms >= 0 for r in reports)
 
 
-# -- _law against the three loops it replaced -------------------------------
+# -- _law against the loops it replaced -------------------------------------
 
 
 def _eta_loop(eta, taus, image, factor, tol):
@@ -202,33 +202,15 @@ def _s_law_loop(series, taus, k, weighted, tol):
     return errors
 
 
-def _t2_law_loop(series, taus, k, tol):
-    errors = []
-    for t in taus:
-        t2 = nm.TauPoint(t.re + 2.0, t.im)
-        for j in range(k + 1):
-            ph = cmath.exp(1j * math.pi * j * j / k)
-            lv, lt = nm.eval_series(series[j], t2, tol)
-            rv, rt = nm.eval_series(series[j], t, tol)
-            errors.append(abs(lv - ph * rv) + lt + rt)
-    return errors
-
-
 def _loop_errors(taus, order, tol):
     eta = forms.eta(order)
-    phase = cmath.exp(1j * math.pi / 12)
-    out = [
-        _eta_loop(eta, taus, nm._neg_inv, lambda t: cmath.sqrt(-1j * t.tau), tol),
-        _eta_loop(eta, taus, lambda t: nm.TauPoint(t.re + 1.0, t.im), lambda t: phase, tol),
-    ]
+    out = [_eta_loop(eta, taus, nm._neg_inv, lambda t: cmath.sqrt(-1j * t.tau), tol)]
     for k in nm._S_LEVELS:
         ths = [forms.theta(forms.ThetaParams(jp, k), order) for jp in range(2 * k)]
         dths = [forms.dtheta(forms.ThetaParams(jp, k), order) for jp in range(2 * k)]
         out += [
             _s_law_loop(ths, taus, k, False, tol),
             _s_law_loop(dths, taus, k, True, tol),
-            _t2_law_loop(ths, taus, k, tol),
-            _t2_law_loop(dths, taus, k, tol),
         ]
     return out
 
@@ -257,7 +239,7 @@ def test_law_errors_equal_the_loops(taus, order, tol, monkeypatch):
     monkeypatch.setattr(nm, "_first_over", lambda errors, tol: got.append(errors) or first_over(errors, tol))
     nm.verify_s_t_laws(taus, order, tol)
     assert got == want
-    assert sum(map(len, got)) == len(taus) * (2 + 4 * sum(k + 1 for k in nm._S_LEVELS))
+    assert sum(map(len, got)) == len(taus) * (1 + 2 * sum(k + 1 for k in nm._S_LEVELS))
     assert calls[0] == loop_calls
 
 
@@ -277,6 +259,84 @@ def test_tail_refusal_names_the_loops_series(taus, order):
     with pytest.raises(ValueError, match="would suffice") as got:
         nm.verify_s_t_laws(taus, order, 1e-8)
     assert str(got.value) == str(want.value)
+
+
+# -- the T-laws, read off the exponents --------------------------------------
+
+
+def _with_term(s, e, c=1):
+    return qs.add(s, qs.make_series([(e, c)], s.order))
+
+
+def _law_report(reports, law_id, k=None):
+    [r] = [r for r in reports if r.identity_id == law_id and r.params.get("k") == k]
+    return r
+
+
+def test_planted_theta_term_fails_only_the_t2_law(monkeypatch):
+    # q^{30+1/7} moves the residuals at the reference points by about 1e-82
+    theta = forms.theta
+
+    def planted(p, order):
+        return _with_term(theta(p, order), F(211, 7)) if p == forms.ThetaParams(2, 5) else theta(p, order)
+
+    monkeypatch.setattr(forms, "theta", planted)
+    reports = nm.verify_s_t_laws(TAUS, 50, 1e-8)
+    assert _law_report(reports, "theta-t2-law", 5).first_mismatch == (F(211, 7), F(1), F(0))
+    assert _law_report(reports, "theta-s-law", 5).status == "pass"
+
+
+def test_planted_eta_term_fails_the_t_law(monkeypatch):
+    eta = forms.eta
+    monkeypatch.setattr(forms, "eta", lambda order: _with_term(eta(order), 40))
+    reports = nm.verify_s_t_laws(TAUS, 50, 1e-8)
+    assert _law_report(reports, "eta-t-law").first_mismatch == (F(40), F(1), F(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_t_law_is_the_exponent_class(data):
+    # k in Z/2 up to 12, any j < 2k, orders in Z/48: the sums pass, and a
+    # term moved by 1/(8k), off Z/2, is the first mismatch
+    k = F(data.draw(st.integers(1, 24), label="2k"), 2)
+    j = data.draw(st.integers(0, int(2 * k) - 1), label="j")
+    order = F(data.draw(st.integers(1, 60 * 48), label="48 order"), 48)
+    cls, half = F(j * j) / (4 * k), F(1, 2)
+    for build in (forms.theta, forms.dtheta):
+        s = build(forms.ThetaParams(j, k), order)
+        assert nm._off_class([s], [cls], half) is None
+        terms = s.terms()
+        if terms:
+            i = data.draw(st.integers(0, len(terms) - 1), label="moved term")
+            e, c = terms[i]
+            terms[i] = (e - F(1, 8 * k), c)
+            assert nm._off_class([qs.make_series(terms, order)], [cls], half) == (*terms[i], F(0))
+
+
+_T_LAWS = {"eta-t-law", "theta-t2-law", "dtheta-t2-law"}
+
+
+def test_suite_all_evaluates_only_for_the_float_laws(monkeypatch, capsys):
+    # one `verify --suite all --m 2 --order 50` at the three default tau:
+    # 3 * 154 evaluations for the S-laws and 49 for the rank probe
+    calls, current = [], [None]
+    evaluate, run_check = nm.eval_series, qs.run_check
+
+    def counted(*args):
+        calls.append(current[0])
+        return evaluate(*args)
+
+    def named(identity_id, params, check):
+        current[0] = identity_id
+        return run_check(identity_id, params, check)
+
+    monkeypatch.setattr(nm, "eval_series", counted)
+    monkeypatch.setattr(qs, "run_check", named)
+    cli.main(["verify", "--suite", "all", "--m", "2", "--order", "50"])
+    capsys.readouterr()
+    assert len(calls) == 511
+    assert _T_LAWS & set(calls) == set()
+    assert calls.count("ns-space-rank") == 49
 
 
 class TestRank:

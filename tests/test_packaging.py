@@ -2,8 +2,9 @@
 standard library and each other, and pyproject.toml declares none.  No
 module imports dataclasses, the modules behind --help, gm and zhu do
 not load qseries, every value type derives from report.value_type,
-`characters` and `fermionic` build no infinite product, and no builder
-outside `qseries` truncates a series."""
+`characters` and `fermionic` build no infinite product, no builder
+outside `qseries` truncates a series, and only `numeric`, the one
+floating-point module, imports cmath."""
 
 import ast
 import sys
@@ -120,3 +121,10 @@ def test_only_qseries_truncates():
             or (isinstance(node, ast.alias) and node.name == "truncate")
         ]
     assert found == []
+
+
+def test_only_numeric_imports_cmath():
+    # every law outside numeric's S-laws and rank probe is checked exactly
+    sources = sorted((ROOT / "src" / "swqseries").glob("*.py"))
+    users = [path.name for path in sources if "cmath" in _absolute_imports(path)]
+    assert users == ["numeric.py"]
