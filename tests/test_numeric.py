@@ -274,7 +274,7 @@ def _law_report(reports, law_id, k=None):
 
 
 def test_planted_theta_term_fails_only_the_t2_law(monkeypatch):
-    # q^{30+1/7} moves the residuals at the reference points by about 1e-82
+    # q^{30+1/7} moves the residuals at the reference points by less than 1e-69
     theta = forms.theta
 
     def planted(p, order):
