@@ -5,9 +5,11 @@ import functools
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -460,3 +462,32 @@ def test_package_root_is_lazy():
     assert swqseries.__version__ == "0.1.0"
     with pytest.raises(AttributeError):
         swqseries.no_such_name
+
+
+# Help texts and argparse usage errors, byte for byte, at 80 columns.
+# tests/data/cli-usage.json maps shlex.join(argv) to the exit code,
+# stdout and stderr of `swq <argv>`, written while the CLI still built
+# all six subparsers.
+_USAGE = json.loads((Path(__file__).parent / "data" / "cli-usage.json").read_text())
+_USAGE_ARGVS = [
+    ["--help"],
+    ["-h", "gm"],
+    *([command, "--help"] for command in cli._COMMANDS),
+    [],
+    ["frobnicate"],
+    ["gm", "--bogus"],
+    ["verify", "--suite", "nope"],
+    ["verify", "--suite", "gm", "--order"],
+    ["numeric", "--m", "1", "--tau"],
+]
+
+
+@pytest.mark.parametrize("argv", _USAGE_ARGVS, ids=shlex.join)
+def test_help_and_usage_errors_keep_their_bytes(argv):
+    src = os.path.dirname(os.path.dirname(swqseries.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from swqseries.cli import main; sys.exit(main())", *argv],
+        env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"), capture_output=True, text=True, timeout=120,
+    )
+    want = _USAGE[shlex.join(argv)]
+    assert {"code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr} == want

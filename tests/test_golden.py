@@ -17,6 +17,9 @@ past the order and truncated the product back.
 numeric-m2-o61_2.json, the first numeric laws at a fractional order,
 comes from the code that checked the T-laws by floating-point
 evaluation at tau+1 and tau+2.
+gm-m11.json, zhu-m11.json and verify-all-m2-o50-tau3.json pin the
+invocations that swqbench times, written while the CLI still built all
+six subparsers and imported json and fractions up front.
 min_singular, the smallest singular value of a nearly singular
 floating-point matrix, is compared to a relative tolerance: the two
 SVDs agree to about 1e-6 at m <= 5, and the matrix entries come from
@@ -51,6 +54,12 @@ CASES = {
     "superchar-m5-lambda3-o25_2.json": (["superchar", "--m", "5", "--module", "lambda:3", "--order", "25/2"], 0),
     "verify-forms-o21_2.json": (["verify", "--suite", "forms", "--order", "21/2"], 0),
     "numeric-m2-o61_2.json": (["numeric", "--m", "2", "--order", "61/2", "--tau", "0.3+1.1j", "(-0.4+0.9j)"], 0),
+    "gm-m11.json": (["gm", "--m", "11"], 0),
+    "zhu-m11.json": (["zhu", "--m", "11"], 0),
+    "verify-all-m2-o50-tau3.json": (
+        ["verify", "--suite", "all", "--m", "2", "--order", "50", "--tau", "0.1+1j", "0.2+0.9j", "(-0.3+1.1j)"],
+        1,
+    ),
 }
 
 
