@@ -14,24 +14,27 @@ serves the reports and the char/superchar series alike.
 
 A process imports only the modules its command runs: `report` always, a
 suite's module when the suite runs, `characters` for --module,
-`numeric` for --tau and `csv` for --format csv.  `qseries` loads only
-with a suite that checks q-series, so `--help`, `gm` and `zhu` never
-compile it.
+`numeric` for --tau, `json` for JSON output, `csv` for --format csv and
+`fractions` once an order is parsed.  `qseries` loads only with a suite
+that checks q-series, so `--help`, `gm` and `zhu` never compile it, and
+`--help` and usage errors load neither `json` nor `fractions`.  The
+parser gives arguments only to the command that argv names.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import math
 import sys
-from fractions import Fraction
 from typing import IO, TYPE_CHECKING
 
 from .report import VerificationReport, value_type
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+    from fractions import Fraction
+
     from .characters import SWModuleId
 
 __all__ = ["RunConfig", "UsageError", "run", "emit_report", "main"]
@@ -105,6 +108,8 @@ class RunConfig(value_type("RunConfig", "command m module order suite format tol
         tol: float = _DEFAULT_TOL,
         tau: tuple[tuple[float, float], ...] | None = None,
     ):
+        from fractions import Fraction
+
         if command not in _COMMANDS:
             raise UsageError(f"unknown command {command!r}")
         _, default_order, default_suite, _ = _COMMANDS[command]
@@ -138,6 +143,8 @@ class RunConfig(value_type("RunConfig", "command m module order suite format tol
 def _write(format: str, sink: IO[str], payload, header: list[str], rows) -> None:
     """JSON: payload on one line.  CSV: the header, then rows."""
     if format == "json":
+        import json
+
         # json.dumps runs the C encoder; json.dump would run the Python one
         sink.write(json.dumps(payload, separators=(",", ":")) + "\n")
         return
@@ -151,6 +158,8 @@ def _write(format: str, sink: IO[str], payload, header: list[str], rows) -> None
 
 
 def _json_value(v):
+    from fractions import Fraction
+
     return str(v) if isinstance(v, Fraction) else v
 
 
@@ -246,13 +255,18 @@ def _parse_tau(text: str) -> tuple[float, float]:
 
 
 def _parse_order(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad order {text!r}") from None
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(commands: Iterable[str] = _COMMANDS) -> argparse.ArgumentParser:
+    """The swq parser.  Every command is a subcommand, so the help texts
+    and usage errors do not depend on commands; only the commands in
+    commands get their arguments."""
     parser = argparse.ArgumentParser(
         prog="swq",
         description="Exact q-series, polynomial, and numeric checks for the "
@@ -261,6 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, order, suite, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
+        if name not in commands:
+            continue
         p.add_argument("--m", type=int, default=1, help="family index, one per odd 2m+1")
         p.add_argument("--order", default=order, help="truncation order, e.g. 25 or 51/2")
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -284,8 +300,12 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    # argparse hands the rest of argv to the first command in it or fails
+    # before it, as no top-level option takes a value: only that command
+    # needs its arguments
     try:
-        ns = _build_parser().parse_args(argv)
+        ns = _build_parser([a for a in args if a in _COMMANDS][:1]).parse_args(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

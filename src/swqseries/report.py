@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
-RatLike = Union[int, str, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+RatLike = Union[int, str, "Fraction"]
 
 __all__ = ["RatLike", "VerificationReport", "run_check", "value_type"]
 
@@ -62,6 +64,8 @@ def run_check(
     mismatch or None); runtime_ms is the time it takes.  A check may add
     data it computes to params while it runs.
     """
+    from fractions import Fraction
+
     t0 = time.perf_counter()
     order, mismatch = check()
     runtime_ms = (time.perf_counter() - t0) * 1000.0

@@ -1,5 +1,6 @@
 """Tests for the command-line front end and report serialization."""
 
+import argparse
 import csv
 import functools
 import io
@@ -405,34 +406,49 @@ class TestMain:
 
 
 # Each command below, in a fresh process, loads exactly the swqseries
-# modules _LOADED names for it with the exit code given there, and none
-# of the process-pool machinery, numpy, or dataclasses and the inspect
-# module it pulls in; it loads `csv` exactly when it writes CSV.
+# modules and the csv, decimal, fractions and json modules that _LOADED
+# names for it, with the exit code given there, and none of the
+# process-pool machinery, numpy, or dataclasses and the inspect module it
+# pulls in.  `json` loads for JSON output only and `fractions` (with
+# `decimal`) once an order is parsed, so `--help` and a usage error load
+# neither.
 _MODULES_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from swqseries import cli
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:])
+loaded = set(sys.modules)
+import json
 unwanted = ("concurrent.futures.process", "multiprocessing", "numpy", "dataclasses", "inspect")
-print(json.dumps([code, sorted(k for k in sys.modules if k.startswith("swqseries.")),
-                  [k for k in unwanted if k in sys.modules], "csv" in sys.modules]))
+print(json.dumps([code, sorted(k for k in loaded if k.startswith("swqseries.")),
+                  [k for k in unwanted if k in loaded],
+                  [k for k in ("csv", "decimal", "fractions", "json") if k in loaded]]))
 """
 
+_JSON = ["decimal", "fractions", "json"]
+_CSV = ["csv", "decimal", "fractions"]
 _LOADED = {
-    ("--help",): (0, ["cli", "report"]),
-    ("gm", "--m", "1"): (0, ["cli", "gmverify", "report", "zhupoly"]),
-    ("zhu", "--m", "1"): (0, ["cli", "report", "zhupoly"]),
-    ("zhu", "--m", "1", "--format", "csv"): (0, ["cli", "report", "zhupoly"]),
-    ("char", "--m", "1", "--module", "lambda:1"): (0, ["characters", "cli", "forms", "qseries", "report"]),
+    ("--help",): (0, ["cli", "report"], []),
+    ("frobnicate",): (2, ["cli", "report"], []),
+    ("gm", "--m", "1"): (0, ["cli", "gmverify", "report", "zhupoly"], _JSON),
+    ("zhu", "--m", "1"): (0, ["cli", "report", "zhupoly"], _JSON),
+    ("zhu", "--m", "1", "--format", "csv"): (0, ["cli", "report", "zhupoly"], _CSV),
+    ("char", "--m", "1", "--module", "lambda:1"): (0, ["characters", "cli", "forms", "qseries", "report"], _JSON),
     ("char", "--m", "1", "--module", "lambda:1", "--format", "csv"): (
         0,
         ["characters", "cli", "forms", "qseries", "report"],
+        _CSV,
     ),
-    ("numeric", "--m", "1"): (0, ["characters", "cli", "forms", "numeric", "qseries", "report"]),
-    ("verify", "--suite", "fermionic", "--m", "1"): (0, ["characters", "cli", "fermionic", "forms", "qseries", "report"]),
+    ("numeric", "--m", "1"): (0, ["characters", "cli", "forms", "numeric", "qseries", "report"], _JSON),
+    ("verify", "--suite", "fermionic", "--m", "1"): (
+        0,
+        ["characters", "cli", "fermionic", "forms", "qseries", "report"],
+        _JSON,
+    ),
     ("verify", "--suite", "all", "--m", "1", "--order", "10"): (
         1,
         ["characters", "cli", "fermionic", "forms", "gmverify", "numeric", "qseries", "report", "zhupoly"],
+        _JSON,
     ),
 }
 
@@ -448,8 +464,48 @@ def _probe(argv, script=_MODULES_PROBE):
 
 @pytest.mark.parametrize("argv", list(_LOADED))
 def test_command_loads_only_its_modules(argv):
-    code, modules = _LOADED[argv]
-    assert _probe(argv) == [code, [f"swqseries.{n}" for n in modules], [], "csv" in argv]
+    code, modules, stdlib = _LOADED[argv]
+    assert _probe(argv) == [code, [f"swqseries.{n}" for n in modules], [], stdlib]
+
+
+def test_main_gives_arguments_to_its_command_only(capsys, monkeypatch):
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def recording(self, *args, **kwargs):
+        calls.append((self.prog, args[0]))
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording)
+    assert cli.main(["gm", "--m", "1"]) == 0
+    capsys.readouterr()
+    # every command is still a subcommand with its -h, so help and usage keep their bytes
+    assert sorted(prog for prog, flag in calls if flag == "-h") == sorted(["swq", *(f"swq {c}" for c in cli._COMMANDS)])
+    assert [call for call in calls if call[1] != "-h"] == [("swq gm", "--m"), ("swq gm", "--order"), ("swq gm", "--format")]
+
+
+@pytest.mark.parametrize(
+    "argv, parses",
+    [
+        (["verify", "--suite", "gm"], True),
+        (["verify", "--suite", "numeric", "--tau", "(0.2+1j)"], True),
+        (["--", "gm", "--m", "2"], False),
+        (["numeric", "--m", "1", "--order", "40"], True),
+    ],
+)
+def test_one_command_parse_matches_the_full_parser(capsys, monkeypatch, argv, parses):
+    # a flag value that names a command, or a -- before the command
+    try:
+        want = cli._config_from_args(cli._build_parser().parse_args(argv))
+    except SystemExit as exc:
+        want = exc.code
+    want_err = capsys.readouterr().err
+    configs = []
+    monkeypatch.setattr(cli, "run", lambda config, sink: configs.append(config) or 0)
+    code = cli.main(argv)
+    got = configs[0] if configs else code
+    assert (got, capsys.readouterr().err) == (want, want_err)
+    assert isinstance(got, cli.RunConfig) == parses
 
 
 def test_package_root_is_lazy():
