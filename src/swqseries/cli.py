@@ -32,7 +32,7 @@ from typing import IO, TYPE_CHECKING
 from .report import VerificationReport, value_type
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable
+    from collections.abc import Container
     from fractions import Fraction
 
     from .characters import SWModuleId
@@ -263,7 +263,7 @@ def _parse_order(text: str) -> Fraction:
         raise UsageError(f"bad order {text!r}") from None
 
 
-def _build_parser(commands: Iterable[str] = _COMMANDS) -> argparse.ArgumentParser:
+def _build_parser(commands: Container[str] = _COMMANDS) -> argparse.ArgumentParser:
     """The swq parser.  Every command is a subcommand, so the help texts
     and usage errors do not depend on commands; only the commands in
     commands get their arguments."""

@@ -6,10 +6,17 @@ derivatives is probed by numerical rank.
 
 The rank probe's singular values come from a pure-Python SVD, Householder
 QR with column pivoting followed by one-sided Jacobi rotations (Drmac and
-Veselic, 2008).  Singular values below about n eps sigma_max (eps = 2.2e-16,
-n = 3m+1) are rounding noise: on the probe's points the smallest one falls
-there from m = 6 on (sigma_min/sigma_max is 3.5e-19 at m = 6), so it then
-carries no information, and only the exact rank
+Veselic, 2008).  On the probe's 3m+1 points (`_rank_taus`, one short
+segment) its rank, the singular values above 1e-6 sigma_max, is short of
+3m+1 from m = 2 on:
+
+    m              2        3        4         5         6
+    SVD rank       6 of 7   7 of 10  8 of 13   9 of 16   9 of 19
+    min_singular   2.23e-6  9.24e-9  1.76e-11  1.54e-14  4.79e-18
+
+(order 300, 200 at m = 6), and from m = 6 on the smallest value also lies
+below rounding noise, about n eps sigma_max (eps = 2.2e-16, n = 3m+1).  So
+min_singular is reported data, and only the exact rank
 characters.ns_space_exact_rank decides the ns-space-rank check."""
 
 from __future__ import annotations

@@ -3,7 +3,8 @@ constructor and the only timer in the package; `value_type`, the base of
 every value type in the package.
 
 This module imports no other module of the package, so a command that
-checks no q-series (`swq --help`, `gm`, `zhu`) never loads `qseries`.
+checks no q-series (`swq --help`, `gm`, `zhu`) never loads `qseries`, and
+imports `fractions` only in `run_check`, so `swq --help` never loads it.
 """
 
 from __future__ import annotations
