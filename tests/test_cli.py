@@ -520,10 +520,12 @@ def test_package_root_is_lazy():
         swqseries.no_such_name
 
 
-# Help texts and argparse usage errors, byte for byte, at 80 columns.
-# tests/data/cli-usage.json maps shlex.join(argv) to the exit code,
-# stdout and stderr of `swq <argv>`, written while the CLI still built
-# all six subparsers.
+# Help texts, argparse usage errors and numeric's refusals (a tail bound
+# over the tolerance, an overflowing -1/tau, a tolerance under the
+# floor), byte for byte, at 80 columns.  tests/data/cli-usage.json maps
+# shlex.join(argv) to the exit code, stdout and stderr of `swq <argv>`,
+# written while the CLI still built all six subparsers and, for the
+# refusals, before the S-law checker took one phase matrix per law.
 _USAGE = json.loads((Path(__file__).parent / "data" / "cli-usage.json").read_text())
 _USAGE_ARGVS = [
     ["--help"],
@@ -535,6 +537,9 @@ _USAGE_ARGVS = [
     ["verify", "--suite", "nope"],
     ["verify", "--suite", "gm", "--order"],
     ["numeric", "--m", "1", "--tau"],
+    ["numeric", "--m", "1", "--order", "10", "--tau", "0+0.3j"],
+    ["numeric", "--m", "1", "--tau", "0+1e-300j"],
+    ["numeric", "--m", "1", "--tol", "1e-14"],
 ]
 
 

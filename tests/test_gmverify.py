@@ -188,6 +188,21 @@ class TestModP:
         with pytest.raises(ValueError):
             gv.gm_mod_p(4)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 6])
+    def test_reports_unchanged(self, m):
+        # the reports of the Fraction-valued gm_value, apart from runtime_ms
+        rep = gv.gm_mod_p(m)._replace(runtime_ms=0.0)
+        assert rep == ("gm-mod-p", {"m": m, "p": 2 * m + 1}, F(3 * m + 1), "pass", None, 0.0)
+        assert type(rep.order) is Fraction
+
+    def test_failure_reports_fractions(self, monkeypatch):
+        exact = gv.gm_value
+        monkeypatch.setattr(gv, "gm_value", lambda m, t: exact(m, t) + 1)
+        rep = gv.gm_mod_p(2)
+        assert rep.status == "fail"
+        assert rep.first_mismatch == (F(7), F(2), F(1))
+        assert [type(x) for x in (rep.order, *rep.first_mismatch)] == [Fraction] * 4
+
     def test_residue_matches_closed_form(self):
         for m in (1, 2, 3):
             p = 2 * m + 1
