@@ -30,8 +30,8 @@ def _binom(a: int, b: int) -> int:
     return (-1) ** b * math.comb(b - a - 1, b)
 
 
-def gm_value(m: int, t: int) -> Fraction:
-    """Exact value of the quadruple sum at integer t.
+def gm_value(m: int, t: int) -> int:
+    """Exact value of the quadruple sum at integer t, an int.
 
     The summand depends on its outer indices l and i only through
     (-1)^l binom(p,l) and d = l - i, with p = 2m+1, so the sum over l
@@ -73,7 +73,7 @@ def gm_value(m: int, t: int) -> Fraction:
         raise ValueError("m must be positive")
     p = 2 * m + 1
     if 0 <= t <= 2 * m:
-        return Fraction(0)
+        return 0
     a = [math.comb(p + j - 1, j) for j in range(p)]
     ct = [abs(_binom(t, n)) for n in range(p)]
     rows = [[a[j] * ct[n - j] for j in range(n + 1)] for n in range(p)]
@@ -91,7 +91,7 @@ def gm_value(m: int, t: int) -> Fraction:
     for s in range(p):
         digit = int.from_bytes(buf[s * width : (s + 1) * width], "little", signed=True)
         total += sign**s * _binom(2 * m - t, s + p) * digit
-    return Fraction(total)
+    return total
 
 
 def gm_poly(m: int) -> RatPoly:
@@ -99,7 +99,7 @@ def gm_poly(m: int) -> RatPoly:
     at t = 0..4m+1, consistency-checked at t = 4m+2 and 4m+3."""
     if m < 1:
         raise ValueError("m must be positive")
-    g = zp._from_values([gm_value(m, t).numerator for t in range(4 * m + 2)])
+    g = zp._from_values([gm_value(m, t) for t in range(4 * m + 2)])
     for t in (4 * m + 2, 4 * m + 3):
         if g(t) != gm_value(m, t):
             raise RuntimeError(f"degree bound violated at t = {t} for m = {m}")
@@ -129,18 +129,14 @@ def _is_prime(n: int) -> bool:
 
 
 def gm_mod_p(m: int) -> VerificationReport:
-    """Residue of the value at t = 3m+1 modulo p = 2m+1 (prime): pass
-    iff it is 1.  The exact rational is checked to be p-integral before
-    reduction.  On failure, first_mismatch is (3m+1, residue, 1)."""
+    """Residue of the integer value at t = 3m+1 modulo p = 2m+1 (prime):
+    pass iff it is 1.  On failure, first_mismatch is (3m+1, residue, 1)."""
     p = 2 * m + 1
     if not _is_prime(p):
         raise ValueError("mod-p argument requires prime 2m+1")
 
     def check():
-        value = gm_value(m, 3 * m + 1)
-        if value.denominator % p == 0:
-            raise AssertionError("value is not p-integral")
-        residue = value.numerator * pow(value.denominator, -1, p) % p
+        residue = gm_value(m, 3 * m + 1) % p
         at = Fraction(3 * m + 1)
         return at, None if residue == 1 else (at, Fraction(residue), Fraction(1))
 

@@ -130,20 +130,20 @@ def _first_over(errors: list[float], tol: float) -> tuple[Fraction, Fraction, Fr
     return None
 
 
-def _law(taus: list[TauPoint], rows, tol: float) -> tuple[Fraction, Fraction, Fraction] | None:
-    """_first_over of |f(-1/tau) - c(tau) sum_i u_i g_i(tau)| + tail_f + |c| sum_i tail_{g_i} at
-    each tau for each row (f, c, [(u_i, g_i)]), u_i unit phases; each g_i is evaluated once per point."""
+def _law(taus: list[TauPoint], fs: list[QSeries], c, phases, gs: list[QSeries], tol: float):
+    """_first_over of |f_j(-1/tau) - c(tau) sum_i u_ji g_i(tau)| + tail_{f_j} + |c(tau)| sum_i tail_{g_i}
+    at each tau for each row j, u_ji = phases[j][i] unit phases.  Each series is evaluated once per
+    point: f_0 at -1/tau, then every g_i at tau, then f_1, f_2, ... at -1/tau."""
     errors = []
     for t in taus:
-        ti, at_t = _neg_inv(t), {}
-        for f, c, terms in rows:
-            lv, lt = eval_series(f, ti, tol)
-            for _, g in terms:
-                if id(g) not in at_t:
-                    at_t[id(g)] = eval_series(g, t, tol)
-            cv = c(t)
-            rv = sum(u * at_t[id(g)][0] for u, g in terms)
-            errors.append(abs(lv - cv * rv) + lt + abs(cv) * sum(at_t[id(g)][1] for _, g in terms))
+        ti = _neg_inv(t)
+        left = [eval_series(fs[0], ti, tol)]
+        right = [eval_series(g, t, tol) for g in gs]
+        left += [eval_series(f, ti, tol) for f in fs[1:]]
+        cv = c(t)
+        tail = abs(cv) * sum(rt for _, rt in right)
+        for (lv, lt), us in zip(left, phases):
+            errors.append(abs(lv - cv * sum(u * rv for u, (rv, _) in zip(us, right))) + lt + tail)
     return _first_over(errors, tol)
 
 
@@ -178,26 +178,24 @@ def verify_s_t_laws(taus: list[TauPoint], order: RatLike, tol: float) -> list[Ve
     order = Fraction(order)
     check_tolerance(tol)
 
-    def s_rows(series: list[QSeries], k: int, weighted: bool) -> list:
-        def c(t: TauPoint) -> complex:
-            p = cmath.sqrt(-1j * t.tau / (2 * k))
-            return -t.tau * p if weighted else p
-
-        phases = [[cmath.exp(1j * math.pi * j * jp / k) for jp in range(2 * k)] for j in range(k + 1)]
-        return [(series[j], c, list(zip(phases[j], series))) for j in range(k + 1)]
+    def s_factor(k: int, weighted: bool, t: TauPoint) -> complex:
+        p = cmath.sqrt(-1j * t.tau / (2 * k))
+        return -t.tau * p if weighted else p
 
     eta, half = forms.eta(order), Fraction(1, 2)
     laws = [
-        ("eta-s-law", {}, partial(_law, taus, [(eta, lambda t: cmath.sqrt(-1j * t.tau), [(1, eta)])], tol)),
+        ("eta-s-law", {}, partial(_law, taus, [eta], lambda t: cmath.sqrt(-1j * t.tau), [[1]], [eta], tol)),
         ("eta-t-law", {}, partial(_off_class, [eta], [Fraction(1, 24)], Fraction(1))),
     ]
     for k in _S_LEVELS:
         ths = [forms.theta(ThetaParams(jp, k), order) for jp in range(2 * k)]
         dths = [forms.dtheta(ThetaParams(jp, k), order) for jp in range(2 * k)]
+        phases = [[cmath.exp(1j * math.pi * j * jp / k) for jp in range(2 * k)] for j in range(k + 1)]
         classes = [Fraction(j * j, 4 * k) for j in range(k + 1)]
+        c, dc = partial(s_factor, k, False), partial(s_factor, k, True)
         laws += [
-            ("theta-s-law", {"k": k}, partial(_law, taus, s_rows(ths, k, False), tol)),
-            ("dtheta-s-law", {"k": k}, partial(_law, taus, s_rows(dths, k, True), tol)),
+            ("theta-s-law", {"k": k}, partial(_law, taus, ths[: k + 1], c, phases, ths, tol)),
+            ("dtheta-s-law", {"k": k}, partial(_law, taus, dths[: k + 1], dc, phases, dths, tol)),
             ("theta-t2-law", {"k": k}, partial(_off_class, ths, classes, half)),
             ("dtheta-t2-law", {"k": k}, partial(_off_class, dths, classes, half)),
         ]

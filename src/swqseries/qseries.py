@@ -213,18 +213,16 @@ def make_series(terms: Iterable[tuple[RatLike, RatLike]], order: RatLike) -> QSe
     Rejects duplicate exponents and exponents beyond the stated order.
     """
     order_f = Fraction(order)
-    pairs: list[tuple[Fraction, Fraction]] = []
-    seen: set[Fraction] = set()
+    coeffs: dict[Fraction, Fraction] = {}
     for e_raw, c_raw in terms:
         e = Fraction(e_raw)
-        if e in seen:
+        if e in coeffs:
             raise ValueError(f"duplicate exponent {e}")
-        seen.add(e)
         if e > order_f:
             raise ValueError(f"exponent {e} exceeds order {order_f}")
-        pairs.append((e, Fraction(c_raw)))
-    denom = math.lcm(1, *(e.denominator for e, _ in pairs)) if pairs else 1
-    return _from_coeffs(denom, {int(e * denom): c for e, c in pairs}, order_f)
+        coeffs[e] = Fraction(c_raw)
+    denom = math.lcm(1, *(e.denominator for e in coeffs))
+    return _from_coeffs(denom, {int(e * denom): c for e, c in coeffs.items()}, order_f)
 
 
 def _from_coeffs(denom: int, coeffs: dict[int, int | Fraction], order) -> QSeries:
@@ -300,10 +298,10 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
     where a zero factor counts as lead = +infinity; the result is then
     the zero series at order zero.order + lead(other).
 
-    Kronecker substitution: both operands' slots go on their common
-    exponent lattice and are packed into one big integer each; a single
-    integer product carries every numerator of the truncated product
-    as one signed digit, over the content a.content * b.content."""
+    Kronecker substitution: each operand packs its slots below the output
+    length into one big integer, step = its stride / the product's digits
+    apart; a single integer product carries every numerator of the
+    truncated product as one signed digit, over a.content * b.content."""
     if a.is_zero() and b.is_zero():
         return _zero(a.order + b.order)
     if a.is_zero():
@@ -323,9 +321,10 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
     n_out = (order.numerator * d - base * order.denominator) // (stride * order.denominator) + 1
     if n_out <= 0:
         return _zero(order)
-    va = _spread(a.vals, sa // stride, n_out)
-    vb = _spread(b.vals, sb // stride, n_out)
-    n_out = min(n_out, len(va) + len(vb) - 1)
+    step_a, step_b = sa // stride or 1, sb // stride or 1  # a single slot has span 0
+    va = a.vals[: (n_out - 1) // step_a + 1]
+    vb = b.vals[: (n_out - 1) // step_b + 1]
+    n_out = min(n_out, (len(va) - 1) * step_a + (len(vb) - 1) * step_b + 1)
     # a digit sums at most min(nonzero terms of a, of b) products
     terms = min(len(a.vals) - a.vals.count(0), len(b.vals) - b.vals.count(0))
     bits = max(map(abs, va)).bit_length() + max(map(abs, vb)).bit_length() + terms.bit_length() + 2
@@ -334,29 +333,20 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
     # n_out digits of the biased product are exactly its bytes; xor
     # with the bias turns each into its two's complement.
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * n_out, "little")
-    low = (_pack(va, width) * _pack(vb, width) + bias) & ((1 << (8 * width * n_out)) - 1)
+    low = (_pack(va, width, step_a) * _pack(vb, width, step_b) + bias) & ((1 << (8 * width * n_out)) - 1)
     buf = (low ^ bias).to_bytes(width * n_out, "little")
     vals = [int.from_bytes(buf[i : i + width], "little", signed=True) for i in range(0, width * n_out, width)]
     return QSeries(d, base, stride, vals, a.content * b.content, order)
 
 
-def _spread(vals: Sequence[int], step: int, length: int) -> Sequence[int]:
-    """vals placed every step slots (step 0 for a single slot), cut
-    below length and after the last slot it holds."""
-    if step <= 1:
-        return vals[:length]
-    v = [0] * min(length, (len(vals) - 1) * step + 1)
-    v[::step] = vals[: (len(v) - 1) // step + 1]
-    return v
-
-
-def _pack(v: Sequence[int], width: int) -> int:
-    """sum v[i] * 256^(width*i) for |v[i]| < 2^(8*width - 1)."""
-    zero = bytes(width)
-    pos = int.from_bytes(b"".join(x.to_bytes(width, "little") if x > 0 else zero for x in v), "little")
+def _pack(v: Sequence[int], width: int, step: int) -> int:
+    """sum v[i] * 256^(width*step*i) for |v[i]| < 2^(8*width - 1): the
+    width-byte digits of v joined with step - 1 zero digits between them."""
+    zero, gap = bytes(width), bytes(width * (step - 1))
+    pos = int.from_bytes(gap.join(x.to_bytes(width, "little") if x > 0 else zero for x in v), "little")
     if min(v) >= 0:
         return pos
-    neg = int.from_bytes(b"".join((-x).to_bytes(width, "little") if x < 0 else zero for x in v), "little")
+    neg = int.from_bytes(gap.join((-x).to_bytes(width, "little") if x < 0 else zero for x in v), "little")
     return pos - neg
 
 

@@ -92,6 +92,12 @@ class TestGmValue:
             for t in range(-3, 10):
                 assert gv.gm_value(m, t).denominator == 1
 
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_returns_int(self, m):
+        # the zero window 0 <= t <= 2m returns early
+        for t in range(-3, 4 * m + 5):
+            assert type(gv.gm_value(m, t)) is int, t
+
     def test_bad_m_rejected(self):
         with pytest.raises(ValueError):
             gv.gm_value(0, 3)

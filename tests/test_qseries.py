@@ -597,6 +597,9 @@ def _series(d, order, coeffs):
     _series(1, 10, {k: 2**64 - 1 for k in range(3)}), _series(1, 10, {k: 2**64 - 1 for k in range(9)})
 )
 @example(_series(1, 10, {k: 7 for k in range(3)}), _series(1, 10, {k: -7 for k in range(3)}))
+@example(  # both operands on coarser lattices, the last packed slot of a on the cut
+    _series(1, 6, {0: 1, 2: -3, 4: 5, 6: -7}), _series(1, 9, {0: 2, 3: -1, 9: 4})
+)
 def test_mul_matches_dict_kernel(a, b):
     assert_identical(qs.mul(a, b), _dict_mul(a, b))
 
