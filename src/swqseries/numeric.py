@@ -143,7 +143,8 @@ def _law(taus: list[TauPoint], fs: list[QSeries], c, phases, gs: list[QSeries], 
         cv = c(t)
         tail = abs(cv) * sum(rt for _, rt in right)
         for (lv, lt), us in zip(left, phases):
-            errors.append(abs(lv - cv * sum(u * rv for u, (rv, _) in zip(us, right))) + lt + tail)
+            rv = sum(u * v for u, (v, _) in zip(us, right))
+            errors.append(abs(lv - cv * rv) + lt + tail)
     return _first_over(errors, tol)
 
 

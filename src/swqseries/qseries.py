@@ -299,10 +299,9 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
     the zero series at order zero.order + lead(other).
 
     Kronecker substitution: each operand packs its slots below the output
-    length into one big integer, a digit per slot of the product, so its
-    own slots lie step = (its stride / the product's) digits apart; a
-    single integer product carries every numerator of the truncated
-    product as one signed digit, over the content a.content * b.content."""
+    length into one big integer, step = (its stride / the product's)
+    digits apart; a single integer product carries every numerator of
+    the truncated product as one signed digit, over a.content * b.content."""
     if a.is_zero() and b.is_zero():
         return _zero(a.order + b.order)
     if a.is_zero():
