@@ -1,15 +1,15 @@
 """Theta-form characters and supercharacters of the irreducible SW(m)
 modules, irreducible Neveu-Schwarz characters, and the decomposition
-cross-checks between them."""
+cross-checks between them.  Each character and supercharacter is data,
+a `forms.ThetaForm` from `module_form`, evaluated by `forms.theta_form`."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
-from typing import Callable
+from functools import lru_cache
 
 from . import forms, qseries as qs
-from .forms import ThetaParams
+from .forms import ThetaForm
 from .qseries import QSeries, RatLike, VerificationReport
 from .report import value_type
 
@@ -18,9 +18,12 @@ __all__ = [
     "CentralData",
     "all_module_ids",
     "central_data",
+    "F_OVER_ETA",
+    "F2_OVER_ETA",
     "f_over_eta",
     "f2_over_eta",
     "ns_irr_char",
+    "module_form",
     "sw_char",
     "sw_superchar_theta",
     "char_by_decomposition",
@@ -84,19 +87,22 @@ def central_data(m: int) -> CentralData:
     return CentralData(m, Fraction(3, 2) * (1 - Fraction(8 * m * m, 2 * m + 1)))
 
 
+# f/eta = eta(tau) / (eta(tau/2) eta(2 tau)) = q^{-1/16} prod (1+q^{n-1/2}) / prod (1-q^n)
+F_OVER_ETA = ((1, 1), (Fraction(1, 2), -1), (2, -1))
+# f2/eta = eta(2 tau) / eta(tau)^2 = prod (1+q^n) / prod (1-q^n)
+F2_OVER_ETA = ((2, 1), (1, -2))
+
+
 @lru_cache(maxsize=None)
 def f_over_eta(order: RatLike) -> QSeries:
-    """f/eta = eta(tau) / (eta(tau/2) eta(2 tau))
-    = q^{-1/16} prod (1+q^{n-1/2}) / prod (1-q^n), exact to
-    max(order, -1/16)."""
-    return forms.eta_quotient(((1, 1), (Fraction(1, 2), -1), (2, -1)), order)
+    """f/eta, exact to max(order, -1/16)."""
+    return forms.eta_quotient(F_OVER_ETA, order)
 
 
 @lru_cache(maxsize=None)
 def f2_over_eta(order: RatLike) -> QSeries:
-    """f2/eta = eta(2 tau) / eta(tau)^2 = prod (1+q^n) / prod (1-q^n),
-    exact to max(order, 0)."""
-    return forms.eta_quotient(((2, 1), (1, -2)), order)
+    """f2/eta, exact to max(order, 0)."""
+    return forms.eta_quotient(F2_OVER_ETA, order)
 
 
 def ns_irr_char(m: int, i: int, n: int, order: RatLike) -> QSeries:
@@ -107,56 +113,43 @@ def ns_irr_char(m: int, i: int, n: int, order: RatLike) -> QSeries:
 
     exact to the given order.  With o = m^2/(2(2m+1)), h^{r,s} + o =
     (s(2m+1) - r)^2 / (8(2m+1)) >= 0, so the factor q^{h+o} - q^{h'+o}
-    has no term below q^0 and goes through `_times_f_over_eta`.
+    has no term below q^0 and is built past the order by f/eta's lead 1/16.
     """
     if not (m >= 1 and 0 <= i <= m and n >= 0):
         raise ValueError("parameter out of range")
     cd = central_data(m)
     offset = Fraction(m * m, 2 * (2 * m + 1))
     weights = ((cd.h(2 * i + 1, 2 * n + 1) + offset, 1), (cd.h(2 * i + 1, -2 * n - 1) + offset, -1))
-    return _times_f_over_eta(
-        lambda top: qs.make_series([(e, s) for e, s in weights if e <= top], top), Fraction(order)
-    )
+    top = Fraction(order) + Fraction(1, 16)
+    return qs.mul(f_over_eta(Fraction(order)), qs.make_series([(e, s) for e, s in weights if e <= top], top))
 
 
-def _lambda_pi(module: SWModuleId, th: QSeries, dth: QSeries, c: int) -> QSeries:
-    """((2i+1) th + c dth) / (2m+1) for lambda, ((2m-2i) th - c dth) / (2m+1) for pi."""
+def module_form(module: SWModuleId, superchar: bool = False) -> ThetaForm:
+    """The module's character, or with `superchar` its supercharacter
+    exactly as displayed, as data.  With (a, b) = (2i+1, c) for lambda
+    and (2m-2i, -c) for pi, the character is
+    (f/eta) (a Theta_{m-i,k} + b dTheta_{m-i,k}) / (2m+1) at k = (2m+1)/2
+    and c = 2, and the supercharacter (f2/eta) (a Theta_- + b dTheta_-) / (2m+1)
+    with X_- = X_{2(m-i),k} - X_{2(m+i+1),k} at k = 2(2m+1) and c = 1."""
     m, i = module.m, module.i
+    c = 1 if superchar else 2
     a, b = (2 * i + 1, c) if module.kind == "lambda" else (2 * m - 2 * i, -c)
-    return qs.add(qs.scale(th, Fraction(a, 2 * m + 1)), qs.scale(dth, Fraction(b, 2 * m + 1)))
-
-
-def _char_combo(module: SWModuleId, order: Fraction) -> QSeries:
-    p = ThetaParams(module.m - module.i, Fraction(2 * module.m + 1, 2))
-    return _lambda_pi(module, forms.theta(p, order), forms.dtheta(p, order), 2)
-
-
-def _times_f_over_eta(g: Callable[[Fraction], QSeries], order: Fraction) -> QSeries:
-    """(f/eta) g exact to the given order, for a builder g(n) of a series
-    exact to q^n with no term below q^0; the callers are the characters,
-    `ns_irr_char` and the theta products of `fermionic` and `numeric`.
-    f/eta leads at q^{-1/16}, so g is built 1/16 past the order and f/eta
-    to the order, and `qs.mul` makes the product exact to the order."""
-    return qs.mul(f_over_eta(order), g(order + Fraction(1, 16)))
+    a, b = Fraction(a, 2 * m + 1), Fraction(b, 2 * m + 1)
+    if superchar:
+        return ThetaForm(0, F2_OVER_ETA, 2 * (2 * m + 1), ((2 * (m - i), a, b), (2 * (m + i + 1), -a, -b)))
+    return ThetaForm(0, F_OVER_ETA, Fraction(2 * m + 1, 2), ((m - i, a, b),))
 
 
 @lru_cache(maxsize=None)
 def sw_char(module: SWModuleId, order: RatLike) -> QSeries:
     """Theta-form character (f/eta) times the level-(2m+1)/2 theta combination."""
-    return _times_f_over_eta(lambda n: _char_combo(module, n), Fraction(order))
+    return forms.theta_form(module_form(module), order)
 
 
 def sw_superchar_theta(module: SWModuleId, order: RatLike) -> QSeries:
     """Supercharacter in theta form: (f2/eta) times the level-2(2m+1)
-    theta combination, implemented exactly as displayed.  Both factors
-    lead at q^0 or above, so both are built to the order."""
-    order_f = Fraction(order)
-    m, i = module.m, module.i
-    k2 = 2 * (2 * m + 1)
-    a, b = ThetaParams(2 * (m - i), k2), ThetaParams(2 * (m + i + 1), k2)
-    th = qs.sub(forms.theta(a, order_f), forms.theta(b, order_f))
-    dth = qs.sub(forms.dtheta(a, order_f), forms.dtheta(b, order_f))
-    return qs.mul(f2_over_eta(order_f), _lambda_pi(module, th, dth, 1))
+    theta combination, implemented exactly as displayed."""
+    return forms.theta_form(module_form(module, superchar=True), order)
 
 
 def module_weight(module: SWModuleId) -> Fraction:
@@ -204,10 +197,9 @@ def ns_space_exact_rank(m: int, order: RatLike) -> int:
     are the ranks of the theta combinations of the characters and of
     the dTheta_{j,(2m+1)/2}, each certified on a prefix of exponents.
     """
-    order_f = Fraction(order)
-    combos = [_char_combo(module, order_f) for module in all_module_ids(m)]
+    combos = [forms.theta_form(module_form(mod)._replace(powers=()), order) for mod in all_module_ids(m)]
     k = Fraction(2 * m + 1, 2)
-    dthetas = [forms.dtheta(ThetaParams(j, k), order_f) for j in range(1, m + 1)]
+    dthetas = [forms.theta_form(ThetaForm(0, (), k, ((j, 0, 1),)), order) for j in range(1, m + 1)]
     return qs.prefix_rank(combos) + qs.prefix_rank(dthetas)
 
 
@@ -223,7 +215,7 @@ def _integrality(s: QSeries) -> tuple[Fraction, tuple[Fraction, Fraction, Fracti
 def _pair_sum(m: int, i: int, order: Fraction) -> tuple[QSeries, QSeries]:
     lam = sw_char(SWModuleId(m, "lambda", i + 1), order)
     pi = sw_char(SWModuleId(m, "pi", m - i), order)
-    rhs = _times_f_over_eta(partial(forms.theta, ThetaParams(m - i, Fraction(2 * m + 1, 2))), order)
+    rhs = forms.theta_form(ThetaForm(0, F_OVER_ETA, Fraction(2 * m + 1, 2), ((m - i, 1, 0),)), order)
     return qs.add(lam, pi), rhs
 
 

@@ -9,21 +9,21 @@ last term with no x applies its ratio to the whole sum, so a finite
 product in front of a sum (the Durfee factors) is one more Horner step,
 and a sum whose terms carry another sum as their x is a product of two
 sums.  The module multiplies series only by the bosonic infinite
-products it takes from `forms`: every product side is a theta series or
-an eta quotient from `forms.eta_quotient`, and the module builds no
-infinite product itself."""
+products it takes from `forms`: every product side is an eta quotient
+from `forms.eta_quotient` or a `forms.ThetaForm` evaluated by
+`forms.theta_form`, and the module builds no infinite product itself."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, chain
 from math import floor, isqrt
 from operator import add
 
 from . import characters, forms, qseries as qs
 from .characters import SWModuleId
-from .forms import ThetaParams
+from .forms import ThetaForm
 from .qseries import QSeries, RatLike, VerificationReport
 from .report import value_type
 
@@ -215,18 +215,12 @@ def warnaar_rhs(spec: FermionicSumSpec, order: RatLike) -> QSeries:
     variant 2.  With b = lam - sigma p the single sum is
     q^{-b^2/4p} Theta_{b,p}, and its variant-2 weight 2n - sigma + 1 is
     ((2pn + b) + (p - lam)) / p, so the variant-2 sum is
-    q^{-b^2/4p} (dTheta_{b,p} + (p - lam) Theta_{b,p}) / p."""
-    order_f = Fraction(order)
+    q^{-b^2/4p} (dTheta_{b,p} + (p - lam) Theta_{b,p}) / p.  With
+    1/(q;q)_inf = q^{1/24} / eta, that is one ThetaForm."""
     p, lam = spec.p, spec.lam
     b = lam - spec.sigma * p
-    th, lead = ThetaParams(b, p), Fraction(b * b, 4 * p)
-    n = order_f + lead
-    inner = forms.theta(th, n)
-    if spec.variant == 2:
-        inner = qs.scale(qs.add(forms.dtheta(th, n), qs.scale(inner, p - lam)), Fraction(1, p))
-    # 1/(q;q)_inf = q^{1/24} / eta; the single sum has no term below q^0
-    inv_eta = forms.eta_quotient(((1, -1),), order_f - Fraction(1, 24))
-    return qs.mul(inv_eta, qs.shift(inner, Fraction(1, 24) - lead))
+    weights = ((b, 1, 0),) if spec.variant == 1 else ((b, Fraction(p - lam, p), Fraction(1, p)),)
+    return forms.theta_form(ThetaForm(Fraction(1, 24) - Fraction(b * b, 4 * p), ((1, -1),), p, weights), order)
 
 
 def verify_warnaar(p: int, order: RatLike) -> list[VerificationReport]:
@@ -430,19 +424,15 @@ def verify_aux_identities(order: RatLike) -> list[VerificationReport]:
         reports.append(
             qs.compare_report("durfee-mixed", {"k": k}, lambda: (_durfee_mixed(k, order_f), half_inf), order_f)
         )
-    th = ThetaParams(1, Fraction(3, 2))
+    # (f/eta) dTheta_{1,3/2} and (f/eta) Theta_{1,3/2}
+    dth = ThetaForm(0, characters.F_OVER_ETA, Fraction(3, 2), ((1, 0, 1),))
+    th = dth._replace(weights=((1, 1, 0),))
     double_product = forms.eta_quotient(((2, 1), (Fraction(1, 2), 1)), order_f)
     checks = [
         ("euler-eta", lambda: (_euler_eta_sum(order_f), forms.eta(order_f))),
-        (
-            "dtheta-eta-double-product",
-            lambda: (characters._times_f_over_eta(partial(forms.dtheta, th), order_f), double_product),
-        ),
+        ("dtheta-eta-double-product", lambda: (forms.theta_form(dth, order_f), double_product)),
         ("eta-double-sum", lambda: (_eta_double_sum(order_f), double_product)),
-        (
-            "theta-double-sum",
-            lambda: (_theta_double_sum(order_f), characters._times_f_over_eta(partial(forms.theta, th), order_f)),
-        ),
+        ("theta-double-sum", lambda: (_theta_double_sum(order_f), forms.theta_form(th, order_f))),
     ]
     reports += [qs.compare_report(name, {}, build, order_f) for name, build in checks]
     return reports

@@ -1,7 +1,9 @@
 """Dedekind eta, the Weber functions, and the indexed theta series
 Theta_{j,k} = sum_n q^{(2kn+j)^2/4k} with their weighted variants, together
 with an exact identity suite relating them.  eta is a theta difference,
-and every eta quotient comes from one cached builder, `eta_quotient`."""
+and every eta quotient comes from one cached builder, `eta_quotient`.
+Every product q^s (eta quotient) (theta combination) elsewhere in the
+package is data, a `ThetaForm`, with one evaluator, `theta_form`."""
 
 from __future__ import annotations
 
@@ -16,12 +18,14 @@ from .report import value_type
 
 __all__ = [
     "ThetaParams",
+    "ThetaForm",
     "eta",
     "weber",
     "theta",
     "dtheta",
     "eta_scaled",
     "eta_quotient",
+    "theta_form",
     "verify_form_identities",
 ]
 
@@ -114,6 +118,13 @@ def eta_quotient(powers: tuple[tuple[RatLike, int], ...], order: RatLike) -> QSe
     eta(d tau)^{+-1} leads at +-d/24, each factor is built to the order less
     the other factors' leads (at least to its own lead); a negative power
     is an inverse over the O(sqrt(order)) nonzero terms of eta."""
+    if not any(r for _, r in powers):
+        raise ValueError("powers must hold a pair (d, r_d) with r_d nonzero")
+    for d, r in powers:
+        if Fraction(d) <= 0:
+            raise ValueError(f"powers must hold pairs (d, r_d) with d > 0, got {(d, r)}")
+        if not isinstance(r, int):
+            raise ValueError(f"powers must hold pairs (d, r_d) with r_d an int, got {(d, r)}")
     order_f = Fraction(order)
     lead = sum(Fraction(d) * r for d, r in powers) / 24
     factors = []
@@ -121,6 +132,38 @@ def eta_quotient(powers: tuple[tuple[RatLike, int], ...], order: RatLike) -> QSe
         e = eta_scaled(d, max(order_f - lead, 0) + Fraction(d) / 24)
         factors += [e if r > 0 else qs.invert(e)] * abs(r)
     return reduce(qs.mul, factors)
+
+
+class ThetaForm(value_type("ThetaForm", "shift powers k weights")):
+    """q^shift prod eta(d tau)^{r_d} sum_j (a_j Theta_{j,k} + b_j dTheta_{j,k}):
+    `powers` holds the (d, r_d) pairs of `eta_quotient`, or none for a bare
+    theta sum, k is a level as in ThetaParams, and `weights` holds the
+    (j, a_j, b_j) triples."""
+
+    __slots__ = ()
+
+    def __new__(cls, shift: RatLike, powers: tuple, k: RatLike, weights: tuple):
+        weights = tuple((j, Fraction(a), Fraction(b)) for j, a, b in weights)
+        return tuple.__new__(cls, (Fraction(shift), tuple(powers), ThetaParams(0, k).k, weights))
+
+
+def theta_form(form: ThetaForm, order: RatLike) -> QSeries:
+    """The series of `form`, exact to the given order.  Every theta term
+    lies at q^0 or above, so the quotient, exact to n = order - shift, and
+    the theta sum, built to n less the quotient's lead, make a product
+    exact to n (`qs.mul`'s rule).  No theta of weight 0 is built."""
+    n = Fraction(order) - form.shift
+    lead = sum(Fraction(d) * r for d, r in form.powers) / Fraction(24)
+    parts = [
+        qs.scale(build(ThetaParams(j, form.k), n - lead), w)
+        for j, a, b in form.weights
+        for w, build in ((a, theta), (b, dtheta))
+        if w
+    ]
+    total = reduce(qs.add, parts) if parts else qs.zero(n - lead)
+    if form.powers:
+        total = qs.mul(eta_quotient(form.powers, n), total)
+    return qs.shift(total, form.shift)
 
 
 # -- identity suite -----------------------------------------------------------

@@ -277,9 +277,8 @@ def _rank_columns(m: int, taus: list[TauPoint], order: Fraction, tol: float) -> 
     per point."""
     p = 2 * m + 1
     series = [characters.sw_char(mod, order) for mod in characters.all_module_ids(m)]
-    for j in range(1, m + 1):
-        dtheta = partial(forms.dtheta, ThetaParams(j, Fraction(p, 2)))
-        series.append(characters._times_f_over_eta(dtheta, order))
+    f_dthetas = [forms.ThetaForm(0, characters.F_OVER_ETA, Fraction(p, 2), ((j, 0, 1),)) for j in range(1, m + 1)]
+    series += [forms.theta_form(form, order) for form in f_dthetas]
     rows = [[eval_series(s, t, tol)[0] for s in series] for t in taus]
     return [[t.tau * row[c] if c >= p else row[c] for t, row in zip(taus, rows)] for c in range(len(series))]
 

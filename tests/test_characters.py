@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 import swqseries.qseries as qs
 from swqseries.characters import (
     CentralData,
-    _char_combo,
     SWModuleId,
     all_module_ids,
     central_data,
     char_by_decomposition,
     f2_over_eta,
     f_over_eta,
+    module_form,
     module_weight,
     ns_irr_char,
     superchar_leading_shift,
@@ -25,7 +25,7 @@ from swqseries.characters import (
     sw_superchar_theta,
     verify_character_suite,
 )
-from swqseries.forms import ThetaParams, dtheta, theta
+from swqseries.forms import ThetaParams, dtheta, theta, theta_form
 
 
 class TestCentralData:
@@ -225,6 +225,39 @@ class TestSuite:
         assert rep.status == "fail"
 
 
+# -- the hand-built bodies that module_form and forms.theta_form replaced ----
+
+
+def _lambda_pi(module, th, dth, c):
+    """((2i+1) th + c dth) / (2m+1) for lambda, ((2m-2i) th - c dth) / (2m+1) for pi."""
+    m, i = module.m, module.i
+    a, b = (2 * i + 1, c) if module.kind == "lambda" else (2 * m - 2 * i, -c)
+    return qs.add(qs.scale(th, F(a, 2 * m + 1)), qs.scale(dth, F(b, 2 * m + 1)))
+
+
+def _char_combo(module, order):
+    p = ThetaParams(module.m - module.i, F(2 * module.m + 1, 2))
+    return _lambda_pi(module, theta(p, order), dtheta(p, order), 2)
+
+
+def _times_f_over_eta(g, order):
+    """(f/eta) g for a builder g(n) of a series exact to q^n with no term
+    below q^0: f/eta (lead -1/16) to the order, g 1/16 past it."""
+    return qs.mul(f_over_eta(order), g(order + F(1, 16)))
+
+
+def _displayed_superchar(module, order):
+    """sw_superchar_theta's own order rule: f2/eta (lead 0) and the
+    combination of Theta_a - Theta_b, both to the order."""
+    order_f = F(order)
+    m, i = module.m, module.i
+    k2 = 2 * (2 * m + 1)
+    a, b = ThetaParams(2 * (m - i), k2), ThetaParams(2 * (m + i + 1), k2)
+    th = qs.sub(theta(a, order_f), theta(b, order_f))
+    dth = qs.sub(dtheta(a, order_f), dtheta(b, order_f))
+    return qs.mul(f2_over_eta(order_f), _lambda_pi(module, th, dth, 1))
+
+
 # -- the lambda/pi combinations against their two-copy bodies ----------------
 
 
@@ -257,7 +290,8 @@ def _two_copy_superchar(module, order):
 def test_combinations_match_two_copy_bodies(m):
     for module in all_module_ids(m):
         for order in (F(12), F(61, 2)):
-            assert _char_combo(module, order) == _two_copy_char_combo(module, order)
+            combo = theta_form(module_form(module)._replace(powers=()), order)
+            assert combo == _char_combo(module, order) == _two_copy_char_combo(module, order)
             assert sw_superchar_theta(module, order) == _two_copy_superchar(module, order)
 
 
@@ -306,9 +340,12 @@ def test_builders_match_margin_bodies(module, order, n):
     # `swq char` and `swq superchar` print the requested order as the
     # series' order, so each builder must be exact to it and no further
     m, i = module.m, module.i
+    combo = partial(_char_combo, module)
     pairs = {
-        "sw_char": (sw_char(module, order), _margin_times_f_over_eta(partial(_char_combo, module), order)),
+        "sw_char": (sw_char(module, order), _margin_times_f_over_eta(combo, order)),
+        "sw_char, hand-built": (sw_char(module, order), _times_f_over_eta(combo, order)),
         "sw_superchar_theta": (sw_superchar_theta(module, order), _two_copy_superchar(module, order)),
+        "sw_superchar_theta, hand-built": (sw_superchar_theta(module, order), _displayed_superchar(module, order)),
         "ns_irr_char": (ns_irr_char(m, i, n, order), _margin_ns_irr_char(m, i, n, order)),
     }
     for name, (got, want) in pairs.items():

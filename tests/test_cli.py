@@ -303,15 +303,16 @@ class TestRankReport:
         assert rank["params"]["min_singular"] > 0
 
     def test_duplicated_character_column_fails(self, monkeypatch):
-        combo = characters._char_combo
+        form = characters.module_form
 
-        def duplicated(module, order):
-            # pi:1 gets the theta combination, hence the character, of lambda:1
+        def duplicated(module, superchar=False):
+            # pi:1 gets the theta form, hence the character and its theta
+            # combination, of lambda:1
             if module.kind == "pi" and module.index == 1:
                 module = characters.SWModuleId(module.m, "lambda", 1)
-            return combo(module, order)
+            return form(module, superchar)
 
-        monkeypatch.setattr(characters, "_char_combo", duplicated)
+        monkeypatch.setattr(characters, "module_form", duplicated)
         # a cache of its own, so no character built before or after this test is shared
         monkeypatch.setattr(characters, "sw_char", functools.lru_cache(characters.sw_char.__wrapped__))
         rep = numeric._rank_report(2, F(60), 1e-8)

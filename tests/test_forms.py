@@ -1,19 +1,25 @@
 """Frozen expansions and identity-suite checks for the modular building blocks."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import swqseries.forms as forms
 import swqseries.qseries as qs
+from swqseries.characters import F2_OVER_ETA, F_OVER_ETA
 from swqseries.forms import (
+    ThetaForm,
     ThetaParams,
     _suite,
     dtheta,
     eta,
+    eta_quotient,
     eta_scaled,
     theta,
+    theta_form,
     verify_form_identities,
     weber,
 )
@@ -280,3 +286,86 @@ def test_identity_sides_are_exact_to_the_order(order):
     for identity_id, params, build in _suite(order):
         lhs, rhs = build()
         assert min(lhs.order, rhs.order) >= order, (identity_id, params)
+
+
+@pytest.mark.parametrize(
+    "powers, message",
+    [
+        ((), "powers must hold a pair (d, r_d) with r_d nonzero"),
+        (((1, 0),), "powers must hold a pair (d, r_d) with r_d nonzero"),
+        (((1, 0), (2, 0)), "powers must hold a pair (d, r_d) with r_d nonzero"),
+        (((0, 1),), "powers must hold pairs (d, r_d) with d > 0, got (0, 1)"),
+        (((1, 1), (-2, 1)), "powers must hold pairs (d, r_d) with d > 0, got (-2, 1)"),
+        (((1, F(1, 2)),), "powers must hold pairs (d, r_d) with r_d an int, got (1, Fraction(1, 2))"),
+    ],
+)
+def test_eta_quotient_rejects_malformed_powers(powers, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        eta_quotient(powers, 5)
+
+
+# -- ThetaForm: one evaluator against its margin-and-truncate body -----------
+
+
+def _margin_theta_form(form, order):
+    """theta_form with both factors built 2 past the order (every eta
+    quotient drawn below leads within 3/4 of q^0), multiplied, shifted and
+    truncated back; every theta and dTheta is built, weight 0 or not."""
+    n = F(order) - form.shift + 2
+    total = qs.zero(n)
+    for j, a, b in form.weights:
+        p = ThetaParams(j, form.k)
+        total = qs.add(total, qs.add(qs.scale(theta(p, n), a), qs.scale(dtheta(p, n), b)))
+    if form.powers:
+        total = qs.mul(eta_quotient(form.powers, n), total)
+    return qs.truncate(qs.shift(total, form.shift), order)
+
+
+def assert_exact_to(s, order):
+    """s claims exactly the order and holds no slot beyond it."""
+    assert s.order == order
+    assert not s.vals or F(s.base + (len(s.vals) - 1) * s.stride, s.denom) <= order
+
+
+_POWERS = st.one_of(
+    st.just(()),
+    st.lists(st.tuples(st.sampled_from([F(1, 2), 1, 2, 3]), st.integers(-2, 2)), min_size=1, max_size=3)
+    .map(tuple)
+    .filter(lambda ps: any(r for _, r in ps)),
+)
+_WEIGHTS = st.sampled_from([F(0), F(0), F(1), F(-1), F(2, 5), F(-1, 3)])
+
+
+@st.composite
+def _theta_forms(draw):
+    k = F(draw(st.integers(1, 12)), 2)
+    K = int(2 * k)
+    weights = draw(st.lists(st.tuples(st.integers(-K, 2 * K), _WEIGHTS, _WEIGHTS), max_size=3))
+    return ThetaForm(F(draw(st.integers(-96, 96)), 48), draw(_POWERS), k, tuple(weights))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_theta_forms(), st.integers(-96, 1440).map(lambda k: F(k, 48)))
+@example(ThetaForm(0, F_OVER_ETA, F(3, 2), ((1, 0, 1),)), F(-1))
+@example(ThetaForm(0, F_OVER_ETA, F(5, 2), ((2, F(1, 5), F(2, 5)),)), F(0))
+@example(ThetaForm(0, F2_OVER_ETA, 10, ((4, F(1, 5), F(1, 5)), (6, F(-1, 5), F(-1, 5)))), F(77, 3))
+@example(ThetaForm(F(1, 3), (), F(5, 2), ((2, 0, 0), (1, F(3, 5), F(-2, 5)))), F(61, 2))
+# warnaar variant 2, p = 3, lam = 1, sigma = 1: b = -2, and the weight
+# (p - lam) + b of the n = 0 term is 0, so the theta sum has no q^0 term
+@example(ThetaForm(F(1, 24) - F(1, 3), ((1, -1),), 3, ((-2, F(2, 3), F(1, 3)),)), F(10))
+@example(ThetaForm(F(1, 24) - F(1, 3), ((1, -1),), 3, ((-2, F(2, 3), F(1, 3)),)), F(-1, 48))
+def test_theta_form_matches_margin_body(form, order):
+    got = theta_form(form, order)
+    assert got == _margin_theta_form(form, order)
+    assert_exact_to(got, order)
+
+
+def test_theta_form_builds_no_zero_weight_theta(monkeypatch):
+    built = []
+    for name in ("theta", "dtheta"):
+        build = getattr(forms, name)
+        monkeypatch.setattr(forms, name, lambda p, order, name=name, build=build: built.append((name, p)) or build(p, order))
+    theta_form(ThetaForm(0, F_OVER_ETA, F(5, 2), ((1, 0, 1), (2, 3, 0), (0, 0, 0))), 10)
+    # eta, inside the quotient, is Theta_{1,6} - Theta_{5,6}
+    level = [(name, p.j) for name, p in built if p.k == F(5, 2)]
+    assert level == [("dtheta", 1), ("theta", 2)]

@@ -3,8 +3,9 @@ standard library and each other, and pyproject.toml declares none.  No
 module imports dataclasses, the modules behind --help, gm and zhu do
 not load qseries, every value type derives from report.value_type,
 `characters` and `fermionic` build no infinite product, no builder
-outside `qseries` truncates a series, and only `numeric`, the one
-floating-point module, imports cmath."""
+outside `qseries` truncates a series, only `forms` and numeric's S- and
+T-laws build a theta series, and only `numeric`, the one floating-point
+module, imports cmath."""
 
 import ast
 import sys
@@ -120,6 +121,28 @@ def test_only_qseries_truncates():
             or (isinstance(node, ast.Name) and node.id == "truncate")
             or (isinstance(node, ast.alias) and node.name == "truncate")
         ]
+    assert found == []
+
+
+def test_only_forms_and_the_s_laws_build_theta():
+    # every other theta sum is a forms.ThetaForm, built by forms.theta_form
+    # with its order rule; numeric's S- and T-laws check Theta and dTheta
+    # themselves
+    names = {"theta", "dtheta"}
+    found = []
+    for path in sorted((ROOT / "src" / "swqseries").glob("*.py")):
+        if path.name == "forms.py":
+            continue
+        for top in ast.parse(path.read_text(), str(path)).body:
+            if path.name == "numeric.py" and getattr(top, "name", None) == "verify_s_t_laws":
+                continue
+            found += [
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(top)
+                if (isinstance(node, ast.Attribute) and node.attr in names)
+                or (isinstance(node, ast.Name) and node.id in names)
+                or (isinstance(node, ast.alias) and node.name in names)
+            ]
     assert found == []
 
 

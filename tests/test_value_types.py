@@ -32,6 +32,7 @@ _BYPASSES = [
     (ch.SWModuleId(2, "lambda", 1), {"index": 99}),
     (fm.FermionicSumSpec(3, 0, 0, 1), {"sigma": 7}),
     (forms.ThetaParams(1, 2), {"k": -3}),
+    (forms.ThetaForm(F(1, 24), ((1, -1),), 3, ((1, 1, 0),)), {"k": -3}),
     (numeric.TauPoint(0, 1), {"im": -1.0}),
     (cli.RunConfig("verify"), {"m": 0, "tol": math.inf}),
     (_FAILING, {"status": "pass"}),
