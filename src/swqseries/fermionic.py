@@ -129,7 +129,31 @@ def _div(acc: list[int], b: int, low: int, n: int) -> None:
         acc[r:n:b] = accumulate(acc[r:n:b])
 
 
-def _multi_sum(spec: FermionicSumSpec, order: Fraction) -> QSeries:
+def _frame(spec: FermionicSumSpec, order: Fraction) -> tuple:
+    """(fork_lo, lo, top, Ms) of `spec` in `_multi_sum`: twice the lowest fork
+    exponent, the lowest exponent, floor(order - lo), and the count of M with d(M) <= top."""
+    lam, parity = spec.lam, spec.sigma
+    lb2 = lam if spec.variant == 2 else -lam
+    b0, f0 = max(0, -lb2 // 2), parity * (parity + lam)  # twice the fork exponent at (0, b0) and (parity, 0)
+    fork_lo = f0 - 2 * ((f0 - b0 * (b0 + lb2)) // 2)  # the lower, rounded down into the coset of a+b = parity
+    lo = Fraction(parity * (lam - 1) + fork_lo, 2)  # const + (p-2) eps^2 + fork_lo/2
+    top, Ms = floor(order - lo), 0
+    while Ms * (Ms + parity) <= top:  # M runs over 0..Ms-1, where d(M) <= top
+        Ms += 1
+    return fork_lo, lo, top, Ms
+
+
+def _inverse_poch_table(specs, order: Fraction) -> list[list[int]]:
+    """H[b] = 1/(q;q)_b to q^top for b < 2 Ms + sigma - 1, each the largest over the `_frame`s of `specs`."""
+    n = max(_frame(spec, order)[2] for spec in specs) + 1
+    H = [[1] + [0] * (n - 1)]
+    for b in range(1, max(2 * _frame(spec, order)[3] + spec.sigma - 1 for spec in specs)):
+        H.append(H[-1][:])
+        _div(H[-1], b, 0, n)
+    return H
+
+
+def _multi_sum(spec: FermionicSumSpec, order: Fraction, shared: dict | None = None) -> QSeries:
     """The multi-sum side of `spec`: the sum over n in Z>=0^p with
     n_{p-1} + n_p = sigma mod 2 of
 
@@ -160,45 +184,54 @@ def _multi_sum(spec: FermionicSumSpec, order: Fraction) -> QSeries:
     plus an integer, and as l_{p-1} - l_p and 2 l_p are integers the
     fork exponent moves by integers over the pairs a+b of one parity.
     So the levels are int lists, index j holding exponent lo + j.
+
+    With la2 = 2 l_{p-1}, lb2 = 2 l_p, delta = la2 - lb2 and a+b = 2M+sigma,
+
+        a^2 + b^2 + la2 a + lb2 b = a^2 + b^2 + delta (a-b)/2 + (la2+lb2)(2M+sigma)/2,
+
+    so K(M) is the kernel of the variant-1 spec with lam = delta/2 (whose
+    top is at least ours) shifted by (la2+lb2)(2M+sigma)/4 slots plus
+    the difference of the two specs' lowest fork exponents.
+    `shared`, the work of one `verify_warnaar` call (one p, one order),
+    holds one 1/(q;q)_b table H long enough for every spec, the delta = 0
+    kernel of each sigma (every variant-2 spec and variant-1 lam = 0 read
+    it) and each result keyed on the numbers the DP reads, so the two
+    lam = 0 sums, one input, run once.  Alone, a call builds its own H.
     """
     p, lam, parity = spec.p, spec.lam, spec.sigma
     la2, lb2 = lam, lam if spec.variant == 2 else -lam
-
-    def twice_fork(a: int, b: int) -> int:
-        return a * a + b * b + la2 * a + lb2 * b
-
-    # twice the lowest fork exponent, rounded down into the coset of a+b = parity
-    f0 = twice_fork(parity, 0)
-    fork_lo = f0 - 2 * ((f0 - twice_fork(0, max(0, -lb2 // 2))) // 2)
-    # lo = const + (p-2) eps^2 + fork_lo/2
-    lo = Fraction(parity * (lam - 1) + fork_lo, 2)
-    top = floor(order - lo)
+    chain = [max(0, i - p + lam + 1) if spec.variant == 2 else 0 for i in range(p - 2, 0, -1)]
+    ref = FermionicSumSpec(p, (la2 - lb2) // 2, parity, 1)
+    shared = {"H": _inverse_poch_table([ref], order)} if shared is None else shared
+    key = (parity, la2, lb2, tuple(chain))
+    if key in shared:
+        return shared[key]
+    fork_lo, lo, top, Ms = _frame(spec, order)
+    ref_fork_lo, _, ref_top, ref_Ms = _frame(ref, order)
 
     def d(M: int) -> int:  # (M + eps)^2 - eps^2
         return M * M + parity * M
 
-    Ms = 0  # M runs over 0..Ms-1, where d(M) <= top
-    while d(Ms) <= top:
-        Ms += 1
-    H = [[1] + [0] * top]  # H[b] = 1/(q;q)_b
-    for b in range(1, 2 * Ms + parity - 1):
-        H.append(H[-1][:])
-        _div(H[-1], b, 0, top + 1)
-    level = [
-        (0, _horner(top + 1 - (p - 2) * d(M), (
-            ((twice_fork(a, 2 * M + parity - a) - fork_lo) // 2, H[2 * M + parity - a], (), (a + 1,))
-            for a in range(2 * M + parity, -1, -1))))
-        for M in range(Ms)
-    ]
-    for i in range(p - 2, 0, -1):
-        li = max(0, i - p + lam + 1) if spec.variant == 2 else 0
+    kernels = shared if la2 == lb2 else {}  # only the delta = 0 kernels have two readers
+    if parity not in kernels:
+        H = shared["H"]
+        kernels[parity] = [
+            _horner(ref_top + 1 - (p - 2) * d(M), (
+                ((a * a + b * b + ref.lam * (a - b) - ref_fork_lo) // 2, H[b], (), (a + 1,))
+                for a, b in ((a, 2 * M + parity - a) for a in range(2 * M + parity, -1, -1))))
+            for M in range(ref_Ms)
+        ]
+    level = [(((la2 + lb2) * (2 * M + parity) + 2 * (ref_fork_lo - fork_lo)) // 4, kernels[parity][M])
+             for M in range(Ms)]
+    for i, li in zip(range(p - 2, 0, -1), chain):
         level = [
             (d(M), _horner(top + 1 - i * d(M), (
                 (level[M - k][0] + li * k, level[M - k][1], (), (k + 1,)) for k in range(M, -1, -1))))
             for M in range(Ms)
         ]
     vals = _horner(top + 1, ((off, x, (), ()) for off, x in level))
-    return QSeries(lo.denominator, lo.numerator, lo.denominator, vals, 1, order)
+    shared[key] = QSeries(lo.denominator, lo.numerator, lo.denominator, vals, 1, order)
+    return shared[key]
 
 
 # -- one-parameter sum families ------------------------------------------------
@@ -229,20 +262,17 @@ def verify_warnaar(p: int, order: RatLike) -> list[VerificationReport]:
     if p < 3:
         raise ValueError("p must be at least 3")
     order_f = Fraction(order)
-    reports = []
-    for variant in (1, 2):
-        for lam in range(p + 1):
-            for sig in (0, 1):
-                spec = FermionicSumSpec(p, lam, sig, variant)
-                reports.append(
-                    qs.compare_report(
-                        f"warnaar-v{variant}",
-                        {"p": p, "lambda": lam, "sigma": sig},
-                        lambda: (warnaar_lhs(spec, order_f), warnaar_rhs(spec, order_f)),
-                        order_f,
-                    )
-                )
-    return reports
+    specs = [FermionicSumSpec(p, lam, sig, variant) for variant in (1, 2) for lam in range(p + 1) for sig in (0, 1)]
+    shared = {"H": _inverse_poch_table(specs, order_f)}  # see `_multi_sum`
+    return [
+        qs.compare_report(
+            f"warnaar-v{spec.variant}",
+            {"p": p, "lambda": spec.lam, "sigma": spec.sigma},
+            lambda: (_multi_sum(spec, order_f, shared), warnaar_rhs(spec, order_f)),
+            order_f,
+        )
+        for spec in specs
+    ]
 
 
 # -- fermionic character forms ---------------------------------------------

@@ -151,7 +151,10 @@ def theta_form(form: ThetaForm, order: RatLike) -> QSeries:
     """The series of `form`, exact to the given order.  Every theta term
     lies at q^0 or above, so the quotient, exact to n = order - shift, and
     the theta sum, built to n less the quotient's lead, make a product
-    exact to n (`qs.mul`'s rule).  No theta of weight 0 is built."""
+    exact to n (`qs.mul`'s rule).  The quotient is built to ceil(n): its
+    terms past n meet only theta terms past n, so the product is the same,
+    and forms whose n differ by a fraction share one build.  No theta of
+    weight 0 is built."""
     n = Fraction(order) - form.shift
     lead = sum(Fraction(d) * r for d, r in form.powers) / Fraction(24)
     parts = [
@@ -162,7 +165,7 @@ def theta_form(form: ThetaForm, order: RatLike) -> QSeries:
     ]
     total = reduce(qs.add, parts) if parts else qs.zero(n - lead)
     if form.powers:
-        total = qs.mul(eta_quotient(form.powers, n), total)
+        total = qs.mul(eta_quotient(form.powers, math.ceil(n)), total)
     return qs.shift(total, form.shift)
 
 

@@ -477,6 +477,127 @@ def test_exponents_of_one_spec_lie_in_one_coset(data, p, lam_frac, sigma, varian
     assert (exponent(tuple_of_parity()) - exponent(tuple_of_parity())).denominator == 1
 
 
+# -- one verify_warnaar call shares its work ----------------------------------
+
+
+def _per_spec_multi_sum(spec, order: Fraction) -> qs.QSeries:
+    """The D_p multi-sum DP as it was before one `verify_warnaar` call
+    shared its work: each spec builds its own 1/(q;q)_b table and its own
+    fork kernel, from its own fork pair."""
+    p, lam, parity = spec.p, spec.lam, spec.sigma
+    la2, lb2 = lam, lam if spec.variant == 2 else -lam
+
+    def twice_fork(a: int, b: int) -> int:
+        return a * a + b * b + la2 * a + lb2 * b
+
+    f0 = twice_fork(parity, 0)
+    fork_lo = f0 - 2 * ((f0 - twice_fork(0, max(0, -lb2 // 2))) // 2)
+    lo = Fraction(parity * (lam - 1) + fork_lo, 2)
+    top = floor(order - lo)
+
+    def d(M: int) -> int:
+        return M * M + parity * M
+
+    Ms = 0
+    while d(Ms) <= top:
+        Ms += 1
+    H = [[1] + [0] * top]
+    for b in range(1, 2 * Ms + parity - 1):
+        H.append(H[-1][:])
+        fm._div(H[-1], b, 0, top + 1)
+    level = [
+        (0, fm._horner(top + 1 - (p - 2) * d(M), (
+            ((twice_fork(a, 2 * M + parity - a) - fork_lo) // 2, H[2 * M + parity - a], (), (a + 1,))
+            for a in range(2 * M + parity, -1, -1))))
+        for M in range(Ms)
+    ]
+    for i in range(p - 2, 0, -1):
+        li = max(0, i - p + lam + 1) if spec.variant == 2 else 0
+        level = [
+            (d(M), fm._horner(top + 1 - i * d(M), (
+                (level[M - k][0] + li * k, level[M - k][1], (), (k + 1,)) for k in range(M, -1, -1))))
+            for M in range(Ms)
+        ]
+    vals = fm._horner(top + 1, ((off, x, (), ()) for off, x in level))
+    return qs.QSeries(lo.denominator, lo.numerator, lo.denominator, vals, 1, order)
+
+
+def _shared_multi_sums(monkeypatch, p: int, order) -> tuple[list, dict]:
+    """(spec, multi-sum) for each `_multi_sum` call that one
+    `verify_warnaar` call makes through the module attribute, in call
+    order, and the one `shared` dict every call was handed."""
+    calls, shared, original = [], [], fm._multi_sum
+
+    def record(spec, order, work):
+        shared.append(work)
+        calls.append((spec, original(spec, order, work)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(fm, "_multi_sum", record)
+    fm.verify_warnaar(p, order)
+    monkeypatch.undo()
+    assert all(work is shared[0] for work in shared)
+    return calls, shared[0]
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 7, 9])
+def test_multi_sum_matches_per_spec_oracle(monkeypatch, p):
+    for order in (F(-1), F(0), F(1, 2), F(7), F(61, 2), F(50)):
+        calls, _ = _shared_multi_sums(monkeypatch, p, order)
+        assert [spec for spec, _ in calls] == list(_all_specs(p))
+        for spec, got in calls:
+            want = _fields(_per_spec_multi_sum(spec, order))
+            assert _fields(got) == want, (spec, order)
+            assert _fields(fm._multi_sum(spec, order)) == want, (spec, order)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), p=st.integers(3, 11), n=st.integers(-4, 160))
+def test_shared_multi_sums_match_per_spec_oracle_in_any_order(data, p, n):
+    # whichever spec builds a shared kernel first, each reader gets its own sum
+    order = F(n, 2)
+    specs = list(_all_specs(p))
+    shared = {"H": fm._inverse_poch_table(specs, order)}
+    for spec in data.draw(st.permutations(specs))[:8]:
+        assert _fields(fm._multi_sum(spec, order, shared)) == _fields(_per_spec_multi_sum(spec, order)), spec
+
+
+def _dp_input(spec) -> tuple:
+    # (sigma, 2 l_{p-1}, 2 l_p, (l_{p-2}, ..., l_1)), read off the linear part of the exponent
+    lin, _ = _warnaar_data(spec)
+    p = spec.p
+    return (spec.sigma, int(2 * lin[p - 2]), int(2 * lin[p - 1]), tuple(int(lin[i]) for i in range(p - 3, -1, -1)))
+
+
+@pytest.mark.parametrize("p, order", [(3, F(61, 2)), (6, F(20)), (9, F(25))])
+def test_one_verify_warnaar_call_shares_its_work(monkeypatch, p, order):
+    # One table.  Still one _multi_sum call per spec through the module
+    # attribute (swqbench counts those spans).  One result per DP input:
+    # the two lam = 0 sums are one object.  Per sigma, the p kernels of
+    # variant 1 at lam > 0 and one delta = 0 kernel, each built once.
+    tables, horners = [], []
+    table, horner = fm._inverse_poch_table, fm._horner
+    monkeypatch.setattr(fm, "_inverse_poch_table", lambda *a: tables.append(a) or table(*a))
+    monkeypatch.setattr(fm, "_horner", lambda n, terms: horners.append(n) or horner(n, terms))
+    calls, shared = _shared_multi_sums(monkeypatch, p, order)
+    assert len(tables) == 1
+    assert len(calls) == 4 * (p + 1)
+    by_input = {}
+    for spec, got in calls:
+        by_input.setdefault(_dp_input(spec), []).append((spec, got))
+    assert set(shared) == {"H", 0, 1} | set(by_input)
+    assert [[(s.lam, s.sigma, s.variant) for s, _ in r] for r in by_input.values() if len(r) > 1] == [
+        [(0, 0, 1), (0, 0, 2)],
+        [(0, 1, 1), (0, 1, 2)],
+    ]
+    assert all(got is readers[0][1] for readers in by_input.values() for _, got in readers)
+    # one _horner call per M on each chain level and one for the sum
+    # over M per DP input; one per M of each kernel built
+    dp = sum((p - 2) * fm._frame(readers[0][0], order)[3] + 1 for readers in by_input.values())
+    kernels = sum(fm._frame(fm.FermionicSumSpec(p, lam, sigma, 1), order)[3] for lam in range(p + 1) for sigma in (0, 1))
+    assert len(horners) == dp + kernels
+
+
 # -- the two sum families ----------------------------------------------------
 
 

@@ -360,6 +360,15 @@ def test_theta_form_matches_margin_body(form, order):
     assert_exact_to(got, order)
 
 
+def test_theta_forms_share_the_quotient_within_one_unit_of_order():
+    # the Warnaar single sums at p = 5, b = 1, 2, 3: 1/eta to order
+    # 50 - 1/24 + b^2/20, each rounded up to 51, is built once
+    eta_quotient.cache_clear()
+    for b in (1, 2, 3):
+        theta_form(ThetaForm(F(1, 24) - F(b * b, 20), ((1, -1),), 5, ((b, 1, 0),)), 50)
+    assert eta_quotient.cache_info().misses == 1
+
+
 def test_theta_form_builds_no_zero_weight_theta(monkeypatch):
     built = []
     for name in ("theta", "dtheta"):

@@ -20,6 +20,10 @@ evaluation at tau+1 and tau+2.
 gm-m11.json, zhu-m11.json and verify-all-m2-o50-tau3.json pin the
 invocations that swqbench times, written while the CLI still built all
 six subparsers and imported json and fractions up front.
+verify-warnaar-m1-o61_2.json (p = 3 at a fractional order) and
+verify-warnaar-m4-o25.json (p = 9) come from the multi-sum code that
+built the 1/(q;q)_b table and the fork kernel of each spec on its own.
+Both exit 1: variant 2 at lambda = p fails by design.
 min_singular, the smallest singular value of a nearly singular
 floating-point matrix, is compared to a relative tolerance: the two
 SVDs agree to about 1e-6 at m <= 5, and the matrix entries come from
@@ -56,6 +60,8 @@ CASES = {
     "numeric-m2-o61_2.json": (["numeric", "--m", "2", "--order", "61/2", "--tau", "0.3+1.1j", "(-0.4+0.9j)"], 0),
     "gm-m11.json": (["gm", "--m", "11"], 0),
     "zhu-m11.json": (["zhu", "--m", "11"], 0),
+    "verify-warnaar-m1-o61_2.json": (["verify", "--suite", "warnaar", "--m", "1", "--order", "61/2"], 1),
+    "verify-warnaar-m4-o25.json": (["verify", "--suite", "warnaar", "--m", "4", "--order", "25"], 1),
     "verify-all-m2-o50-tau3.json": (
         ["verify", "--suite", "all", "--m", "2", "--order", "50", "--tau", "0.1+1j", "0.2+0.9j", "(-0.3+1.1j)"],
         1,
