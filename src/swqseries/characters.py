@@ -185,7 +185,7 @@ def superchar_leading_shift(module: SWModuleId, order: RatLike = 10) -> Fraction
     return lead - (module_weight(module) - cd.c / 24)
 
 
-def ns_space_exact_rank(m: int, order: RatLike) -> int:
+def ns_space_exact_rank(m: int) -> int:
     """Exact rank of the 2m+1 characters together with the m functions
     tau (f/eta) dTheta_{j,(2m+1)/2}, j = 1..m.
 
@@ -196,9 +196,14 @@ def ns_space_exact_rank(m: int, order: RatLike) -> int:
     by the invertible series f/eta keeps linear (in)dependence, so these
     are the ranks of the theta combinations of the characters and of
     the dTheta_{j,(2m+1)/2}, each certified on a prefix of exponents.
-    """
-    combos = [forms.theta_form(module_form(mod)._replace(powers=()), order) for mod in all_module_ids(m)]
+    At k = (2m+1)/2 distinct j have disjoint supports; Theta_{0,k} starts
+    at q^0, dTheta_{0,k} = 0, and for j >= 1 the n = 0 and n = -1 terms, at
+    j^2/4k and (2k-j)^2/4k, give the block [[1, 1], [j, -(2k-j)]] of
+    determinant -2k.  The last of them, Theta_{1,k}'s (2k-1)^2/4k =
+    2m^2/(2m+1), fixes the prefix, whatever order other checks run to."""
     k = Fraction(2 * m + 1, 2)
+    order = (2 * k - 1) ** 2 / (4 * k)
+    combos = [forms.theta_form(module_form(mod)._replace(powers=()), order) for mod in all_module_ids(m)]
     dthetas = [forms.theta_form(ThetaForm(0, (), k, ((j, 0, 1),)), order) for j in range(1, m + 1)]
     return qs.prefix_rank(combos) + qs.prefix_rank(dthetas)
 

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 from . import zhupoly as zp
-from .report import VerificationReport, run_check
+from .report import VerificationReport, _unpack, run_check
 from .zhupoly import RatPoly
 
 __all__ = [
@@ -65,10 +65,8 @@ def gm_value(m: int, t: int) -> int:
     [X^s] V_{p-d} V_{d-1} is a sum of at most s+1 <= p products, each
     at most M^2, and sum_d |W_d| = sum_d binom(p-1,d-1) = 2^{p-1}.
     Hence every e_s = [X^s] E satisfies |e_s| <= p M^2 2^{p-1}
-    <= p (AB)^2 2^{p-1}.
-    With 2^{w-1} above that bound, E(2^w) plus the bias
-    sum_s 2^{w-1} 2^{ws} has the base-2^w digits e_s + 2^{w-1}, all in
-    [0, 2^w), so the digits of E are read back exactly."""
+    <= p (AB)^2 2^{p-1}, and with 2^{w-1} above that bound
+    `report._unpack` reads every e_s of E(2^w) back exactly."""
     if m < 1:
         raise ValueError("m must be positive")
     p = 2 * m + 1
@@ -83,15 +81,8 @@ def gm_value(m: int, t: int) -> int:
     e = (-1) ** (m + 1) * math.comb(p - 1, m) * u[m] * u[m]
     for d in range(1, m + 1):
         e += (-1) ** d * 2 * math.comb(p - 1, d - 1) * u[p - d] * u[d - 1]
-    # the xor turns each biased digit e_s + 2^(w-1) into e_s in two's complement
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * p, "little")
-    buf = ((e + bias) ^ bias).to_bytes(width * p, "little")
     sign = -1 if t < 0 else 1
-    total = 0
-    for s in range(p):
-        digit = int.from_bytes(buf[s * width : (s + 1) * width], "little", signed=True)
-        total += sign**s * _binom(2 * m - t, s + p) * digit
-    return total
+    return sum(sign**s * _binom(2 * m - t, s + p) * e_s for s, e_s in enumerate(_unpack(e, width, p)))
 
 
 def gm_poly(m: int) -> RatPoly:

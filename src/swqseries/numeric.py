@@ -16,8 +16,9 @@ segment) its rank, the singular values above 1e-6 sigma_max, is short of
 
 (order 300, 200 at m = 6), and from m = 6 on the smallest value also lies
 below rounding noise, about n eps sigma_max (eps = 2.2e-16, n = 3m+1).  So
-min_singular is reported data, and only the exact rank
-characters.ns_space_exact_rank decides the ns-space-rank check."""
+min_singular is reported data, and only the exact rank, a function of m
+alone, decides the ns-space-rank check: characters.ns_space_exact_rank
+builds the prefix its proof needs, whatever order the suite runs at."""
 
 from __future__ import annotations
 
@@ -312,7 +313,7 @@ def _rank_report(m: int, order: Fraction, tol: float) -> VerificationReport:
     def check():
         # the exact rank decides; the SVD's smallest value is reported as data
         _, smallest = ns_space_rank(m, _rank_taus(n), order, tol)
-        rank = characters.ns_space_exact_rank(m, order)
+        rank = characters.ns_space_exact_rank(m)
         params.update(rank=rank, min_singular=float(f"{smallest:.6g}"))
         return order, None if rank == n else (Fraction(0), Fraction(rank), Fraction(n))
 

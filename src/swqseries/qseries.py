@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .report import RatLike, VerificationReport, run_check, value_type
+from .report import RatLike, VerificationReport, _unpack, run_check, value_type
 
 __all__ = [
     "QSeries",
@@ -329,13 +329,7 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
     terms = min(len(a.vals) - a.vals.count(0), len(b.vals) - b.vals.count(0))
     bits = max(map(abs, va)).bit_length() + max(map(abs, vb)).bit_length() + terms.bit_length() + 2
     width = (bits + 7) // 8
-    # Biasing every digit by half makes it nonnegative, so the low
-    # n_out digits of the biased product are exactly its bytes; xor
-    # with the bias turns each into its two's complement.
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n_out, "little")
-    low = (_pack(va, width, step_a) * _pack(vb, width, step_b) + bias) & ((1 << (8 * width * n_out)) - 1)
-    buf = (low ^ bias).to_bytes(width * n_out, "little")
-    vals = [int.from_bytes(buf[i : i + width], "little", signed=True) for i in range(0, width * n_out, width)]
+    vals = _unpack(_pack(va, width, step_a) * _pack(vb, width, step_b), width, n_out)
     return QSeries(d, base, stride, vals, a.content * b.content, order)
 
 

@@ -1,6 +1,6 @@
 """The outcome of one identity check and `run_check`, the only report
 constructor and the only timer in the package; `value_type`, the base of
-every value type in the package.
+every value type in the package; `_unpack`, the Kronecker read-back.
 
 This module imports no other module of the package, so a command that
 checks no q-series (`swq --help`, `gm`, `zhu`) never loads `qseries`, and
@@ -52,6 +52,15 @@ class VerificationReport(
         if (status == "pass") != (first_mismatch is None):
             raise ValueError("status must be 'pass' exactly when there is no mismatch")
         return tuple.__new__(cls, (identity_id, params, order, status, first_mismatch, runtime_ms))
+
+
+def _unpack(x: int, width: int, n: int) -> list[int]:
+    """The n lowest width-byte digits of x as signed ints, each in
+    [-2^(8 width - 1), 2^(8 width - 1)): biased by half a digit they are the
+    bytes of x + bias, and xor with the bias gives their two's complement."""
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    buf = (((x + bias) & ((1 << (8 * width * n)) - 1)) ^ bias).to_bytes(width * n, "little")
+    return [int.from_bytes(buf[i : i + width], "little", signed=True) for i in range(0, width * n, width)]
 
 
 def run_check(

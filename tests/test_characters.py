@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import swqseries.qseries as qs
+from swqseries import cli, forms
 from swqseries.characters import (
     CentralData,
     SWModuleId,
@@ -20,6 +21,7 @@ from swqseries.characters import (
     module_form,
     module_weight,
     ns_irr_char,
+    ns_space_exact_rank,
     superchar_leading_shift,
     sw_char,
     sw_superchar_theta,
@@ -223,6 +225,31 @@ class TestSuite:
         )
         rep = qs.compare_report("char-pair-sum", {}, lambda: (qs.add(lam, pi), wrong), 10)
         assert rep.status == "fail"
+
+
+class TestExactRank:
+    def test_full_rank_at_every_m_the_cli_accepts(self):
+        ms = range(1, cli._MAX_M + 1)
+        assert [ns_space_exact_rank(m) for m in ms] == [3 * m + 1 for m in ms]
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 30])
+    def test_prefix_ends_at_the_last_block_exponent(self, monkeypatch, m):
+        """The rank asks theta_form for no order past 2m^2/(2m+1), the n = -1
+        term of Theta_{1,(2m+1)/2}, and needs that term: one lattice step
+        below it the j = 1 block is singular and the rank is 3m."""
+        evaluate, last = forms.theta_form, F(2 * m * m, 2 * m + 1)
+        orders = []
+
+        def spy(form, order, lower=0):
+            orders.append(F(order))
+            return evaluate(form, F(order) - lower)
+
+        monkeypatch.setattr(forms, "theta_form", spy)
+        assert ns_space_exact_rank(m) == 3 * m + 1
+        assert len(orders) == 3 * m + 1
+        assert max(orders) <= last
+        monkeypatch.setattr(forms, "theta_form", partial(spy, lower=F(1, 2 * (2 * m + 1))))
+        assert ns_space_exact_rank(m) == 3 * m
 
 
 # -- the hand-built bodies that module_form and forms.theta_form replaced ----

@@ -302,6 +302,22 @@ class TestRankReport:
         assert rank["params"]["rank"] == 3 * m + 1
         assert rank["params"]["min_singular"] > 0
 
+    @pytest.mark.parametrize("m, order", [(10, "9"), (8, "7")])
+    def test_order_below_the_rank_prefix_keeps_full_rank(self, capsys, m, order):
+        # the exact rank's prefix ends at 2m^2/(2m+1), above these orders
+        assert cli.main(["numeric", "--m", str(m), "--order", order]) == 0
+        (rank,) = [r for r in json.loads(capsys.readouterr().out) if r["identity_id"] == "ns-space-rank"]
+        assert rank["status"] == "pass"
+        assert rank["order"] == order
+        assert rank["params"]["rank"] == 3 * m + 1
+
+    def test_suite_all_below_the_rank_prefix_fails_only_by_design(self, capsys):
+        assert cli.main(["verify", "--suite", "all", "--m", "11", "--order", "10"]) == 1
+        failed = [r for r in json.loads(capsys.readouterr().out) if r["status"] != "pass"]
+        # variant 2 with lambda = p fails by design
+        assert [r["identity_id"] for r in failed] == ["warnaar-v2"]
+        assert all(r["params"]["lambda"] == r["params"]["p"] for r in failed)
+
     def test_duplicated_character_column_fails(self, monkeypatch):
         form = characters.module_form
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from swqseries import qseries as qs
+from swqseries.report import _unpack
 
 F = Fraction
 
@@ -628,6 +629,25 @@ def test_mul_digit_sums_on_width_boundary(na, nb, bits_a, k, slack, signs, alter
     a = _series(d, F(na + nb, d), {i: signs[0] * pattern[i] * (2**bits_a - 1) for i in range(na)})
     b = _series(d, F(na + nb, d), {i: signs[1] * pattern[i] * (2**bits_b - 1) for i in range(nb)})
     assert_identical(qs.mul(a, b), _dict_mul(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda w: st.tuples(
+            st.just(w), st.lists(st.integers(-(2 ** (8 * w - 1)), 2 ** (8 * w - 1) - 1), min_size=1, max_size=12)
+        )
+    ),
+    st.integers(-(2**70), 2**70),
+)
+@example((1, [-128, 127, 0, -1]), -1)
+def test_unpack_reads_signed_digits_below_any_high_part(width_digits, high):
+    # the read-back of both Kronecker products, mul and gmverify.gm_value;
+    # mul's product has digits past n_out, which the read-back ignores
+    width, digits = width_digits
+    n = len(digits)
+    x = sum(d << (8 * width * i) for i, d in enumerate(digits)) + (high << (8 * width * n))
+    assert _unpack(x, width, n) == digits
 
 
 @settings(max_examples=200, deadline=None)
