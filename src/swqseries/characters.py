@@ -113,15 +113,15 @@ def ns_irr_char(m: int, i: int, n: int, order: RatLike) -> QSeries:
 
     exact to the given order.  With o = m^2/(2(2m+1)), h^{r,s} + o =
     (s(2m+1) - r)^2 / (8(2m+1)) >= 0, so the factor q^{h+o} - q^{h'+o}
-    has no term below q^0 and is built past the order by f/eta's lead 1/16.
+    has no term below q^0: it is the inner factor of a `forms.eta_product`.
     """
     if not (m >= 1 and 0 <= i <= m and n >= 0):
         raise ValueError("parameter out of range")
     cd = central_data(m)
     offset = Fraction(m * m, 2 * (2 * m + 1))
     weights = ((cd.h(2 * i + 1, 2 * n + 1) + offset, 1), (cd.h(2 * i + 1, -2 * n - 1) + offset, -1))
-    top = Fraction(order) + Fraction(1, 16)
-    return qs.mul(f_over_eta(Fraction(order)), qs.make_series([(e, s) for e, s in weights if e <= top], top))
+    return forms.eta_product(
+        0, F_OVER_ETA, lambda top: qs.make_series([(e, s) for e, s in weights if e <= top], top), order)
 
 
 def module_form(module: SWModuleId, superchar: bool = False) -> ThetaForm:

@@ -8,10 +8,10 @@ ratio R_k is a product of factors 1 + q^a and divisors 1 - q^b.  A
 last term with no x applies its ratio to the whole sum, so a finite
 product in front of a sum (the Durfee factors) is one more Horner step,
 and a sum whose terms carry another sum as their x is a product of two
-sums.  The module multiplies series only by the bosonic infinite
-products it takes from `forms`: every product side is an eta quotient
-from `forms.eta_quotient` or a `forms.ThetaForm` evaluated by
-`forms.theta_form`, and the module builds no infinite product itself."""
+sums.  The module multiplies no series: a sum times an eta quotient
+is one `forms.eta_product`, every other bosonic side an eta quotient
+or a `forms.ThetaForm`, so the order rule of a product lives in `forms`
+and the module builds no infinite product itself."""
 
 from __future__ import annotations
 
@@ -292,18 +292,13 @@ def fermionic_sw_char(module: SWModuleId, order: RatLike) -> tuple[QSeries, Frac
     if order_f < 0:
         raise ValueError("order must be nonnegative")
     m, i = module.m, module.i
-    p = 2 * m + 1
-    if module.kind == "lambda":
-        wspec = FermionicSumSpec(p, 2 * (m - i), 0, 2)
-    else:
-        wspec = FermionicSumSpec(p, 2 * i + 1, 1, 2)
-    half = qs.substitute_power(warnaar_lhs(wspec, 2 * order_f), Fraction(1, 2))
-    # a multi-sum with no term up to the order is zero there: lead 0
-    lead = Fraction(0) if half.is_zero() else half.leading()[0]
-    # 1/(-q;q)_inf = q^{1/24} eta(tau) / eta(2 tau), exact to order_f - min(0, lead)
-    n = order_f - min(Fraction(0), lead) - Fraction(1, 24)
-    inv_inf = qs.shift(forms.eta_quotient(((1, 1), (2, -1)), n), Fraction(1, 24))
-    return qs.mul(half, inv_inf), _char_shift(module)
+    lam, sigma = (2 * (m - i), 0) if module.kind == "lambda" else (2 * i + 1, 1)
+    wspec = FermionicSumSpec(2 * m + 1, lam, sigma, 2)
+    # variant 2 with lam >= 1 where sigma = 1: `_frame` puts every term at
+    # q^0 or above; 1/(-q;q)_inf = q^{1/24} eta(tau) / eta(2 tau)
+    return forms.eta_product(
+        Fraction(1, 24), ((1, 1), (2, -1)),
+        lambda n: qs.substitute_power(warnaar_lhs(wspec, 2 * n), Fraction(1, 2)), order_f), _char_shift(module)
 
 
 def _char_shift(module: SWModuleId) -> Fraction:
@@ -322,16 +317,16 @@ def _char_shift(module: SWModuleId) -> Fraction:
 def fermionic_char_report(module: SWModuleId, order: RatLike) -> VerificationReport:
     """Compare the multi-sum form against q^{shift} * sw_char up to the
     requested order, for the fixed shift that `fermionic_sw_char`
-    returns, which is reported in params.  sw_char is built to
-    order - min(shift, 0), so that q^{shift} * sw_char is exact there."""
+    returns, which is reported in params: the module's form moved by
+    q^{shift}, exact to the order."""
     order_f = Fraction(order)
     params = {"m": module.m, "module": module.label}
 
     def check():
         series, shift = fermionic_sw_char(module, order_f)
         params["shift"] = shift
-        char = characters.sw_char(module, order_f - min(shift, 0))
-        return order_f, qs.compare(series, qs.shift(char, shift), order_f)
+        char = forms.theta_form(characters.module_form(module)._replace(shift=shift), order_f)
+        return order_f, qs.compare(series, char, order_f)
 
     return qs.run_check("fermionic-char", params, check)
 
@@ -355,8 +350,16 @@ def _finite_poch_inv(start: Fraction, step: Fraction, sign: int, count: int, ord
     return qs.invert(qs.pochhammer(start, step, sign, count, order))
 
 
+def _grid_sum(den: int, lead: int | Fraction, order: Fraction, terms) -> QSeries:
+    """q^lead times the `_horner` sum of terms(top) on the grid u = q^{1/den}, exact to
+    the order: its last slot is top = floor(den (order - lead)), clamped at 0 for `terms`."""
+    top = floor(den * (order - lead))
+    acc = _horner(top + 1, terms(max(top, 0)))
+    return qs.shift(QSeries(den, 0, 1, acc, 1, order - lead), lead)
+
+
 # Each sum below is sum_{n>=0} sign^n u^{e(n)} R_0 ... R_{n-1} on one grid
-# u (q^{1/2} or q), one `_horner` call over the terms
+# u (q^{1/2} or q), one `_grid_sum` over the terms
 # (e(n), [sign^n], ups_n, downs_n), R_n = prod (1 + u^ups) / prod (1 - u^downs),
 # from a bound on the last term within the order down to n = 0.
 
@@ -365,48 +368,37 @@ def _durfee_half(k: int, order: Fraction) -> QSeries:
     # sum_n q^{(n^2+kn)/2} / [(u;u)_n (u;u)_{n+k}],  u = q^{1/2}; the
     # ratios give (u;u)_n (u^{k+1};u)_n, and the last term, with no x,
     # divides by the rest, (u;u)_k
-    top = floor(2 * order)
-    acc = _horner(top + 1, chain(
-        ((n * n + k * n, [1], (), (n + 1, n + k + 1)) for n in range(isqrt(max(top, 0)), -1, -1)),
+    return _grid_sum(2, 0, order, lambda top: chain(
+        ((n * n + k * n, [1], (), (n + 1, n + k + 1)) for n in range(isqrt(top), -1, -1)),
         [(0, (), (), range(1, k + 1))]))
-    return QSeries(2, 0, 1, acc, 1, order)
 
 
 def _durfee_mixed(k: int, order: Fraction) -> QSeries:
     # sum_n (-u;u)_n (-u;u)_{n+k} q^{(n^2+kn)/2} / [(q)_n (q)_{n+k}]; the
     # last term, with no x, applies the rest, (-u;u)_k / (q)_k
-    top = floor(2 * order)
-    acc = _horner(top + 1, chain(
+    return _grid_sum(2, 0, order, lambda top: chain(
         ((n * n + k * n, [1], (n + 1, n + k + 1), (2 * n + 2, 2 * n + 2 * k + 2))
-         for n in range(isqrt(max(top, 0)), -1, -1)),
+         for n in range(isqrt(top), -1, -1)),
         [(0, (), range(1, k + 1), range(2, 2 * k + 1, 2))]))
-    return QSeries(2, 0, 1, acc, 1, order)
 
 
 def _euler_eta_sum(order: Fraction) -> QSeries:
     # q^{1/24} sum_n (-1)^n q^{n(n+1)/2} / (q)_n
-    inner_order = order - Fraction(1, 24)
-    top = floor(inner_order)
-    acc = _horner(top + 1, (
-        (n * (n + 1) // 2, [(-1) ** n], (), (n + 1,)) for n in range(isqrt(2 * max(top, 0)), -1, -1)))
-    return qs.shift(QSeries(1, 0, 1, acc, 1, inner_order), Fraction(1, 24))
+    return _grid_sum(1, Fraction(1, 24), order, lambda top: (
+        (n * (n + 1) // 2, [(-1) ** n], (), (n + 1,)) for n in range(isqrt(2 * top), -1, -1)))
 
 
 def _eta_double_sum(order: Fraction) -> QSeries:
     # q^{5/48} sum_{m1,m2 >= 0} (-1)^{m1+m2} (-u;u)_{m2}
     #   q^{m1(m1+1) + m2(m2+1)/4} / [(q^2;q^2)_{m1} (q)_{m2}],
     # the sum over m1 with the sum over m2 as the x of its terms
-    lead = Fraction(5, 48)
-    inner_order = order - lead
-    top = floor(2 * inner_order)
-    if top < 0:
-        return qs.zero(order)
-    s2 = _horner(top + 1, (
-        (m * (m + 1) // 2, [(-1) ** m], (m + 1,), (2 * m + 2,)) for m in range(isqrt(2 * top), -1, -1)))
-    neg_s2 = [-c for c in s2]
-    acc = _horner(top + 1, (
-        (2 * m * (m + 1), neg_s2 if m % 2 else s2, (), (4 * m + 4,)) for m in range(isqrt(top), -1, -1)))
-    return qs.shift(QSeries(2, 0, 1, acc, 1, inner_order), lead)
+    def terms(top: int):
+        s2 = _horner(top + 1, (
+            (m * (m + 1) // 2, [(-1) ** m], (m + 1,), (2 * m + 2,)) for m in range(isqrt(2 * top), -1, -1)))
+        neg_s2 = [-c for c in s2]
+        return ((2 * m * (m + 1), neg_s2 if m % 2 else s2, (), (4 * m + 4,)) for m in range(isqrt(top), -1, -1))
+
+    return _grid_sum(2, Fraction(5, 48), order, terms)
 
 
 def _theta_double_sum(order: Fraction) -> QSeries:
@@ -416,25 +408,21 @@ def _theta_double_sum(order: Fraction) -> QSeries:
     # S_D = (-u;u)_D / (q)_D, c_D = u^{3D^2/4} (u^D + u^-D) (1 at D = 0) and
     # H_D = sum_j (-u;u)_j (-u^{D+1};u)_j u^{j^2+Dj} / [(q)_j (q^{D+1};q)_j];
     # the sum over D is one more Horner sum, with ratio S_{D+2} / S_D.
-    lead = Fraction(5, 48)
-    inner_order = order - lead
-    top = floor(2 * inner_order)
+    # Every term lies at q^0 or above (3D^2/4 - D >= 0 for even D), so with
+    # 1/(-q;q)_inf = q^{1/24} eta(tau) / eta(2 tau) the side is one
+    # `forms.eta_product` at the shift 5/48 + 1/24.
+    def terms(top: int):
+        # 3D^2/4 - D exceeds top from D = 2 isqrt(top) + 2 on
+        for D in range(2 * isqrt(top) + 2, -1, -2):
+            c = 3 * D * D // 4
+            H = _horner(top - c + D + 1, (
+                (j * j + D * j, [1], (j + 1, j + D + 1), (2 * j + 2, 2 * j + 2 * D + 2))
+                for j in range(isqrt(max(top - c + D, 0)), -1, -1)))
+            yield c - D, H, (D + 1, D + 2), (2 * D + 2, 2 * D + 4)
+            if D:
+                yield c + D, H, (), ()
 
-    def terms(D: int):
-        c = 3 * D * D // 4
-        H = _horner(top - c + D + 1, (
-            (j * j + D * j, [1], (j + 1, j + D + 1), (2 * j + 2, 2 * j + 2 * D + 2))
-            for j in range(isqrt(max(top - c + D, 0)), -1, -1)))
-        yield c - D, H, (D + 1, D + 2), (2 * D + 2, 2 * D + 4)
-        if D:
-            yield c + D, H, (), ()
-
-    # 3D^2/4 - D exceeds top from D = 2 isqrt(top) + 2 on
-    vals = _horner(top + 1, (t for D in range(2 * isqrt(max(top, 0)) + 2, -1, -2) for t in terms(D)))
-    total = QSeries(2, 0, 1, vals, 1, inner_order)
-    # 1/(-q;q)_inf = q^{1/24} eta(tau) / eta(2 tau)
-    inv_inf = qs.shift(forms.eta_quotient(((1, 1), (2, -1)), inner_order - Fraction(1, 24)), Fraction(1, 24))
-    return qs.shift(qs.mul(total, inv_inf), lead)
+    return forms.eta_product(Fraction(7, 48), ((1, 1), (2, -1)), lambda n: _grid_sum(2, 0, n, terms), order)
 
 
 def verify_aux_identities(order: RatLike) -> list[VerificationReport]:
@@ -446,7 +434,7 @@ def verify_aux_identities(order: RatLike) -> list[VerificationReport]:
     reports = []
 
     # 1/(u;u)_inf = q^{1/48} / eta(tau/2), u = q^{1/2}
-    half_inf = qs.shift(forms.eta_quotient(((Fraction(1, 2), -1),), order_f - Fraction(1, 48)), Fraction(1, 48))
+    half_inf = forms.eta_product(Fraction(1, 48), ((Fraction(1, 2), -1),), qs.one, order_f)
     for k in range(4):
         reports.append(
             qs.compare_report("durfee-half", {"k": k}, lambda: (_durfee_half(k, order_f), half_inf), order_f)

@@ -2,8 +2,8 @@
 Theta_{j,k} = sum_n q^{(2kn+j)^2/4k} with their weighted variants, together
 with an exact identity suite relating them.  eta is a theta difference,
 and every eta quotient comes from one cached builder, `eta_quotient`.
-Every product q^s (eta quotient) (theta combination) elsewhere in the
-package is data, a `ThetaForm`, with one evaluator, `theta_form`."""
+Every product q^s (eta quotient) (series from q^0) is one `eta_product`,
+with the order rule; with a theta combination it is a `ThetaForm`."""
 
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ __all__ = [
     "dtheta",
     "eta_scaled",
     "eta_quotient",
+    "eta_product",
     "theta_form",
     "verify_form_identities",
 ]
@@ -147,26 +148,31 @@ class ThetaForm(value_type("ThetaForm", "shift powers k weights")):
         return tuple.__new__(cls, (Fraction(shift), tuple(powers), ThetaParams(0, k).k, weights))
 
 
+def eta_product(shift: RatLike, powers: tuple, inner: Callable[[Fraction], QSeries], order: RatLike) -> QSeries:
+    """q^shift prod eta(d tau)^{r_d} inner, exact to the given order, for the
+    (d, r_d) pairs of `eta_quotient` (or none) and `inner(n)` a series exact to
+    n with no term below q^0.  The quotient, exact to n = order - shift, and
+    inner, built to n less the quotient's lead, make a product exact to n
+    (`qs.mul`'s rule).  The quotient is built to ceil(n), as its terms past n
+    meet only inner terms past n, so products whose n differ share a build."""
+    n = Fraction(order) - Fraction(shift)
+    total = inner(n - sum((Fraction(d) * r for d, r in powers), Fraction(0)) / 24)
+    if powers:
+        total = qs.mul(eta_quotient(powers, math.ceil(n)), total)
+    return qs.shift(total, shift)
+
+
 def theta_form(form: ThetaForm, order: RatLike) -> QSeries:
-    """The series of `form`, exact to the given order.  Every theta term
-    lies at q^0 or above, so the quotient, exact to n = order - shift, and
-    the theta sum, built to n less the quotient's lead, make a product
-    exact to n (`qs.mul`'s rule).  The quotient is built to ceil(n): its
-    terms past n meet only theta terms past n, so the product is the same,
-    and forms whose n differ by a fraction share one build.  No theta of
-    weight 0 is built."""
-    n = Fraction(order) - form.shift
-    lead = sum(Fraction(d) * r for d, r in form.powers) / Fraction(24)
-    parts = [
-        qs.scale(build(ThetaParams(j, form.k), n - lead), w)
-        for j, a, b in form.weights
-        for w, build in ((a, theta), (b, dtheta))
-        if w
-    ]
-    total = reduce(qs.add, parts) if parts else qs.zero(n - lead)
-    if form.powers:
-        total = qs.mul(eta_quotient(form.powers, math.ceil(n)), total)
-    return qs.shift(total, form.shift)
+    """The series of `form`, exact to the given order: an `eta_product` whose
+    inner factor, the theta sum, lies at q^0 or above.  No theta of weight 0
+    is built."""
+
+    def thetas(n: Fraction) -> QSeries:
+        parts = [qs.scale(build(ThetaParams(j, form.k), n), w)
+                 for j, a, b in form.weights for w, build in ((a, theta), (b, dtheta)) if w]
+        return reduce(qs.add, parts) if parts else qs.zero(n)
+
+    return eta_product(form.shift, form.powers, thetas, order)
 
 
 # -- identity suite -----------------------------------------------------------

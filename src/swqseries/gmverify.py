@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 
 from . import zhupoly as zp
-from .report import VerificationReport, _unpack, run_check
+from .report import VerificationReport, _pack, _unpack, run_check
 from .zhupoly import RatPoly
 
 __all__ = [
@@ -77,7 +77,7 @@ def gm_value(m: int, t: int) -> int:
     rows = [[a[j] * ct[n - j] for j in range(n + 1)] for n in range(p)]
     bound = p * max(map(max, rows)) ** 2 << (p - 1)
     width = bound.bit_length() // 8 + 1  # bytes per digit: 2^(8 width - 1) > bound
-    u = [int.from_bytes(b"".join(x.to_bytes(width, "little") for x in row), "little") for row in rows]
+    u = [_pack(row, width, 1) for row in rows]
     e = (-1) ** (m + 1) * math.comb(p - 1, m) * u[m] * u[m]
     for d in range(1, m + 1):
         e += (-1) ** d * 2 * math.comb(p - 1, d - 1) * u[p - d] * u[d - 1]

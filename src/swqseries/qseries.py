@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .report import RatLike, VerificationReport, _unpack, run_check, value_type
+from .report import RatLike, VerificationReport, _pack, _unpack, run_check, value_type
 
 __all__ = [
     "QSeries",
@@ -331,17 +331,6 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
     width = (bits + 7) // 8
     vals = _unpack(_pack(va, width, step_a) * _pack(vb, width, step_b), width, n_out)
     return QSeries(d, base, stride, vals, a.content * b.content, order)
-
-
-def _pack(v: Sequence[int], width: int, step: int) -> int:
-    """sum v[i] * 256^(width*step*i) for |v[i]| < 2^(8*width - 1): the
-    width-byte digits of v joined with step - 1 zero digits between them."""
-    zero, gap = bytes(width), bytes(width * (step - 1))
-    pos = int.from_bytes(gap.join(x.to_bytes(width, "little") if x > 0 else zero for x in v), "little")
-    if min(v) >= 0:
-        return pos
-    neg = int.from_bytes(gap.join((-x).to_bytes(width, "little") if x < 0 else zero for x in v), "little")
-    return pos - neg
 
 
 def invert(a: QSeries) -> QSeries:

@@ -1,6 +1,7 @@
 """The outcome of one identity check and `run_check`, the only report
 constructor and the only timer in the package; `value_type`, the base of
-every value type in the package; `_unpack`, the Kronecker read-back.
+every value type in the package; `_pack` and `_unpack`, the Kronecker
+packer and read-back that `qseries.mul` and `gmverify.gm_value` share.
 
 This module imports no other module of the package, so a command that
 checks no q-series (`swq --help`, `gm`, `zhu`) never loads `qseries`, and
@@ -14,6 +15,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
     from fractions import Fraction
 
 RatLike = Union[int, str, "Fraction"]
@@ -52,6 +54,17 @@ class VerificationReport(
         if (status == "pass") != (first_mismatch is None):
             raise ValueError("status must be 'pass' exactly when there is no mismatch")
         return tuple.__new__(cls, (identity_id, params, order, status, first_mismatch, runtime_ms))
+
+
+def _pack(v: Sequence[int], width: int, step: int) -> int:
+    """sum v[i] * 256^(width*step*i) for |v[i]| < 2^(8*width - 1): the
+    width-byte digits of v joined with step - 1 zero digits between them."""
+    zero, gap = bytes(width), bytes(width * (step - 1))
+    pos = int.from_bytes(gap.join(x.to_bytes(width, "little") if x > 0 else zero for x in v), "little")
+    if min(v) >= 0:
+        return pos
+    neg = int.from_bytes(gap.join((-x).to_bytes(width, "little") if x < 0 else zero for x in v), "little")
+    return pos - neg
 
 
 def _unpack(x: int, width: int, n: int) -> list[int]:

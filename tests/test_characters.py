@@ -348,6 +348,16 @@ def _margin_ns_irr_char(m, i, n, order):
     return qs.truncate(qs.shift(prod, offset), order_f)
 
 
+def _hand_ns_irr_char(m, i, n, order):
+    """ns_irr_char's hand-built body: f/eta to the order and the two
+    monomials 1/16 past it, f/eta's lead."""
+    cd = central_data(m)
+    offset = F(m * m, 2 * (2 * m + 1))
+    weights = ((cd.h(2 * i + 1, 2 * n + 1) + offset, 1), (cd.h(2 * i + 1, -2 * n - 1) + offset, -1))
+    top = F(order) + F(1, 16)
+    return qs.mul(f_over_eta(F(order)), qs.make_series([(e, s) for e, s in weights if e <= top], top))
+
+
 def assert_exact_to(s, order):
     """s claims exactly the order and holds no slot beyond it."""
     assert s.order == order
@@ -374,6 +384,7 @@ def test_builders_match_margin_bodies(module, order, n):
         "sw_superchar_theta": (sw_superchar_theta(module, order), _two_copy_superchar(module, order)),
         "sw_superchar_theta, hand-built": (sw_superchar_theta(module, order), _displayed_superchar(module, order)),
         "ns_irr_char": (ns_irr_char(m, i, n, order), _margin_ns_irr_char(m, i, n, order)),
+        "ns_irr_char, hand-built": (ns_irr_char(m, i, n, order), _hand_ns_irr_char(m, i, n, order)),
     }
     for name, (got, want) in pairs.items():
         assert got == want, name

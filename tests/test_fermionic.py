@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate
 from itertools import product as iproduct
-from math import floor, lcm
+from math import floor, isqrt, lcm
 from operator import add, neg
 
 import pytest
@@ -851,34 +851,74 @@ def test_fermionic_matches_char(m):
         assert rep.params["module"] == mid.label
 
 
+def _character_spec(mid):
+    """The variant-2 spec of the module's fermionic form."""
+    m = mid.m
+    lam, sigma = (2 * (m - mid.i), 0) if mid.kind == "lambda" else (2 * mid.i + 1, 1)
+    return fm.FermionicSumSpec(2 * m + 1, lam, sigma, 2)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_fermionic_sw_char_matches_pochhammer_oracle(m):
     # the multi-sum on the q^{1/2} grid over the infinite product (-q;q)_inf
     for mid in ch.all_module_ids(m):
         for order in (F(10), F(61, 2)):
-            lam, sigma = (2 * (m - mid.i), 0) if mid.kind == "lambda" else (2 * mid.i + 1, 1)
-            spec = fm.FermionicSumSpec(2 * m + 1, lam, sigma, 2)
-            half = qs.substitute_power(fm.warnaar_lhs(spec, 2 * order), F(1, 2))
+            half = qs.substitute_power(fm.warnaar_lhs(_character_spec(mid), 2 * order), F(1, 2))
             inv = qs.invert(qs.pochhammer(1, 1, 1, None, order + 1 - min(F(0), half.leading()[0])))
             series, _ = fm.fermionic_sw_char(mid, order)
             assert _fields(series) == _fields(qs.truncate(qs.mul(half, inv), order)), (mid, order)
 
 
 def test_fermionic_char_report_builds_the_character_once(monkeypatch):
+    # the character side is the module's form moved by q^shift: one
+    # theta_form call, exact to the order
     calls = []
 
-    def counted(module, order):
-        calls.append(module)
-        return sw_char(module, order)
+    def counted(form, order):
+        calls.append(form)
+        return theta_form(form, order)
 
-    sw_char = ch.sw_char
-    monkeypatch.setattr(ch, "sw_char", counted)
+    theta_form = forms.theta_form
+    monkeypatch.setattr(forms, "theta_form", counted)
     for mid in ch.all_module_ids(2):
         calls.clear()
         rep = fm.fermionic_char_report(mid, 20)
-        assert calls == [mid]
+        shift = F(1, 16) - F((2 - mid.i) ** 2, 10)
+        assert calls == [ch.module_form(mid)._replace(shift=shift)]
         assert rep.status == "pass"
-        assert rep.params["shift"] == F(1, 16) - F((2 - mid.i) ** 2, 10)
+        assert rep.params["shift"] == shift
+
+
+def test_character_multi_sums_start_at_q0():
+    # forms.eta_product takes an inner factor with no term below q^0:
+    # `_frame`'s lowest exponent bounds every term of the multi-sum
+    for m in range(1, 51):
+        for mid in ch.all_module_ids(m):
+            assert fm._frame(_character_spec(mid), F(0))[1] >= 0, mid
+    for m in range(1, 5):
+        for mid in ch.all_module_ids(m):
+            s = fm.warnaar_lhs(_character_spec(mid), 12)
+            assert s.leading()[0] >= fm._frame(_character_spec(mid), F(12))[1] >= 0, mid
+
+
+def _hand_fermionic_sw_char(mid, order):
+    """fermionic_sw_char's hand-built body: 1/(-q;q)_inf to the order less
+    the lesser of 0 and the multi-sum's lead, then the product."""
+    order_f = F(order)
+    half = qs.substitute_power(fm.warnaar_lhs(_character_spec(mid), 2 * order_f), F(1, 2))
+    lead = F(0) if half.is_zero() else half.leading()[0]
+    n = order_f - min(F(0), lead) - F(1, 24)
+    inv_inf = qs.shift(forms.eta_quotient(((1, 1), (2, -1)), n), F(1, 24))
+    return qs.mul(half, inv_inf)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_fermionic_sw_char_matches_hand_built_body(m):
+    for mid in ch.all_module_ids(m):
+        for order in (F(0), F(1, 2), F(25, 3), F(30)):
+            series, _ = fm.fermionic_sw_char(mid, order)
+            assert _fields(series) == _fields(_hand_fermionic_sw_char(mid, order)), (mid, order)
+            assert series.order == order
 
 
 def test_fermionic_char_report_fails_a_moved_series(monkeypatch):
@@ -1138,6 +1178,35 @@ def _ratio_theta_double_sum(order: Fraction) -> qs.QSeries:
     total = qs.QSeries(2, 0, 1, vals, 1, inner_order)
     inv_inf = qs.invert(qs.pochhammer(1, 1, 1, None, inner_order))
     return qs.shift(qs.truncate(qs.mul(total, inv_inf), inner_order), lead)
+
+
+def _hand_theta_double_sum(order: Fraction) -> qs.QSeries:
+    """_theta_double_sum's hand-built body: the D-sum to order - 5/48 and
+    1/(-q;q)_inf 1/24 short of that, multiplied and shifted by q^{5/48}."""
+    lead = Fraction(5, 48)
+    inner_order = order - lead
+    top = floor(2 * inner_order)
+
+    def terms(D: int):
+        c = 3 * D * D // 4
+        H = fm._horner(top - c + D + 1, (
+            (j * j + D * j, [1], (j + 1, j + D + 1), (2 * j + 2, 2 * j + 2 * D + 2))
+            for j in range(isqrt(max(top - c + D, 0)), -1, -1)))
+        yield c - D, H, (D + 1, D + 2), (2 * D + 2, 2 * D + 4)
+        if D:
+            yield c + D, H, (), ()
+
+    vals = fm._horner(top + 1, (t for D in range(2 * isqrt(max(top, 0)) + 2, -1, -2) for t in terms(D)))
+    total = qs.QSeries(2, 0, 1, vals, 1, inner_order)
+    inv_inf = qs.shift(forms.eta_quotient(((1, 1), (2, -1)), inner_order - Fraction(1, 24)), Fraction(1, 24))
+    return qs.shift(qs.mul(total, inv_inf), lead)
+
+
+def test_theta_double_sum_matches_hand_built_body():
+    for order in (F(-5, 2), F(5, 96), F(5, 48), F(7, 48), F(1, 2), F(10), F(61, 2), F(77, 3), F(200), F(801, 2)):
+        got = fm._theta_double_sum(order)
+        assert _fields(got) == _fields(_hand_theta_double_sum(order)), order
+        assert got.order == order
 
 
 @pytest.mark.parametrize(

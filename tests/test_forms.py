@@ -378,3 +378,67 @@ def test_theta_form_builds_no_zero_weight_theta(monkeypatch):
     # eta, inside the quotient, is Theta_{1,6} - Theta_{5,6}
     level = [(name, p.j) for name, p in built if p.k == F(5, 2)]
     assert level == [("dtheta", 1), ("theta", 2)]
+
+
+# -- eta_product: the order rule against its margin body ----------------------
+
+
+def _margin_eta_product(shift, powers, inner, order):
+    """eta_product with both factors built 2 past the order (every
+    quotient drawn below leads within 1/2 of q^0), multiplied, shifted
+    and truncated back."""
+    n = F(order) - shift + 2
+    total = inner(n)
+    if powers:
+        total = qs.mul(eta_quotient(powers, n), total)
+    return qs.truncate(qs.shift(total, shift), order)
+
+
+# every quotient the package hands to eta_product or theta_form, and none
+_PACKAGE_POWERS = [
+    (), F_OVER_ETA, F2_OVER_ETA, ((1, 1), (2, -1)), ((F(1, 2), -1),), ((1, -1),), ((2, 1), (F(1, 2), 1)),
+]
+
+
+def _unit(n):
+    """1, exact to n; below q^0 the zero series, as qs.one keeps its term."""
+    return qs.one(n) if n >= 0 else qs.zero(n)
+
+
+@st.composite
+def _inner_series(draw):
+    """A builder inner(n) of a series exact to n with no term below q^0 and
+    none past n: sparse terms at exponents k / den >= 0, 1, or a theta sum."""
+    den = draw(st.sampled_from([1, 2, 16, 40]))
+    terms = draw(st.dictionaries(
+        st.integers(0, 40 * den).map(lambda k: F(k, den)), st.sampled_from([F(1), F(-1), F(3, 7)]), max_size=4))
+
+    def sparse(n):
+        return qs.make_series([(e, c) for e, c in terms.items() if e <= n], n)
+
+    return draw(st.sampled_from([sparse, _unit, lambda n: dtheta(ThetaParams(1, F(5, 2)), n)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(-96, 96).map(lambda k: F(k, 48)),
+    st.sampled_from(_PACKAGE_POWERS),
+    _inner_series(),
+    st.one_of(st.integers(-2, 200), st.integers(-96, 2880).map(lambda k: F(k, 48))),
+)
+@example(F(1, 24), ((1, 1), (2, -1)), _unit, F(1, 48))
+@example(F(0), (), _unit, 0)
+@example(F(1, 48), (), _unit, 0)
+@example(F(-7, 48), F_OVER_ETA, _unit, F(61, 2))
+def test_eta_product_matches_margin_body(shift, powers, inner, order):
+    asked = []
+
+    def recorded(n):
+        asked.append(n)
+        return inner(n)
+
+    got = forms.eta_product(shift, powers, recorded, order)
+    assert got == _margin_eta_product(shift, powers, inner, order)
+    assert_exact_to(got, order)
+    # the inner order is exact, a Fraction even with no quotient
+    assert [type(n) for n in asked] == [F]

@@ -88,9 +88,11 @@ def test_only_report_builds_namedtuples():
 
 
 def test_characters_and_fermionic_build_no_infinite_product():
-    # their bosonic products are eta quotients from forms.eta_quotient; the
-    # two uncalled Pochhammer caches stay while the benchmark tracer reads them
-    banned = {"weber", "pochhammer", "invert"}
+    # their bosonic products are eta quotients from forms.eta_quotient, and
+    # every product with one is a forms.eta_product, so neither multiplies
+    # series; the two uncalled Pochhammer caches stay while the benchmark
+    # tracer reads them
+    banned = {"weber", "pochhammer", "invert", "mul"}
     found = []
     for name in ("characters.py", "fermionic.py"):
         tree = ast.parse((ROOT / "src" / "swqseries" / name).read_text(), name)
@@ -103,6 +105,20 @@ def test_characters_and_fermionic_build_no_infinite_product():
                 if (isinstance(node, ast.Attribute) and node.attr in banned)
                 or (isinstance(node, ast.ImportFrom) and banned & {alias.name for alias in node.names})
             ]
+    assert found == []
+
+
+def test_characters_and_fermionic_type_no_order_margin():
+    # forms.eta_product derives each factor's order from the leads, so no
+    # builder here types f/eta's lead 1/16 or clamps a lead with min(..., 0)
+    found = []
+    for name in ("characters.py", "fermionic.py"):
+        for node in ast.walk(ast.parse((ROOT / "src" / "swqseries" / name).read_text(), name)):
+            if not isinstance(node, ast.Call):
+                continue
+            call, args = ast.unparse(node.func), [ast.unparse(arg) for arg in node.args]
+            if (call == "min" and {"0", "Fraction(0)"} & set(args)) or (call == "Fraction" and args == ["1", "16"]):
+                found.append(f"{name}:{node.lineno}")
     assert found == []
 
 
