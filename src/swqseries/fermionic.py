@@ -8,10 +8,11 @@ ratio R_k is a product of factors 1 + q^a and divisors 1 - q^b.  A
 last term with no x applies its ratio to the whole sum, so a finite
 product in front of a sum (the Durfee factors) is one more Horner step,
 and a sum whose terms carry another sum as their x is a product of two
-sums.  The module multiplies no series: a sum times an eta quotient
-is one `forms.eta_product`, every other bosonic side an eta quotient
-or a `forms.ThetaForm`, so the order rule of a product lives in `forms`
-and the module builds no infinite product itself."""
+sums.  The D_p sums of one p at one order share one cache, `_work`, kept
+for the last (p, order) asked.  The module multiplies no series: a sum
+times an eta quotient is one `forms.eta_product`, every other bosonic
+side an eta quotient or a `forms.ThetaForm`, so the order rule of a
+product lives in `forms` and the module builds no infinite product."""
 
 from __future__ import annotations
 
@@ -143,17 +144,21 @@ def _frame(spec: FermionicSumSpec, order: Fraction) -> tuple:
     return fork_lo, lo, top, Ms
 
 
-def _inverse_poch_table(specs, order: Fraction) -> list[list[int]]:
-    """H[b] = 1/(q;q)_b to q^top for b < 2 Ms + sigma - 1, each the largest over the `_frame`s of `specs`."""
-    n = max(_frame(spec, order)[2] for spec in specs) + 1
+@lru_cache(maxsize=1)
+def _work(p: int, order: Fraction) -> dict:
+    """What the D_p sums share at one order, kept for the last (p, order) asked: "H", row b
+    1/(q;q)_b (b < 2 Ms + sigma - 1) to q^{order - p b(b-2)/4}, as a kernel's term at q^E reads it
+    with E + (p-2) d(M) >= p b(b-2)/4, but never past the largest top of a variant-1 (kernel) `_frame`."""
+    frames = [(_frame(FermionicSumSpec(p, lam, sigma, 1), order), sigma) for lam in range(p + 1) for sigma in (0, 1)]
+    n = max(top for (_, _, top, _), _ in frames) + 1
     H = [[1] + [0] * (n - 1)]
-    for b in range(1, max(2 * _frame(spec, order)[3] + spec.sigma - 1 for spec in specs)):
-        H.append(H[-1][:])
-        _div(H[-1], b, 0, n)
-    return H
+    for b in range(1, max(2 * Ms + sigma - 1 for (_, _, _, Ms), sigma in frames)):
+        H.append(H[-1][:max(0, (floor(4 * order) - p * b * (b - 2)) // 4 + 1)])
+        _div(H[-1], b, 0, len(H[-1]))
+    return {"H": H}
 
 
-def _multi_sum(spec: FermionicSumSpec, order: Fraction, shared: dict | None = None) -> QSeries:
+def _multi_sum(spec: FermionicSumSpec, order: Fraction) -> QSeries:
     """The multi-sum side of `spec`: the sum over n in Z>=0^p with
     n_{p-1} + n_p = sigma mod 2 of
 
@@ -192,29 +197,24 @@ def _multi_sum(spec: FermionicSumSpec, order: Fraction, shared: dict | None = No
     so K(M) is the kernel of the variant-1 spec with lam = delta/2 (whose
     top is at least ours) shifted by (la2+lb2)(2M+sigma)/4 slots plus
     the difference of the two specs' lowest fork exponents.
-    `shared`, the work of one `verify_warnaar` call (one p, one order),
-    holds one 1/(q;q)_b table H long enough for every spec, the delta = 0
-    kernel of each sigma (every variant-2 spec and variant-1 lam = 0 read
-    it) and each result keyed on the numbers the DP reads, so the two
-    lam = 0 sums, one input, run once.  Alone, a call builds its own H.
+    `_work(p, order)` holds the table, the delta = 0 kernel of each sigma and one result per DP input.
     """
     p, lam, parity = spec.p, spec.lam, spec.sigma
     la2, lb2 = lam, lam if spec.variant == 2 else -lam
     chain = [max(0, i - p + lam + 1) if spec.variant == 2 else 0 for i in range(p - 2, 0, -1)]
     ref = FermionicSumSpec(p, (la2 - lb2) // 2, parity, 1)
-    shared = {"H": _inverse_poch_table([ref], order)} if shared is None else shared
-    key = (parity, la2, lb2, tuple(chain))
-    if key in shared:
-        return shared[key]
+    work, key = _work(p, order), (parity, la2, lb2, tuple(chain))
+    if key in work:
+        return work[key]
     fork_lo, lo, top, Ms = _frame(spec, order)
     ref_fork_lo, _, ref_top, ref_Ms = _frame(ref, order)
 
     def d(M: int) -> int:  # (M + eps)^2 - eps^2
         return M * M + parity * M
 
-    kernels = shared if la2 == lb2 else {}  # only the delta = 0 kernels have two readers
+    kernels = work if la2 == lb2 else {}  # only the delta = 0 kernels have two readers
     if parity not in kernels:
-        H = shared["H"]
+        H = work["H"]
         kernels[parity] = [
             _horner(ref_top + 1 - (p - 2) * d(M), (
                 ((a * a + b * b + ref.lam * (a - b) - ref_fork_lo) // 2, H[b], (), (a + 1,))
@@ -230,8 +230,8 @@ def _multi_sum(spec: FermionicSumSpec, order: Fraction, shared: dict | None = No
             for M in range(Ms)
         ]
     vals = _horner(top + 1, ((off, x, (), ()) for off, x in level))
-    shared[key] = QSeries(lo.denominator, lo.numerator, lo.denominator, vals, 1, order)
-    return shared[key]
+    work[key] = QSeries(lo.denominator, lo.numerator, lo.denominator, vals, 1, order)
+    return work[key]
 
 
 # -- one-parameter sum families ------------------------------------------------
@@ -263,12 +263,11 @@ def verify_warnaar(p: int, order: RatLike) -> list[VerificationReport]:
         raise ValueError("p must be at least 3")
     order_f = Fraction(order)
     specs = [FermionicSumSpec(p, lam, sig, variant) for variant in (1, 2) for lam in range(p + 1) for sig in (0, 1)]
-    shared = {"H": _inverse_poch_table(specs, order_f)}  # see `_multi_sum`
     return [
         qs.compare_report(
             f"warnaar-v{spec.variant}",
             {"p": p, "lambda": spec.lam, "sigma": spec.sigma},
-            lambda: (_multi_sum(spec, order_f, shared), warnaar_rhs(spec, order_f)),
+            lambda: (_multi_sum(spec, order_f), warnaar_rhs(spec, order_f)),
             order_f,
         )
         for spec in specs

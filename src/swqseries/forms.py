@@ -1,7 +1,8 @@
 """Dedekind eta, the Weber functions, and the indexed theta series
 Theta_{j,k} = sum_n q^{(2kn+j)^2/4k} with their weighted variants, together
-with an exact identity suite relating them.  eta is a theta difference,
-and every eta quotient comes from one cached builder, `eta_quotient`.
+with an exact identity suite relating them.  Every theta combination, eta
+among them, is one weighted pass, `_theta_sum`, and every eta quotient
+comes from one cached builder, `eta_quotient`.
 Every product q^s (eta quotient) (series from q^0) is one `eta_product`,
 with the order rule; with a theta combination it is a `ThetaForm`."""
 
@@ -72,26 +73,31 @@ def weber(which: str, order: RatLike) -> QSeries:
     return qs.shift(qs.pochhammer(first, 1, sign, None, order_f - lead), lead)
 
 
-def _theta_sum(p: ThetaParams, order: Fraction, weighted: bool) -> QSeries:
-    # exponent a^2 / (2K) for a = Kn + j, K = 2k an integer; lattice (1/2K) Z
-    K = int(2 * p.k)
+def _theta_sum(k: RatLike, weights, order: Fraction) -> QSeries:
+    """sum_j (a_j Theta_{j,k} + b_j dTheta_{j,k}) over the (j, a_j, b_j) of `weights`,
+    exact to the order, in one pass on integers over one content: a_j + b_j a at
+    q^{a^2/2K} for each a = j mod K, K = 2k an integer; lattice (1/2K) Z."""
+    K = int(2 * k)
     limit = math.floor(2 * K * order)
     top = math.isqrt(limit) if limit >= 0 else -1
+    content = math.lcm(*(Fraction(w).denominator for _, a, b in weights for w in (a, b)))
     coeffs: dict[int, int] = {}
-    # every a = j mod K with a^2 <= limit, from the least one >= -top up
-    for a in range(-top + (p.j + top) % K, top + 1, K):
-        coeffs[a * a] = coeffs.get(a * a, 0) + (a if weighted else 1)
-    return qs._from_coeffs(2 * K, coeffs, order)
+    for j, a_j, b_j in weights:
+        A, B = int(a_j * content), int(b_j * content)
+        # every a = j mod K with a^2 <= limit, from the least one >= -top up
+        for a in range(-top + (j + top) % K, top + 1, K):
+            coeffs[a * a] = coeffs.get(a * a, 0) + A + B * a
+    return qs.scale(qs._from_coeffs(2 * K, coeffs, order), Fraction(1, content))
 
 
 def theta(p: ThetaParams, order: RatLike) -> QSeries:
     """Theta_{j,k}: sum over n in Z of q^{(2kn+j)^2/4k}."""
-    return _theta_sum(p, Fraction(order), weighted=False)
+    return _theta_sum(p.k, ((p.j, 1, 0),), Fraction(order))
 
 
 def dtheta(p: ThetaParams, order: RatLike) -> QSeries:
     """The (2kn+j)-weighted variant of theta."""
-    return _theta_sum(p, Fraction(order), weighted=True)
+    return _theta_sum(p.k, ((p.j, 0, 1),), Fraction(order))
 
 
 @lru_cache(maxsize=None)
@@ -102,7 +108,7 @@ def eta(order: RatLike) -> QSeries:
     order_f = Fraction(order)
     if order_f <= 0:
         raise ValueError("order must be positive")
-    return qs.sub(theta(ThetaParams(1, 6), order_f), theta(ThetaParams(5, 6), order_f))
+    return _theta_sum(6, ((1, 1, 0), (5, -1, 0)), order_f)
 
 
 def eta_scaled(r: RatLike, order: RatLike) -> QSeries:
@@ -164,15 +170,9 @@ def eta_product(shift: RatLike, powers: tuple, inner: Callable[[Fraction], QSeri
 
 def theta_form(form: ThetaForm, order: RatLike) -> QSeries:
     """The series of `form`, exact to the given order: an `eta_product` whose
-    inner factor, the theta sum, lies at q^0 or above.  No theta of weight 0
-    is built."""
-
-    def thetas(n: Fraction) -> QSeries:
-        parts = [qs.scale(build(ThetaParams(j, form.k), n), w)
-                 for j, a, b in form.weights for w, build in ((a, theta), (b, dtheta)) if w]
-        return reduce(qs.add, parts) if parts else qs.zero(n)
-
-    return eta_product(form.shift, form.powers, thetas, order)
+    inner factor, the theta sum of `form.weights` (one `_theta_sum`), lies at
+    q^0 or above."""
+    return eta_product(form.shift, form.powers, partial(_theta_sum, form.k, form.weights), order)
 
 
 # -- identity suite -----------------------------------------------------------

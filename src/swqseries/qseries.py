@@ -246,7 +246,8 @@ def zero(order: RatLike) -> QSeries:
 
 
 def one(order: RatLike) -> QSeries:
-    return QSeries(1, 0, 1, (1,), 1, Fraction(order))
+    """1, exact to the order: below q^0, the zero series."""
+    return QSeries(1, 0, 1, (1,) if Fraction(order) >= 0 else (), 1, Fraction(order))
 
 
 # -- linear operations ------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Mutation check of the order rules: every seeded fault must fail a test.
+"""Mutation check of the order rules, the theta pass and the multi-sum
+kernel and table: every seeded fault must fail a test.
 
     python3 tests/mutate.py
 
@@ -42,6 +43,12 @@ MUTATIONS = [
         "_euler_eta_sum's lead is 1 too high",
         "fermionic.py", "_grid_sum(1, Fraction(1, 24), order", "_grid_sum(1, Fraction(1, 24) + 1, order",
     ),
+    ("_theta_sum weighs b_j by a + K", "forms.py", "coeffs.get(a * a, 0) + A + B * a", "coeffs.get(a * a, 0) + A + B * (a + K)"),
+    (
+        "_multi_sum shifts the delta = 0 kernel one slot up",
+        "fermionic.py", "2 * (ref_fork_lo - fork_lo)) // 4", "2 * (ref_fork_lo - fork_lo) + 4) // 4",
+    ),
+    ("_work cuts each table row one slot short", "fermionic.py", "p * b * (b - 2)) // 4 + 1)", "p * b * (b - 2)) // 4)"),
 ]
 
 

@@ -120,6 +120,7 @@ _CACHED = [
     (forms, "eta_quotient", forms.eta_quotient),
     (ch, "f_over_eta", ch.f_over_eta),
     (ch, "sw_char", ch.sw_char),
+    (fermionic, "_work", fermionic._work),
 ]
 
 
@@ -129,7 +130,7 @@ def _failing(monkeypatch, spies=()):
     builder module.name by wrap(builder)."""
     # caches of their own, so no series built in another run is shared
     for module, name, build in _CACHED:
-        monkeypatch.setattr(module, name, functools.lru_cache(build.__wrapped__))
+        monkeypatch.setattr(module, name, functools.lru_cache(build.cache_parameters()["maxsize"])(build.__wrapped__))
     for module, name, wrap in spies:
         monkeypatch.setattr(module, name, wrap(getattr(module, name)))
     suites = [name for name in cli._SUITES if name != "fermionic"] + ["fermionic"]

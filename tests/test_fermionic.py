@@ -477,12 +477,12 @@ def test_exponents_of_one_spec_lie_in_one_coset(data, p, lam_frac, sigma, varian
     assert (exponent(tuple_of_parity()) - exponent(tuple_of_parity())).denominator == 1
 
 
-# -- one verify_warnaar call shares its work ----------------------------------
+# -- the sums of one p at one order share their work -------------------------
 
 
 def _per_spec_multi_sum(spec, order: Fraction) -> qs.QSeries:
-    """The D_p multi-sum DP as it was before one `verify_warnaar` call
-    shared its work: each spec builds its own 1/(q;q)_b table and its own
+    """The D_p multi-sum DP as it was before the sums of one p at one order
+    shared their work: each spec builds its own 1/(q;q)_b table and its own
     fork kernel, from its own fork pair."""
     p, lam, parity = spec.p, spec.lam, spec.sigma
     la2, lb2 = lam, lam if spec.variant == 2 else -lam
@@ -522,32 +522,31 @@ def _per_spec_multi_sum(spec, order: Fraction) -> qs.QSeries:
     return qs.QSeries(lo.denominator, lo.numerator, lo.denominator, vals, 1, order)
 
 
-def _shared_multi_sums(monkeypatch, p: int, order) -> tuple[list, dict]:
+def _warnaar_multi_sums(monkeypatch, p: int, order) -> list:
     """(spec, multi-sum) for each `_multi_sum` call that one
     `verify_warnaar` call makes through the module attribute, in call
-    order, and the one `shared` dict every call was handed."""
-    calls, shared, original = [], [], fm._multi_sum
+    order; each call takes exactly (spec, order)."""
+    calls, original = [], fm._multi_sum
 
-    def record(spec, order, work):
-        shared.append(work)
-        calls.append((spec, original(spec, order, work)))
+    def record(spec, order):
+        calls.append((spec, original(spec, order)))
         return calls[-1][1]
 
     monkeypatch.setattr(fm, "_multi_sum", record)
     fm.verify_warnaar(p, order)
     monkeypatch.undo()
-    assert all(work is shared[0] for work in shared)
-    return calls, shared[0]
+    return calls
 
 
 @pytest.mark.parametrize("p", [3, 4, 5, 7, 9])
 def test_multi_sum_matches_per_spec_oracle(monkeypatch, p):
     for order in (F(-1), F(0), F(1, 2), F(7), F(61, 2), F(50)):
-        calls, _ = _shared_multi_sums(monkeypatch, p, order)
+        calls = _warnaar_multi_sums(monkeypatch, p, order)
         assert [spec for spec, _ in calls] == list(_all_specs(p))
         for spec, got in calls:
             want = _fields(_per_spec_multi_sum(spec, order))
             assert _fields(got) == want, (spec, order)
+            fm._work.cache_clear()  # a call that finds nothing built
             assert _fields(fm._multi_sum(spec, order)) == want, (spec, order)
 
 
@@ -556,10 +555,10 @@ def test_multi_sum_matches_per_spec_oracle(monkeypatch, p):
 def test_shared_multi_sums_match_per_spec_oracle_in_any_order(data, p, n):
     # whichever spec builds a shared kernel first, each reader gets its own sum
     order = F(n, 2)
-    specs = list(_all_specs(p))
-    shared = {"H": fm._inverse_poch_table(specs, order)}
-    for spec in data.draw(st.permutations(specs))[:8]:
-        assert _fields(fm._multi_sum(spec, order, shared)) == _fields(_per_spec_multi_sum(spec, order)), spec
+    fm._work.cache_clear()
+    for spec in data.draw(st.permutations(list(_all_specs(p))))[:8]:
+        assert _fields(fm._multi_sum(spec, order)) == _fields(_per_spec_multi_sum(spec, order)), spec
+    assert fm._work.cache_info().misses == 1
 
 
 def _dp_input(spec) -> tuple:
@@ -575,17 +574,16 @@ def test_one_verify_warnaar_call_shares_its_work(monkeypatch, p, order):
     # attribute (swqbench counts those spans).  One result per DP input:
     # the two lam = 0 sums are one object.  Per sigma, the p kernels of
     # variant 1 at lam > 0 and one delta = 0 kernel, each built once.
-    tables, horners = [], []
-    table, horner = fm._inverse_poch_table, fm._horner
-    monkeypatch.setattr(fm, "_inverse_poch_table", lambda *a: tables.append(a) or table(*a))
+    fm._work.cache_clear()
+    horners, horner = [], fm._horner
     monkeypatch.setattr(fm, "_horner", lambda n, terms: horners.append(n) or horner(n, terms))
-    calls, shared = _shared_multi_sums(monkeypatch, p, order)
-    assert len(tables) == 1
+    calls = _warnaar_multi_sums(monkeypatch, p, order)
+    assert fm._work.cache_info().misses == 1
     assert len(calls) == 4 * (p + 1)
     by_input = {}
     for spec, got in calls:
         by_input.setdefault(_dp_input(spec), []).append((spec, got))
-    assert set(shared) == {"H", 0, 1} | set(by_input)
+    assert set(fm._work(p, order)) == {"H", 0, 1} | set(by_input)
     assert [[(s.lam, s.sigma, s.variant) for s, _ in r] for r in by_input.values() if len(r) > 1] == [
         [(0, 0, 1), (0, 0, 2)],
         [(0, 1, 1), (0, 1, 2)],
@@ -596,6 +594,32 @@ def test_one_verify_warnaar_call_shares_its_work(monkeypatch, p, order):
     dp = sum((p - 2) * fm._frame(readers[0][0], order)[3] + 1 for readers in by_input.values())
     kernels = sum(fm._frame(fm.FermionicSumSpec(p, lam, sigma, 1), order)[3] for lam in range(p + 1) for sigma in (0, 1))
     assert len(horners) == dp + kernels
+
+
+def test_fermionic_modules_share_one_table():
+    # the 2m+1 modules' variant-2 sums at p = 2m+1 and order 2N read one
+    # table and one delta = 0 kernel per sigma, as do the Warnaar sums before them
+    fm._work.cache_clear()
+    fm.verify_fermionic_chars(2, 30)
+    assert fm._work.cache_info().misses == 1
+    assert set(fm._work(5, 60)) - {"H", 0, 1} == {_dp_input(fm.FermionicSumSpec(5, lam, lam % 2, 2)) for lam in range(5)}
+    fm._work.cache_clear()
+    assert all(r.status != "error" for r in fm.verify_warnaar(5, 60))
+    assert all(r.status == "pass" for r in fm.verify_fermionic_chars(2, 30))
+    assert fm._work.cache_info().misses == 1
+
+
+def test_work_is_kept_for_the_last_p_and_order_only():
+    first, second = fm.FermionicSumSpec(3, 1, 0, 2), fm.FermionicSumSpec(5, 2, 1, 1)
+    fm._work.cache_clear()
+    want = fm._multi_sum(first, F(20))
+    fm._multi_sum(second, F(30))
+    assert fm._work.cache_info().currsize == 1
+    fm._multi_sum(second, F(30))
+    assert fm._work.cache_info().misses == 2
+    # the first key went: its work is built again, to the same sum
+    assert fm._multi_sum(first, F(20)) == want
+    assert fm._work.cache_info().misses == 3
 
 
 # -- the two sum families ----------------------------------------------------

@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -369,15 +370,33 @@ def test_theta_forms_share_the_quotient_within_one_unit_of_order():
     assert eta_quotient.cache_info().misses == 1
 
 
-def test_theta_form_builds_no_zero_weight_theta(monkeypatch):
+def _scale_add_theta_form(form, order):
+    """theta_form as it was before the one weighted pass: each Theta and
+    dTheta of nonzero weight built alone, scaled and added."""
+
+    def thetas(n):
+        parts = [qs.scale(build(ThetaParams(j, form.k), n), w)
+                 for j, a, b in form.weights for w, build in ((a, theta), (b, dtheta)) if w]
+        return reduce(qs.add, parts) if parts else qs.zero(n)
+
+    return forms.eta_product(form.shift, form.powers, thetas, order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_theta_forms(), st.integers(-96, 1440).map(lambda k: F(k, 48)))
+@example(ThetaForm(0, F_OVER_ETA, F(5, 2), ((1, 0, 1), (2, 3, 0), (0, 0, 0))), F(10))
+@example(ThetaForm(F(1, 3), (), F(5, 2), ((2, 0, 0), (1, F(3, 5), F(-2, 5)), (1, F(-3, 5), F(2, 5)))), F(61, 2))
+@example(ThetaForm(0, (), 6, ((1, 1, 0), (5, -1, 0))), F(50))
+def test_theta_form_builds_no_single_theta(form, order):
+    # one weighted pass over every (j, a_j, b_j), equal field by field to
+    # the scaled and added single thetas, zero and rational weights alike
     built = []
-    for name in ("theta", "dtheta"):
-        build = getattr(forms, name)
-        monkeypatch.setattr(forms, name, lambda p, order, name=name, build=build: built.append((name, p)) or build(p, order))
-    theta_form(ThetaForm(0, F_OVER_ETA, F(5, 2), ((1, 0, 1), (2, 3, 0), (0, 0, 0))), 10)
-    # eta, inside the quotient, is Theta_{1,6} - Theta_{5,6}
-    level = [(name, p.j) for name, p in built if p.k == F(5, 2)]
-    assert level == [("dtheta", 1), ("theta", 2)]
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("theta", "dtheta"):
+            mp.setattr(forms, name, lambda *args, name=name: built.append(name))
+        got = theta_form(form, order)
+    assert built == []
+    assert tuple(got) == tuple(_scale_add_theta_form(form, order))
 
 
 # -- eta_product: the order rule against its margin body ----------------------
@@ -400,11 +419,6 @@ _PACKAGE_POWERS = [
 ]
 
 
-def _unit(n):
-    """1, exact to n; below q^0 the zero series, as qs.one keeps its term."""
-    return qs.one(n) if n >= 0 else qs.zero(n)
-
-
 @st.composite
 def _inner_series(draw):
     """A builder inner(n) of a series exact to n with no term below q^0 and
@@ -416,7 +430,7 @@ def _inner_series(draw):
     def sparse(n):
         return qs.make_series([(e, c) for e, c in terms.items() if e <= n], n)
 
-    return draw(st.sampled_from([sparse, _unit, lambda n: dtheta(ThetaParams(1, F(5, 2)), n)]))
+    return draw(st.sampled_from([sparse, qs.one, lambda n: dtheta(ThetaParams(1, F(5, 2)), n)]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -426,10 +440,11 @@ def _inner_series(draw):
     _inner_series(),
     st.one_of(st.integers(-2, 200), st.integers(-96, 2880).map(lambda k: F(k, 48))),
 )
-@example(F(1, 24), ((1, 1), (2, -1)), _unit, F(1, 48))
-@example(F(0), (), _unit, 0)
-@example(F(1, 48), (), _unit, 0)
-@example(F(-7, 48), F_OVER_ETA, _unit, F(61, 2))
+@example(F(1, 24), ((1, 1), (2, -1)), qs.one, F(1, 48))
+@example(F(0), (), qs.one, 0)
+# found by Hypothesis: qs.one below q^0 (here at -1/48) must hold no term past its order
+@example(F(1, 48), (), qs.one, 0)
+@example(F(-7, 48), F_OVER_ETA, qs.one, F(61, 2))
 def test_eta_product_matches_margin_body(shift, powers, inner, order):
     asked = []
 

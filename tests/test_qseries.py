@@ -92,6 +92,17 @@ def test_make_series_rejects_exponent_beyond_order():
         qs.make_series([(6, 1)], 5)
 
 
+def test_one_holds_no_term_past_its_order():
+    # below q^0 the series 1, exact to the order, is the zero series
+    for order in (F(-1, 48), F(-1), "-7/3"):
+        assert qs.one(order) == qs.zero(order)
+    for order in (0, F(1, 48), 5):
+        assert qs.one(order).terms() == [(F(0), F(1))]
+        assert qs.one(order).order == order
+    # pochhammer keeps its documented constant term below q^0, for invert
+    assert qs.pochhammer(1, 1, -1, None, -1).terms() == [(F(0), F(1))]
+
+
 def test_make_series_drops_zero_coefficients():
     s = qs.make_series([(0, 1), (1, 0), (F(3, 2), 2)], 4)
     assert s.terms() == [(F(0), F(1)), (F(3, 2), F(2))]
