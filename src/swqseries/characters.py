@@ -1,7 +1,8 @@
 """Theta-form characters and supercharacters of the irreducible SW(m)
 modules, irreducible Neveu-Schwarz characters, and the decomposition
 cross-checks between them.  Each character and supercharacter is data,
-a `forms.ThetaForm` from `module_form`, evaluated by `forms.theta_form`."""
+a `forms.ThetaForm` from `module_form`, evaluated by `forms.theta_form`;
+the supercharacter lead and the exact rank build the prefix they need."""
 
 from __future__ import annotations
 
@@ -176,13 +177,16 @@ def char_by_decomposition(module: SWModuleId, order: RatLike) -> QSeries:
     return total
 
 
-def superchar_leading_shift(module: SWModuleId, order: RatLike = 10) -> Fraction:
-    """Leading exponent of the displayed supercharacter minus
-    (h - c/24); reported as data, never silently corrected."""
-    cd = central_data(module.m)
-    sc = sw_superchar_theta(module, order)
-    lead, _ = sc.leading()
-    return lead - (module_weight(module) - cd.c / 24)
+def superchar_leading_shift(module: SWModuleId) -> Fraction:
+    """Leading exponent of the displayed supercharacter minus (h - c/24),
+    reported as data, never silently corrected; built to its level k = 2(2m+1).
+
+    That prefix holds the lead.  Every weight (j, a_j, b_j) has a_j != 0, so
+    one of a = j and a = j - 2k has a_j + b_j a != 0, and at j = 0 or k the
+    pair +-a adds up to 2 a_j: the theta sum has a term at a^2/4k <= k.  Its
+    two classes, j and k - j, share no exponent, and f2/eta = 1 + O(q)."""
+    lead, _ = sw_superchar_theta(module, module_form(module, superchar=True).k).leading()
+    return lead - (module_weight(module) - central_data(module.m).c / 24)
 
 
 def ns_space_exact_rank(m: int) -> int:

@@ -6,11 +6,11 @@ precondition error.  The selected suites run one after another in the
 calling process, so they share its lru_caches.
 
 Every report comes from `report.run_check`, the only report constructor
-and the only timer in the package.  Each suite calls only its own
-module; a --tol under numeric's floor, or an --m or --order over the
-cost budget, fails before any suite runs.  One table, `_COMMANDS`, gives
-each command its help, default --order, suite and flags, and one writer
-serves the reports and the char/superchar series alike.
+and the only timer in the package.  One table, `_SUITES`, gives each
+suite its module, the only one it calls, and whether `--suite all` runs
+it; a --tol under numeric's floor, or an --m or --order over the cost
+budget, fails before any suite runs.  `_COMMANDS` gives each command its
+help, default --order, suite and flags; one writer serves every document.
 
 A process imports only the modules its command runs: `report` always, a
 suite's module when the suite runs, `characters` for --module,
@@ -39,17 +39,16 @@ if TYPE_CHECKING:
 
 __all__ = ["RunConfig", "UsageError", "run", "emit_report", "main"]
 
-# Suite name -> (swqseries module, reports(module, config)); `--suite all` runs
-# them in order but fermionic, which the pinned report lists of `all` omit.
+# Suite name -> (swqseries module, run by `--suite all`, reports(module, config)), in run order
 _SUITES = {
-    "forms": ("forms", lambda forms, c: forms.verify_form_identities(c.order)),
-    "characters": ("characters", lambda characters, c: characters.verify_character_suite(c.m, c.order)),
-    "warnaar": ("fermionic", lambda fermionic, c: fermionic.verify_warnaar(2 * c.m + 1, c.order)),
-    "aux": ("fermionic", lambda fermionic, c: fermionic.verify_aux_identities(c.order)),
-    "zhu": ("zhupoly", lambda zhupoly, c: zhupoly.verify_zhu_suite(c.m)),
-    "gm": ("gmverify", lambda gmverify, c: gmverify.verify_gm_suite(c.m)),
-    "numeric": ("numeric", lambda numeric, c: numeric.verify_numeric_suite(c.m, c.tau, c.order, c.tol)),
-    "fermionic": ("fermionic", lambda fermionic, c: fermionic.verify_fermionic_chars(c.m, c.order)),
+    "forms": ("forms", True, lambda forms, c: forms.verify_form_identities(c.order)),
+    "characters": ("characters", True, lambda characters, c: characters.verify_character_suite(c.m, c.order)),
+    "warnaar": ("fermionic", True, lambda fermionic, c: fermionic.verify_warnaar(2 * c.m + 1, c.order)),
+    "aux": ("fermionic", True, lambda fermionic, c: fermionic.verify_aux_identities(c.order)),
+    "zhu": ("zhupoly", True, lambda zhupoly, c: zhupoly.verify_zhu_suite(c.m)),
+    "gm": ("gmverify", True, lambda gmverify, c: gmverify.verify_gm_suite(c.m)),
+    "numeric": ("numeric", True, lambda numeric, c: numeric.verify_numeric_suite(c.m, c.tau, c.order, c.tol)),
+    "fermionic": ("fermionic", False, lambda fermionic, c: fermionic.verify_fermionic_chars(c.m, c.order)),
 }
 
 # Flag -> add_argument keywords, for the flags beyond --m, --order and --format;
@@ -192,7 +191,7 @@ def emit_report(reports: list[VerificationReport], format: str, sink: IO[str]) -
 
 
 def _suite_reports(name: str, config: RunConfig) -> list[VerificationReport]:
-    module, reports = _SUITES[name]
+    module, _, reports = _SUITES[name]
     return reports(importlib.import_module(f"{__package__}.{module}"), config)
 
 
@@ -215,7 +214,7 @@ def run(config: RunConfig, sink: IO[str]) -> int:
     try:
         if config.command in ("char", "superchar"):
             return _emit_series(config, sink)
-        names = [n for n in _SUITES if n != "fermionic"] if config.suite == "all" else [config.suite]
+        names = [n for n, (_, in_all, _) in _SUITES.items() if in_all] if config.suite == "all" else [config.suite]
         if "numeric" in names:
             # a tolerance numeric cannot certify fails before any suite runs
             importlib.import_module(f"{__package__}.numeric").check_tolerance(config.tol)

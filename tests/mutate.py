@@ -1,5 +1,6 @@
-"""Mutation check of the order rules, the theta pass and the multi-sum
-kernel and table: every seeded fault must fail a test.
+"""Mutation check of the order rules, the theta pass, the multi-sum
+kernel and table, the supercharacter lead probe's order and the suite
+table's `all` column: every seeded fault must fail a test.
 
     python3 tests/mutate.py
 
@@ -49,6 +50,14 @@ MUTATIONS = [
         "fermionic.py", "2 * (ref_fork_lo - fork_lo)) // 4", "2 * (ref_fork_lo - fork_lo) + 4) // 4",
     ),
     ("_work cuts each table row one slot short", "fermionic.py", "p * b * (b - 2)) // 4 + 1)", "p * b * (b - 2)) // 4)"),
+    (
+        "superchar_leading_shift builds to an eighth of its order",
+        "characters.py", "module_form(module, superchar=True).k)", "module_form(module, superchar=True).k / 8)",
+    ),
+    (
+        "`--suite all` runs fermionic",
+        "cli.py", '"fermionic": ("fermionic", False,', '"fermionic": ("fermionic", True,',
+    ),
 ]
 
 

@@ -1,6 +1,7 @@
 """Frozen expansions, structural invariants, and suite checks for the
 module characters."""
 
+import inspect
 from fractions import Fraction as F
 from functools import partial
 
@@ -177,7 +178,21 @@ class TestSuperchar:
     def test_leading_shift_is_one_sixteenth(self):
         for m in (1, 2, 3):
             for module in all_module_ids(m):
-                assert superchar_leading_shift(module, 8) == F(1, 16)
+                assert superchar_leading_shift(module) == F(1, 16)
+
+    def test_leading_shift_is_one_sixteenth_for_every_module_the_cli_accepts(self):
+        # the pi modules' leads pass 10 from m = 11 on and reach 5000/101 at
+        # m = 50, pi:1; the probe builds to the level 2(2m+1), which holds them
+        off = [
+            (m, module.label)
+            for m in range(1, cli._MAX_M + 1)
+            for module in all_module_ids(m)
+            if superchar_leading_shift(module) != F(1, 16)
+        ]
+        assert off == []
+
+    def test_leading_shift_takes_only_the_module(self):
+        assert list(inspect.signature(superchar_leading_shift).parameters) == ["module"]
 
 
 class TestDecomposition:

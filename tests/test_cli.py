@@ -283,6 +283,15 @@ def test_fermionic_suite_checks_every_module_outside_all(capsys):
     assert "fermionic-char" not in {r["identity_id"] for r in json.loads(capsys.readouterr().out)}
 
 
+def test_suite_all_runs_the_rows_its_column_marks(monkeypatch):
+    # records the names `--suite all` hands to _suite_reports, running no suite
+    names = []
+    monkeypatch.setattr(cli, "_suite_reports", lambda name, config: names.append(name) or [])
+    assert cli.run(cli.RunConfig("verify", suite="all"), io.StringIO()) == 0
+    assert names == [name for name, (_, in_all, _) in cli._SUITES.items() if in_all]
+    assert names == ["forms", "characters", "warnaar", "aux", "zhu", "gm", "numeric"]
+
+
 @pytest.mark.parametrize("m, order", [(3, "1"), (6, "2")])
 def test_fermionic_suite_passes_below_the_pi_multi_sums(capsys, m, order):
     # the pi modules' multi-sums have no term up to these orders: both

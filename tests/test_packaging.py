@@ -1,5 +1,6 @@
 """The package has no runtime dependency: its modules import only the
-standard library and each other, and pyproject.toml declares none.  No
+standard library and each other, and pyproject.toml declares none; its
+`swq` script is `swqseries.cli.main`.  No
 module imports dataclasses, the modules behind --help, gm and zhu do
 not load qseries, every value type derives from report.value_type,
 `characters` and `fermionic` build no infinite product, no builder
@@ -8,6 +9,8 @@ T-laws build a theta series, and only `numeric`, the one floating-point
 module, imports cmath."""
 
 import ast
+import importlib
+import itertools
 import sys
 from pathlib import Path
 
@@ -67,6 +70,15 @@ def test_no_dataclasses_and_light_commands_skip_qseries():
 def test_pyproject_declares_no_dependencies():
     lines = (ROOT / "pyproject.toml").read_text().splitlines()
     assert [line for line in lines if line.startswith("dependencies")] == ["dependencies = []"]
+
+
+def test_swq_script_resolves_to_cli_main():
+    # the [project.scripts] entry an installed `swq` runs; tomllib needs 3.11
+    lines = (ROOT / "pyproject.toml").read_text().splitlines()
+    section = itertools.takewhile(bool, lines[lines.index("[project.scripts]") + 1 :])
+    target = dict(line.split(" = ") for line in section)["swq"].strip('"')
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is importlib.import_module("swqseries.cli").main
 
 
 def test_only_report_builds_namedtuples():
