@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, product, takewhile
 
 from . import forms, qseries as qs
 from .forms import ThetaForm
@@ -107,22 +108,25 @@ def f2_over_eta(order: RatLike) -> QSeries:
 
 
 def ns_irr_char(m: int, i: int, n: int, order: RatLike) -> QSeries:
-    """Character of the irreducible Neveu-Schwarz Virasoro module with
-    central charge c(m) and lowest weight h^{2i+1,2n+1}:
+    """Character of the irreducible Neveu-Schwarz Virasoro module with central
+    charge c(m) and lowest weight h^{2i+1,2n+1}, exact to the given order:
 
-    q^{m^2/(2(2m+1))} * (f/eta) * (q^{h^{2i+1,2n+1}} - q^{h^{2i+1,-2n-1}})
-
-    exact to the given order.  With o = m^2/(2(2m+1)), h^{r,s} + o =
-    (s(2m+1) - r)^2 / (8(2m+1)) >= 0, so the factor q^{h+o} - q^{h'+o}
-    has no term below q^0: it is the inner factor of a `forms.eta_product`.
-    """
+    q^{m^2/(2(2m+1))} * (f/eta) * (q^{h^{2i+1,2n+1}} - q^{h^{2i+1,-2n-1}})"""
     if not (m >= 1 and 0 <= i <= m and n >= 0):
         raise ValueError("parameter out of range")
-    cd = central_data(m)
-    offset = Fraction(m * m, 2 * (2 * m + 1))
-    weights = ((cd.h(2 * i + 1, 2 * n + 1) + offset, 1), (cd.h(2 * i + 1, -2 * n - 1) + offset, -1))
+    return _ns_sum(m, i, {n: 1}, order)
+
+
+def _ns_sum(m: int, i: int, mults: dict[int, int], order: RatLike) -> QSeries:
+    """sum_n mults[n] ns_irr_char(m, i, n) as one `forms.eta_product`: with o = m^2/(2(2m+1)),
+    h^{2i+1,s} + o = (s(2m+1) - 2i - 1)^2 / (8(2m+1)) >= 0, so its inner factor has no term
+    below q^0; coefficients add where exponents meet (at i = m, h^{2m+1,-2n-1} = h^{2m+1,2n+3})."""
+    p, coeffs = 2 * m + 1, {}
+    for n, s in product(mults, (1, -1)):
+        e = Fraction((s * (2 * n + 1) * p - 2 * i - 1) ** 2, 8 * p)
+        coeffs[e] = coeffs.get(e, 0) + s * mults[n]
     return forms.eta_product(
-        0, F_OVER_ETA, lambda top: qs.make_series([(e, s) for e, s in weights if e <= top], top), order)
+        0, F_OVER_ETA, lambda top: qs.make_series([t for t in coeffs.items() if t[0] <= top], top), order)
 
 
 def module_form(module: SWModuleId, superchar: bool = False) -> ThetaForm:
@@ -162,19 +166,13 @@ def module_weight(module: SWModuleId) -> Fraction:
 
 
 def char_by_decomposition(module: SWModuleId, order: RatLike) -> QSeries:
-    """Sum of (2n+1) copies of the n-th irreducible NS character; valid
-    for the lambda variants only."""
+    """Sum of (2n+1) copies of the n-th irreducible NS character, for each n
+    whose character starts by the order; valid for the lambda variants only."""
     if module.kind != "lambda":
         raise ValueError("decomposition form available for lambda variants only")
-    m, i = module.m, module.i
-    cd = central_data(m)
-    order_f = Fraction(order)
-    total = qs.zero(order_f)
-    n = 0
-    while cd.h(2 * i + 1, 2 * n + 1) - cd.c / 24 <= order_f:
-        total = qs.add(total, qs.scale(ns_irr_char(m, i, n, order_f), 2 * n + 1))
-        n += 1
-    return total
+    m, i, cd, order_f = module.m, module.i, central_data(module.m), Fraction(order)
+    ns = takewhile(lambda n: cd.h(2 * i + 1, 2 * n + 1) - cd.c / 24 <= order_f, count())
+    return _ns_sum(m, i, {n: 2 * n + 1 for n in ns}, order_f)
 
 
 def superchar_leading_shift(module: SWModuleId) -> Fraction:
@@ -213,11 +211,12 @@ def ns_space_exact_rank(m: int) -> int:
 
 
 def _integrality(s: QSeries) -> tuple[Fraction, tuple[Fraction, Fraction, Fraction] | None]:
-    """(order, first coefficient that is not a nonnegative integer, as
+    """(order, first slot whose coefficient is not a nonnegative integer, as
     (exponent, coefficient, nearest nonnegative integer), or None)."""
-    for e, c in s.terms():
-        if c.denominator != 1 or c < 0:
-            return s.order, (e, c, Fraction(max(0, round(c))))
+    for k, v in enumerate(s.vals):
+        if v % s.content or v < 0:
+            c = Fraction(v, s.content)
+            return s.order, (Fraction(s.base + k * s.stride, s.denom), c, Fraction(max(0, round(c))))
     return s.order, None
 
 

@@ -179,10 +179,10 @@ def theta_form(form: ThetaForm, order: RatLike) -> QSeries:
 
 
 def _pair_dtheta_eta_cube(order: Fraction) -> tuple[QSeries, QSeries]:
-    # 1/f^2 leads at q^{1/24}, so the rhs is exact 1/24 past the order
+    # dTheta_{1,3/2} = eta^3/f^2 as dTheta f^2 = eta^3, exact to the order: f^2 leads at q^{-1/24}
     f = weber("f", order)
-    rhs = qs.mul(eta_quotient(((1, 3),), order), qs.invert(qs.mul(f, f)))
-    return dtheta(ThetaParams(1, Fraction(3, 2)), order), rhs
+    lhs = qs.mul(dtheta(ThetaParams(1, Fraction(3, 2)), order + Fraction(1, 24)), qs.mul(f, f))
+    return lhs, eta_quotient(((1, 3),), order)
 
 
 def _pair_weber_eta_quotient(order: Fraction) -> tuple[QSeries, QSeries]:

@@ -129,11 +129,12 @@ def mul(a: RatPoly, b: RatPoly) -> RatPoly:
 
 
 def _convolve(va: Sequence[int], vb: Sequence[int]) -> list[int]:
-    """Coefficients of the product of two nonempty integer polynomials."""
+    """Coefficients of the product of two nonempty integer polynomials, a pass per entry of the shorter."""
+    long, short = (va, vb) if len(va) >= len(vb) else (vb, va)
     out = [0] * (len(va) + len(vb) - 1)
-    for i, x in enumerate(va):
-        if x:
-            out[i : i + len(vb)] = [z + x * y for z, y in zip(out[i : i + len(vb)], vb)]
+    for j, y in enumerate(short):
+        if y:
+            out[j : j + len(long)] = [z + x * y for z, x in zip(out[j : j + len(long)], long)]
     return out
 
 

@@ -1,6 +1,7 @@
 """Mutation check of the order rules, the theta pass, the multi-sum
-kernel and table, the supercharacter lead probe's order and the suite
-table's `all` column: every seeded fault must fail a test.
+kernel and table, the supercharacter lead probe's order, the suite
+table's `all` column, the NS decomposition's multiplicities and the
+cube check's margin: every seeded fault must fail a test.
 
     python3 tests/mutate.py
 
@@ -57,6 +58,11 @@ MUTATIONS = [
     (
         "`--suite all` runs fermionic",
         "cli.py", '"fermionic": ("fermionic", False,', '"fermionic": ("fermionic", True,',
+    ),
+    ("char_by_decomposition weighs the n-th NS character 2n+3", "characters.py", "2 * n + 1 for n", "2 * n + 3 for n"),
+    (
+        "the cube check builds dTheta without its 1/24 margin",
+        "forms.py", "order + Fraction(1, 24)), qs.mul(f, f))", "order), qs.mul(f, f))",
     ),
 ]
 

@@ -8,8 +8,8 @@ that newly fail, in `verify --suite all --m 2 --order 20` plus
   description by their data and moves one weight (the first a_j, by 1)
   in every form it selects.
 - `_BUILDERS`: the builders that are not ThetaForms, `forms.eta_quotient`
-  (one row per `powers` tuple), `fermionic._multi_sum` and
-  `characters.ns_irr_char`.  Each row selects calls by their arguments
+  (one row per `powers` tuple), `fermionic._multi_sum` and the NS
+  characters' `characters._ns_sum`.  Each row selects calls by their arguments
   and moves one coefficient of every series they return, the leading
   one, by 1; every report that reads such a series compares it there.
 
@@ -103,7 +103,8 @@ _BUILDERS = {
         lambda args: True,
         {"warnaar-v1", "warnaar-v2", "fermionic-char"},
     ),
-    "characters.ns_irr_char": (ch, "ns_irr_char", lambda args: True, {"char-decomposition"}),
+    # ns_irr_char and the decomposition's sum of NS characters are both one _ns_sum
+    "characters.ns_irr_char": (ch, "_ns_sum", lambda args: True, {"char-decomposition"}),
 }
 
 # the rows no report sees, for the reasons the module docstring gives

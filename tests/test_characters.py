@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import swqseries.qseries as qs
-from swqseries import cli, forms
+from swqseries import characters, cli, forms
 from swqseries.characters import (
     CentralData,
     SWModuleId,
@@ -217,6 +217,65 @@ class TestDecomposition:
     def test_pi_rejected(self):
         with pytest.raises(ValueError):
             char_by_decomposition(SWModuleId(1, "pi", 1), 10)
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_one_product_equals_the_loop_of_ns_characters(self, m):
+        # at i = m the n-th negative exponent meets the (n+1)-th positive one
+        for module in all_module_ids(m)[: m + 1]:
+            for order in (F(-1, 20), F(1, 3), F(3, 2), F(5, 2), 10, F(61, 2), F(77, 3)):
+                assert char_by_decomposition(module, order) == _decomposition_loop(module, order), (module, order)
+
+    def test_one_mul_per_call(self, monkeypatch):
+        module = SWModuleId(2, "lambda", 3)
+        char_by_decomposition(module, 20)  # builds and caches f/eta's quotient
+        mul, calls = qs.mul, []
+        monkeypatch.setattr(qs, "mul", lambda a, b: calls.append((a, b)) or mul(a, b))
+        char_by_decomposition(module, 20)
+        assert len(calls) == 1
+
+
+def _decomposition_loop(module, order):
+    """char_by_decomposition as one ns_irr_char, scale and add per n."""
+    m, i = module.m, module.i
+    cd = central_data(m)
+    total, n = qs.zero(order), 0
+    while cd.h(2 * i + 1, 2 * n + 1) - cd.c / 24 <= order:
+        total = qs.add(total, qs.scale(ns_irr_char(m, i, n, order), 2 * n + 1))
+        n += 1
+    return total
+
+
+def _integrality_by_terms(s):
+    """characters._integrality read from Fraction terms."""
+    for e, c in s.terms():
+        if c.denominator != 1 or c < 0:
+            return s.order, (e, c, F(max(0, round(c))))
+    return s.order, None
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [],
+        [(F(-1, 16), 1), (F(1, 2), 3)],
+        [(F(1, 3), F(7, 2)), (2, -1)],
+        [(0, 2), (F(5, 4), -3), (3, F(1, 3))],
+        [(F(1, 6), F(4, 3)), (F(7, 6), F(-5, 3))],
+        [(1, F(-1, 2))],
+        [(1, 4), (2, 6), (5, F(-9, 2))],
+    ],
+)
+def test_integrality_from_slots_matches_terms(terms):
+    s = qs.make_series(terms, 6)
+    assert characters._integrality(s) == _integrality_by_terms(s)
+
+
+def test_integrality_reports_the_first_bad_term():
+    module = SWModuleId(2, "lambda", 1)
+    s = qs.add(sw_char(module, 10), qs.make_series([(F(41, 60), F(-1, 2)), (F(9, 2), F(1, 3))], 10))
+    order, bad = characters._integrality(s)
+    assert (order, bad[0], bad[2]) == (10, F(41, 60), max(0, round(bad[1])))
+    assert bad[1] == s.coeff(F(41, 60))
 
 
 class TestSuite:

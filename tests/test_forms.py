@@ -1,8 +1,9 @@
 """Frozen expansions and identity-suite checks for the modular building blocks."""
 
+import io
 import re
 from fractions import Fraction as F
-from functools import reduce
+from functools import lru_cache, reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import swqseries.forms as forms
 import swqseries.qseries as qs
+from swqseries import characters, cli
 from swqseries.characters import F2_OVER_ETA, F_OVER_ETA
 from swqseries.forms import (
     ThetaForm,
@@ -166,15 +168,49 @@ class TestIdentitySuite:
             verify_form_identities(5)
 
     def test_perturbed_eta_fails(self):
-        n = F(12)
-        lhs = dtheta(ThetaParams(1, F(3, 2)), n)
+        # dTheta f^2 against eta^3 with one eta moved by 2 q^{25/24}: the move
+        # meets eta^2's lead q^{1/12} first, at q^{9/8}
+        n = F(10)
+        f = weber("f", n)
+        lhs = qs.mul(dtheta(ThetaParams(1, F(3, 2)), n + F(1, 24)), qs.mul(f, f))
         e = eta(n)
         bad = qs.add(e, qs.make_series([(F(25, 24), 2)], n))
-        f = weber("f", n)
-        rhs = qs.mul(qs.mul(qs.mul(bad, e), e), qs.invert(qs.mul(f, f)))
-        rep = qs.compare_report("dtheta-eta-weber-cube", {}, lambda: (lhs, rhs), 10)
+        rep = qs.compare_report("dtheta-eta-weber-cube", {}, lambda: (lhs, qs.mul(qs.mul(bad, e), e)), n)
         assert rep.status == "fail"
-        assert rep.first_mismatch is not None
+        assert rep.first_mismatch == (F(9, 8), lhs.coeff(F(9, 8)), lhs.coeff(F(9, 8)) + 2)
+
+    @pytest.mark.parametrize("order", [10, F(21, 2), 20])
+    def test_term_planted_in_dtheta_fails_the_cube_there(self, monkeypatch, order):
+        # c q^e in dTheta_{1,3/2} shows in dTheta f^2 first at q^{e - 1/24},
+        # times f^2's leading 1
+        build, e = forms.dtheta, F(5)
+
+        def planted(p, n):
+            s = build(p, n)
+            return qs.add(s, qs.make_series([(e, 3)], s.order)) if p == ThetaParams(1, F(3, 2)) else s
+
+        monkeypatch.setattr(forms, "dtheta", planted)
+        (rep,) = [r for r in verify_form_identities(order) if r.identity_id == "dtheta-eta-weber-cube"]
+        assert rep.status == "fail"
+        x, lhs, rhs = rep.first_mismatch
+        assert (x, lhs - rhs) == (e - F(1, 24), 3)
+
+    def test_invert_sees_only_sparse_operands_in_suite_all(self, monkeypatch):
+        # dTheta_{1,3/2} = eta^3/f^2 is checked without inverting the dense f f
+        # (801 nonzero slots at order 400); the other inverses are of eta
+        # quotients with O(sqrt(order)) terms
+        for module, name in ((forms, "eta_quotient"), (characters, "f_over_eta"), (characters, "sw_char")):
+            build = getattr(module, name)
+            monkeypatch.setattr(module, name, lru_cache(None)(build.__wrapped__))
+        invert, sizes = qs.invert, []
+
+        def spy(a):
+            sizes.append(len(a.vals) - a.vals.count(0))
+            return invert(a)
+
+        monkeypatch.setattr(qs, "invert", spy)
+        assert cli.run(cli.RunConfig("verify", m=2, order=F(400), suite="all"), io.StringIO()) == 1
+        assert sizes and max(sizes) <= 60
 
 
 # -- the table and the one-range enumerator against their earlier bodies ------

@@ -174,6 +174,29 @@ def test_mul_matches_fraction_kernel(a, b):
     assert zp.mul(zp.poly(b), zp.poly(a)).coeffs == tuple(_fraction_mul(a, b))
 
 
+def _convolve_by_long_slices(va, vb):
+    """zhupoly._convolve as one slice of vb's length per entry of va."""
+    out = [0] * (len(va) + len(vb) - 1)
+    for i, x in enumerate(va):
+        if x:
+            out[i : i + len(vb)] = [z + x * y for z, y in zip(out[i : i + len(vb)], vb)]
+    return out
+
+
+int_lists = st.lists(st.integers(-(2**70), 2**70) | st.just(0), min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_lists, int_lists)
+@example([5], [0, -3, 0, 2**65])
+@example([0, 0, 7, 0], [-1, 1])
+@example([1, -2, 0, 0, 3, -1, 0, 9], [0])
+@example([-4, 0, 6], [2, 0, -2, 0, 0, 11])
+def test_convolve_matches_long_slices(va, vb):
+    assert zp._convolve(va, vb) == _convolve_by_long_slices(va, vb)
+    assert zp._convolve(vb, va) == _convolve_by_long_slices(va, vb)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(rationals, max_size=8))
 @example([])
