@@ -191,24 +191,17 @@ def _pair_weber_eta_quotient(order: Fraction) -> tuple[QSeries, QSeries]:
 
 
 def _pair_odd_even_split(order: Fraction) -> tuple[QSeries, QSeries]:
-    # prod(1+q^{n-1/2}) / prod(1-q^n)  =  1 / [prod(1-q^{n/2})(1+q^n)]
-    lhs = qs.mul(
-        qs.pochhammer(Fraction(1, 2), 1, 1, None, order),
-        qs.invert(qs.pochhammer(1, 1, -1, None, order)),
-    )
-    rhs = qs.invert(
-        qs.mul(
-            qs.pochhammer(Fraction(1, 2), Fraction(1, 2), -1, None, order),
-            qs.pochhammer(1, 1, 1, None, order),
-        )
-    )
-    return lhs, rhs
+    # prod(1+q^{n-1/2}) / prod(1-q^n) = 1 / [prod(1-q^{n/2})(1+q^n)], checked as
+    # prod(1+q^{n-1/2}) prod(1-q^{n/2}) prod(1+q^n) = prod(1-q^n); each factor is 1 + O(q^{1/2})
+    half = Fraction(1, 2)
+    odd = qs.mul(qs.pochhammer(half, 1, 1, None, order), qs.pochhammer(half, half, -1, None, order))
+    return qs.mul(odd, qs.pochhammer(1, 1, 1, None, order)), qs.pochhammer(1, 1, -1, None, order)
 
 
 def _pair_eta_half_inverse(order: Fraction) -> tuple[QSeries, QSeries]:
     # 1/eta(tau/2) = (f/eta) * f2; f/eta leads at q^{-1/16}
     n = order + Fraction(1, 16)
-    rhs = qs.mul(qs.mul(weber("f", order), qs.invert(eta(n))), weber("f2", n))
+    rhs = qs.mul(qs.mul(weber("f", order), eta_quotient(((1, -1),), n)), weber("f2", n))
     return eta_quotient(((Fraction(1, 2), -1),), order), rhs
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "QSeries",
     "VerificationReport",
     "make_series",
-    "zero",
     "one",
     "add",
     "sub",
@@ -239,10 +238,6 @@ def _from_coeffs(denom: int, coeffs: dict[int, int | Fraction], order) -> QSerie
     for k, c in coeffs.items():
         vals[(k - base) // stride] = c.numerator * (content // c.denominator)
     return QSeries(denom, base, stride, vals, content, order)
-
-
-def zero(order: RatLike) -> QSeries:
-    return _zero(Fraction(order))
 
 
 def one(order: RatLike) -> QSeries:

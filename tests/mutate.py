@@ -1,7 +1,8 @@
 """Mutation check of the order rules, the theta pass, the multi-sum
 kernel and table, the supercharacter lead probe's order, the suite
-table's `all` column, the NS decomposition's multiplicities and the
-cube check's margin: every seeded fault must fail a test.
+table's `all` column, the NS decomposition's multiplicities, the cube
+check's margin and the two inverse-free forms pairs: every seeded fault
+must fail a test.
 
     python3 tests/mutate.py
 
@@ -64,6 +65,11 @@ MUTATIONS = [
         "the cube check builds dTheta without its 1/24 margin",
         "forms.py", "order + Fraction(1, 24)), qs.mul(f, f))", "order), qs.mul(f, f))",
     ),
+    (
+        "odd-even-split drops prod(1+q^n) from its product side",
+        "forms.py", "qs.mul(odd, qs.pochhammer(1, 1, 1, None, order))", "odd",
+    ),
+    ("eta-half-inverse takes 1/eta^2", "forms.py", "eta_quotient(((1, -1),), n)", "eta_quotient(((1, -2),), n)"),
 ]
 
 

@@ -82,7 +82,7 @@ _BUILDERS = {
         {"char-integrality", "fermionic-char", "dtheta-eta-double-product", "theta-double-sum"},
     ),
     "forms.eta_quotient, f2/eta": (*_powers(ch.F2_OVER_ETA), set()),
-    "forms.eta_quotient, 1/eta": (*_powers(((1, -1),)), {"warnaar-v1", "warnaar-v2"}),
+    "forms.eta_quotient, 1/eta": (*_powers(((1, -1),)), {"eta-half-inverse", "warnaar-v1", "warnaar-v2"}),
     "forms.eta_quotient, eta^3": (*_powers(((1, 3),)), {"dtheta-eta-weber-cube"}),
     "forms.eta_quotient, f = eta^2/(eta(tau/2) eta(2tau))": (
         *_powers(((1, 2), (F(1, 2), -1), (2, -1))),

@@ -238,7 +238,7 @@ def _decomposition_loop(module, order):
     """char_by_decomposition as one ns_irr_char, scale and add per n."""
     m, i = module.m, module.i
     cd = central_data(m)
-    total, n = qs.zero(order), 0
+    total, n = qs.make_series([], order), 0
     while cd.h(2 * i + 1, 2 * n + 1) - cd.c / 24 <= order:
         total = qs.add(total, qs.scale(ns_irr_char(m, i, n, order), 2 * n + 1))
         n += 1

@@ -146,7 +146,7 @@ def _naive_multi_sum(
             prev = bnd
             v += 1
         boxes.append(last_ok + 1)
-    total = qs.zero(order)
+    total = qs.make_series([], order)
     for n in iproduct(*[range(b) for b in boxes]):
         if parity is not None and (n[p - 2] + n[p - 1]) % 2 != parity:
             continue
@@ -412,7 +412,7 @@ def _series_horner(n: int, terms) -> list:
     `terms`, built from series: R_k is the product of pochhammer factors
     (1 + q^a) over ups_k and inverted (1 - q^b) over downs_k."""
     order = F(n - 1)
-    total, prefix = qs.zero(order), qs.one(order)
+    total, prefix = qs.make_series([], order), qs.one(order)
     for s, x, ups, downs in reversed(terms):
         xs = qs.make_series([(s + i, c) for i, c in enumerate(x) if s + i <= order], order)
         total = qs.add(total, qs.truncate(qs.mul(prefix, xs), order))
@@ -1000,7 +1000,7 @@ def _finite_poch_inv(start: Fraction, step: Fraction, sign: int, count: int, ord
 def _product_durfee_half(k: int, order: Fraction) -> qs.QSeries:
     # sum_n q^{(n^2+kn)/2} / [(u;u)_n (u;u)_{n+k}],  u = q^{1/2}
     h = Fraction(1, 2)
-    total = qs.zero(order)
+    total = qs.make_series([], order)
     n = 0
     while Fraction(n * n + k * n, 2) <= order:
         e = Fraction(n * n + k * n, 2)
@@ -1016,7 +1016,7 @@ def _product_durfee_half(k: int, order: Fraction) -> qs.QSeries:
 def _product_durfee_mixed(k: int, order: Fraction) -> qs.QSeries:
     # sum_n (-u;u)_n (-u;u)_{n+k} q^{(n^2+kn)/2} / [(q)_n (q)_{n+k}]
     h = Fraction(1, 2)
-    total = qs.zero(order)
+    total = qs.make_series([], order)
     n = 0
     while Fraction(n * n + k * n, 2) <= order:
         e = Fraction(n * n + k * n, 2)
@@ -1034,7 +1034,7 @@ def _product_durfee_mixed(k: int, order: Fraction) -> qs.QSeries:
 
 def _product_euler_eta_sum(order: Fraction) -> qs.QSeries:
     # q^{1/24} sum_n (-1)^n q^{n(n+1)/2} / (q)_n
-    total = qs.zero(order)
+    total = qs.make_series([], order)
     inner_order = order - Fraction(1, 24)
     n = 0
     while Fraction(n * (n + 1), 2) <= inner_order:
@@ -1052,7 +1052,7 @@ def _product_eta_double_sum(order: Fraction) -> qs.QSeries:
     h = Fraction(1, 2)
     lead = Fraction(5, 48)
     inner_order = order - lead
-    total = qs.zero(inner_order)
+    total = qs.make_series([], inner_order)
     m1 = 0
     while Fraction(m1 * (m1 + 1)) <= inner_order:
         m2 = 0
@@ -1078,7 +1078,7 @@ def _product_theta_double_sum(order: Fraction) -> qs.QSeries:
     h = Fraction(1, 2)
     lead = Fraction(5, 48)
     inner_order = order - lead
-    total = qs.zero(inner_order)
+    total = qs.make_series([], inner_order)
     d = 0
     while Fraction(3 * d * d, 8) - Fraction(d, 2) <= inner_order:
         for sd in ((0,) if d == 0 else (d, -d)):
@@ -1171,7 +1171,7 @@ def _ratio_eta_double_sum(order: Fraction) -> qs.QSeries:
     inner_order = order - lead
     top = floor(2 * inner_order)
     if top < 0:
-        return qs.zero(order)
+        return qs.make_series([], order)
     s1 = _ratio_horner(top, -1, lambda m: 2 * m * (m + 1), lambda m: ((), (4 * m + 4,)))
     s2 = _ratio_horner(top, -1, lambda m: m * (m + 1) // 2, lambda m: ((m + 1,), (2 * m + 2,)))
     prod = qs.mul(qs.QSeries(2, 0, 1, s1, 1, inner_order), qs.QSeries(2, 0, 1, s2, 1, inner_order))

@@ -1,7 +1,9 @@
 """Frozen expansions and identity-suite checks for the modular building blocks."""
 
 import io
+import math
 import re
+import sys
 from fractions import Fraction as F
 from functools import lru_cache, reduce
 
@@ -197,20 +199,24 @@ class TestIdentitySuite:
 
     def test_invert_sees_only_sparse_operands_in_suite_all(self, monkeypatch):
         # dTheta_{1,3/2} = eta^3/f^2 is checked without inverting the dense f f
-        # (801 nonzero slots at order 400); the other inverses are of eta
-        # quotients with O(sqrt(order)) terms
+        # (801 nonzero slots at order 400), and odd-even-split and
+        # eta-half-inverse without inverting at all: every inverse is of eta's
+        # O(sqrt(order)) terms, taken inside eta_quotient
+        quotient = forms.eta_quotient.__wrapped__
         for module, name in ((forms, "eta_quotient"), (characters, "f_over_eta"), (characters, "sw_char")):
             build = getattr(module, name)
             monkeypatch.setattr(module, name, lru_cache(None)(build.__wrapped__))
-        invert, sizes = qs.invert, []
+        invert, sizes, callers = qs.invert, [], set()
 
         def spy(a):
             sizes.append(len(a.vals) - a.vals.count(0))
+            callers.add(sys._getframe(1).f_code)
             return invert(a)
 
         monkeypatch.setattr(qs, "invert", spy)
         assert cli.run(cli.RunConfig("verify", m=2, order=F(400), suite="all"), io.StringIO()) == 1
         assert sizes and max(sizes) <= 60
+        assert callers == {quotient.__code__}
 
 
 # -- the table and the one-range enumerator against their earlier bodies ------
@@ -325,6 +331,75 @@ def test_identity_sides_are_exact_to_the_order(order):
         assert min(lhs.order, rhs.order) >= order, (identity_id, params)
 
 
+_ROWS = [(identity_id, params) for identity_id, params, _ in _suite(F(10))]
+
+
+@pytest.mark.parametrize(
+    "row", range(len(_ROWS)), ids=["-".join([i, *(f"{k}={v}" for k, v in p.items())]) for i, p in _ROWS]
+)
+def test_term_planted_on_the_right_fails_every_identity(row):
+    # one term at the last exponent of the right side's grid in the window
+    # (Z for the six dtheta-half-level rows whose sides are both zero) flips
+    # the report there
+    order = F(21, 2)
+    identity_id, params, build = _suite(order)[row]
+    lhs, rhs = build()
+    e = F(rhs.base + (math.floor(order * rhs.denom) - rhs.base) // rhs.stride * rhs.stride, rhs.denom)
+    assert order - F(rhs.stride, rhs.denom) < e <= order
+    planted = qs.add(rhs, qs.make_series([(e, 1)], rhs.order))
+    rep = qs.compare_report(identity_id, params, lambda: (lhs, planted), order)
+    assert (rep.identity_id, rep.params, rep.status) == (identity_id, params, "fail")
+    assert rep.first_mismatch == (e, lhs.coeff(e), rhs.coeff(e) + 1)
+
+
+# -- the inverse-free pairs against their inverting bodies --------------------
+
+
+def _inverting_odd_even_split(order):
+    """odd-even-split as the quotient identity, with two inverses."""
+    lhs = qs.mul(qs.pochhammer(F(1, 2), 1, 1, None, order), qs.invert(qs.pochhammer(1, 1, -1, None, order)))
+    rhs = qs.invert(qs.mul(qs.pochhammer(F(1, 2), F(1, 2), -1, None, order), qs.pochhammer(1, 1, 1, None, order)))
+    return lhs, rhs
+
+
+def _inverting_eta_half_inverse(order):
+    """eta-half-inverse with 1/eta inverted by hand."""
+    n = order + F(1, 16)
+    rhs = qs.mul(qs.mul(forms.weber("f", order), qs.invert(eta(n))), forms.weber("f2", n))
+    return eta_quotient(((F(1, 2), -1),), order), rhs
+
+
+def _outcome(lhs, rhs, order):
+    """compare's first mismatch as (exponent, lhs - rhs), or None."""
+    found = qs.compare(lhs, rhs, order)
+    return found and (found[0], found[1] - found[2])
+
+
+@pytest.mark.parametrize("order", [F(10), F(21, 2), F(50), F(400)])
+def test_inverse_free_pairs_compare_as_their_inverting_bodies(order):
+    pairs = [
+        (forms._pair_odd_even_split, _inverting_odd_even_split),
+        (forms._pair_eta_half_inverse, _inverting_eta_half_inverse),
+    ]
+    for new, old in pairs:
+        assert _outcome(*new(order), order) is _outcome(*old(order), order) is None
+    # 1/eta from eta_quotient is the hand inverse where both claim it
+    assert forms._pair_eta_half_inverse(order) == _inverting_eta_half_inverse(order)
+    # a term planted in prod(1+q^{n-1/2}), and one in f, each shows at its
+    # exponent with its coefficient, in the new and the inverting bodies alike
+    poch, weber_ = qs.pochhammer, forms.weber
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qs, "pochhammer", lambda *a: qs.add(poch(*a), qs.make_series([(F(7, 2), 3)], a[-1]))
+                   if a[:3] == (F(1, 2), 1, 1) else poch(*a))
+        for build in (forms._pair_odd_even_split, _inverting_odd_even_split):
+            assert _outcome(*build(order), order) == (F(7, 2), 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forms, "weber", lambda w, n: qs.add(weber_(w, n), qs.make_series([(F(23, 48), -2)], n))
+                   if w == "f" else weber_(w, n))
+        for build in (forms._pair_eta_half_inverse, _inverting_eta_half_inverse):
+            assert _outcome(*build(order), order) == (F(23, 48), 2)
+
+
 @pytest.mark.parametrize(
     "powers, message",
     [
@@ -349,7 +424,7 @@ def _margin_theta_form(form, order):
     quotient drawn below leads within 3/4 of q^0), multiplied, shifted and
     truncated back; every theta and dTheta is built, weight 0 or not."""
     n = F(order) - form.shift + 2
-    total = qs.zero(n)
+    total = qs.make_series([], n)
     for j, a, b in form.weights:
         p = ThetaParams(j, form.k)
         total = qs.add(total, qs.add(qs.scale(theta(p, n), a), qs.scale(dtheta(p, n), b)))
@@ -413,7 +488,7 @@ def _scale_add_theta_form(form, order):
     def thetas(n):
         parts = [qs.scale(build(ThetaParams(j, form.k), n), w)
                  for j, a, b in form.weights for w, build in ((a, theta), (b, dtheta)) if w]
-        return reduce(qs.add, parts) if parts else qs.zero(n)
+        return reduce(qs.add, parts) if parts else qs.make_series([], n)
 
     return forms.eta_product(form.shift, form.powers, thetas, order)
 

@@ -133,7 +133,7 @@ def _eval_series_inputs(draw):
 @example(
     (qs.make_series([(F(1, 3), F(2**70 + 1, 2**64 + 13)), (F(5, 48), F(-1, 3))], 2), nm.TauPoint(-0.4, 0.9))
 )
-@example((qs.zero(3), nm.TauPoint(0.0, 1.0)))
+@example((qs.make_series([], 3), nm.TauPoint(0.0, 1.0)))
 def test_eval_series_floats_are_bit_identical(case):
     a, tau = case
     got = nm.eval_series(a, tau)

@@ -5,8 +5,8 @@ module imports dataclasses, the modules behind --help, gm and zhu do
 not load qseries, every value type derives from report.value_type,
 `characters` and `fermionic` build no infinite product, no builder
 outside `qseries` truncates a series, only `forms` and numeric's S- and
-T-laws build a theta series, and only `numeric`, the one floating-point
-module, imports cmath."""
+T-laws build a theta series, only `forms.eta_quotient` inverts a series,
+and only `numeric`, the one floating-point module, imports cmath."""
 
 import ast
 import importlib
@@ -172,6 +172,23 @@ def test_only_forms_and_the_s_laws_build_theta():
                 or (isinstance(node, ast.alias) and node.name in names)
             ]
     assert found == []
+
+
+def test_only_eta_quotient_inverts():
+    # every inverse in the package is of eta's O(sqrt(order)) nonzero terms,
+    # taken where eta_quotient meets a negative power; the uncalled
+    # _finite_poch_inv stays while the benchmark tracer reads its cache
+    found = []
+    for path in sorted((ROOT / "src" / "swqseries").glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            found += [
+                f"{path.name}:{getattr(top, 'name', top.lineno)}"
+                for node in ast.walk(top)
+                if (isinstance(node, ast.Attribute) and node.attr == "invert")
+                or (isinstance(node, ast.Name) and node.id == "invert")
+                or (isinstance(node, ast.alias) and node.name == "invert")
+            ]
+    assert sorted(set(found)) == ["fermionic.py:_finite_poch_inv", "forms.py:eta_quotient"]
 
 
 def test_only_numeric_imports_cmath():
