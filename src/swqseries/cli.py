@@ -2,8 +2,10 @@
 with JSON or CSV report output.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 usage or
-precondition error.  The selected suites run one after another in the
-calling process, so they share its lru_caches.
+precondition error.  A reader that closes stdout early (`swq ... | head`)
+changes no exit code and gets no traceback on stderr.  The selected
+suites run one after another in the calling process, so they share its
+lru_caches.
 
 Every report comes from `report.run_check`, the only report constructor
 and the only timer in the package.  One table, `_SUITES`, gives each
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import math
+import os
 import sys
 from typing import IO, TYPE_CHECKING
 
@@ -140,20 +143,27 @@ class RunConfig(value_type("RunConfig", "command m module order suite format tol
 
 
 def _write(format: str, sink: IO[str], payload, header: list[str], rows) -> None:
-    """JSON: payload on one line.  CSV: the header, then rows."""
-    if format == "json":
-        import json
-
-        # json.dumps runs the C encoder; json.dump would run the Python one
-        sink.write(json.dumps(payload, separators=(",", ":")) + "\n")
-        return
-    if format != "csv":
+    """JSON: payload on one line.  CSV: the header, then rows.  If the
+    sink's reader has gone, the rest of the document, and the
+    interpreter's final flush, go to os.devnull: no traceback, and the
+    exit code stays the one the checks earned."""
+    if format not in ("json", "csv"):
         raise UsageError(f"unknown format {format!r}")
-    import csv
+    try:
+        if format == "json":
+            import json
 
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+            # json.dumps runs the C encoder; json.dump would run the Python one
+            sink.write(json.dumps(payload, separators=(",", ":")) + "\n")
+        else:
+            import csv
+
+            writer = csv.writer(sink, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        sink.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sink.fileno())
 
 
 def _json_value(v):

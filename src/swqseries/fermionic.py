@@ -198,6 +198,7 @@ def _multi_sum(spec: FermionicSumSpec, order: Fraction) -> QSeries:
     top is at least ours) shifted by (la2+lb2)(2M+sigma)/4 slots plus
     the difference of the two specs' lowest fork exponents.
     `_work(p, order)` holds the table, the delta = 0 kernel of each sigma and one result per DP input.
+    The last level, the sum over M, runs in the aux sums' frame, `_grid_sum` on the grid q from lo.
     """
     p, lam, parity = spec.p, spec.lam, spec.sigma
     la2, lb2 = lam, lam if spec.variant == 2 else -lam
@@ -229,8 +230,7 @@ def _multi_sum(spec: FermionicSumSpec, order: Fraction) -> QSeries:
                 (level[M - k][0] + li * k, level[M - k][1], (), (k + 1,)) for k in range(M, -1, -1))))
             for M in range(Ms)
         ]
-    vals = _horner(top + 1, ((off, x, (), ()) for off, x in level))
-    work[key] = QSeries(lo.denominator, lo.numerator, lo.denominator, vals, 1, order)
+    work[key] = _grid_sum(1, lo, order, lambda _: ((off, x, (), ()) for off, x in level))
     return work[key]
 
 

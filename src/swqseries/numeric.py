@@ -131,16 +131,16 @@ def _first_over(errors: list[float], tol: float) -> tuple[Fraction, Fraction, Fr
     return None
 
 
-def _law(taus: list[TauPoint], fs: list[QSeries], c, phases, gs: list[QSeries], tol: float):
-    """_first_over of |f_j(-1/tau) - c(tau) sum_i u_ji g_i(tau)| + tail_{f_j} + |c(tau)| sum_i tail_{g_i}
-    at each tau for each row j, u_ji = phases[j][i] unit phases.  Each series is evaluated once per
-    point: f_0 at -1/tau, then every g_i at tau, then f_1, f_2, ... at -1/tau."""
+def _law(taus: list[TauPoint], gs: list[QSeries], c, phases, tol: float):
+    """_first_over of |g_j(-1/tau) - c(tau) sum_i u_ji g_i(tau)| + tail_{g_j} + |c(tau)| sum_i tail_{g_i}
+    at each tau for each row j < len(phases), u_ji = phases[j][i] unit phases.  Each series is evaluated
+    once per point and side: g_0 at -1/tau, then every g_i at tau, then g_1, g_2, ... at -1/tau."""
     errors = []
     for t in taus:
         ti = _neg_inv(t)
-        left = [eval_series(fs[0], ti, tol)]
+        left = [eval_series(gs[0], ti, tol)]
         right = [eval_series(g, t, tol) for g in gs]
-        left += [eval_series(f, ti, tol) for f in fs[1:]]
+        left += [eval_series(g, ti, tol) for g in gs[1 : len(phases)]]
         cv = c(t)
         tail = abs(cv) * sum(rt for _, rt in right)
         for (lv, lt), us in zip(left, phases):
@@ -186,7 +186,7 @@ def verify_s_t_laws(taus: list[TauPoint], order: RatLike, tol: float) -> list[Ve
 
     eta, half = forms.eta(order), Fraction(1, 2)
     laws = [
-        ("eta-s-law", {}, partial(_law, taus, [eta], lambda t: cmath.sqrt(-1j * t.tau), [[1]], [eta], tol)),
+        ("eta-s-law", {}, partial(_law, taus, [eta], lambda t: cmath.sqrt(-1j * t.tau), [[1]], tol)),
         ("eta-t-law", {}, partial(_off_class, [eta], [Fraction(1, 24)], Fraction(1))),
     ]
     for k in _S_LEVELS:
@@ -196,8 +196,8 @@ def verify_s_t_laws(taus: list[TauPoint], order: RatLike, tol: float) -> list[Ve
         classes = [Fraction(j * j, 4 * k) for j in range(k + 1)]
         c, dc = partial(s_factor, k, False), partial(s_factor, k, True)
         laws += [
-            ("theta-s-law", {"k": k}, partial(_law, taus, ths[: k + 1], c, phases, ths, tol)),
-            ("dtheta-s-law", {"k": k}, partial(_law, taus, dths[: k + 1], dc, phases, dths, tol)),
+            ("theta-s-law", {"k": k}, partial(_law, taus, ths, c, phases, tol)),
+            ("dtheta-s-law", {"k": k}, partial(_law, taus, dths, dc, phases, tol)),
             ("theta-t2-law", {"k": k}, partial(_off_class, ths, classes, half)),
             ("dtheta-t2-law", {"k": k}, partial(_off_class, dths, classes, half)),
         ]

@@ -402,12 +402,13 @@ def verify_s_properties(m: int) -> VerificationReport:
     """One report covering: the three-term recursion
     s(t)(m+t)(2m+1-t)^2 = 2(m+1-t)(2m^2+2tm-2-t^2+2t)s(t-1)
                           + (t-1)^2(3m+2-t)s(t-2)
-    for s = r/denominator as an exact rational-function identity
-    (denominators cleared), the sign conditions s(0) < 0 and s(1) < 0,
-    and interpolation_L being nonzero at h^{2i+1,1} for i = 0..m.
+    for s = r/denominator as an exact rational-function identity, checked
+    on exact values at t = 3m+3 .. 3m+3+order, the sign conditions
+    s(0) < 0 and s(1) < 0, and interpolation_L being nonzero at
+    h^{2i+1,1} for i = 0..m.
 
-    On failure, first_mismatch holds (coefficient index, lhs, rhs) for
-    the recursion, (t, s(t), 0) for a sign check, or (weight, value, 0)
+    On failure, first_mismatch holds (t, lhs(t), rhs(t)) for the
+    recursion, (t, s(t), 0) for a sign check, or (weight, value, 0)
     for a vanishing interpolant value."""
     if m < 1:
         raise ValueError("m must be positive")
@@ -415,22 +416,19 @@ def verify_s_properties(m: int) -> VerificationReport:
     def check():
         r = r_poly(m)
         den = _s_denominator(m)
-        r1, den1 = shift_arg(r, -1), shift_arg(den, -1)
-        r2, den2 = shift_arg(r, -2), shift_arg(den, -2)
-
-        lhs_w = mul(poly([m, 1]), mul(poly([2 * m + 1, -1]), poly([2 * m + 1, -1])))
-        mid_w = scale(mul(poly([m + 1, -1]), poly([2 * m * m - 2, 2 * m + 2, -1])), 2)
-        last_w = mul(mul(poly([-1, 1]), poly([-1, 1])), poly([3 * m + 2, -1]))
-
-        lhs = mul(mul(lhs_w, r), mul(den1, den2))
-        rhs = add(
-            mul(mul(mid_w, r1), mul(den, den2)),
-            mul(mul(last_w, r2), mul(den, den1)),
-        )
-        order = max(lhs.degree(), rhs.degree(), 0)
-        mismatch = _first_difference(lhs, rhs)
-        if mismatch is not None:
-            return order, mismatch
+        # Clearing the denominators, the recursion is P(t) = 0 for a polynomial P of degree
+        # at most order = 3 + deg r + 2 deg den.  den's roots lie in [-m, -1] and
+        # [2m+1, 3m], so no den(t-j), j = 0..2, vanishes at the order + 1 points
+        # t > 3m+2 below: the recursion holding there proves P = 0.
+        order = 3 + r.degree() + 2 * den.degree()
+        ts = range(3 * m + 1, 3 * m + 4 + order)
+        s = {t: r(t) / den(t) for t in ts}
+        for t in ts[2:]:
+            lhs = (m + t) * (2 * m + 1 - t) ** 2 * s[t]
+            rhs = (2 * (m + 1 - t) * (2 * m * m + 2 * t * m - 2 - t * t + 2 * t) * s[t - 1]
+                   + (t - 1) ** 2 * (3 * m + 2 - t) * s[t - 2])
+            if lhs != rhs:
+                return order, (Fraction(t), lhs, rhs)
         for t in (0, 1):
             value = r(t) / den(t)
             if not value < 0:

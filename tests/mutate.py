@@ -1,8 +1,8 @@
 """Mutation check of the order rules, the theta pass, the multi-sum
 kernel and table, the supercharacter lead probe's order, the suite
 table's `all` column, the NS decomposition's multiplicities, the cube
-check's margin and the two inverse-free forms pairs: every seeded fault
-must fail a test.
+check's margin, the two inverse-free forms pairs and the s-properties
+recursion: every seeded fault must fail a test.
 
     python3 tests/mutate.py
 
@@ -70,6 +70,7 @@ MUTATIONS = [
         "forms.py", "qs.mul(odd, qs.pochhammer(1, 1, 1, None, order))", "odd",
     ),
     ("eta-half-inverse takes 1/eta^2", "forms.py", "eta_quotient(((1, -1),), n)", "eta_quotient(((1, -2),), n)"),
+    ("the s-properties recursion weighs s(t) by m + t + 1", "zhupoly.py", "lhs = (m + t) *", "lhs = (m + t + 1) *"),
 ]
 
 

@@ -578,3 +578,28 @@ def test_help_and_usage_errors_keep_their_bytes(argv):
     )
     want = _USAGE[shlex.join(argv)]
     assert {"code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr} == want
+
+
+# A reader that has gone before anything is written: the writer stops
+# quietly, the interpreter's final flush too, and the exit code is the
+# one the checks earned (warnaar holds the deliberate variant-2 fails).
+_CLOSED_STDOUT_RUNS = [
+    (["verify", "--suite", "forms", "--order", "10", "--format", "csv"], 0),
+    (["zhu", "--m", "2"], 0),
+    (["verify", "--suite", "warnaar", "--m", "1", "--order", "12"], 1),
+]
+
+
+@pytest.mark.parametrize("argv, code", _CLOSED_STDOUT_RUNS, ids=[shlex.join(argv) for argv, _ in _CLOSED_STDOUT_RUNS])
+def test_closed_stdout_keeps_the_exit_code_and_stderr_quiet(argv, code):
+    src = os.path.dirname(os.path.dirname(swqseries.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from swqseries.cli import main; sys.exit(main())", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src), text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, "")

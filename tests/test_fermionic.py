@@ -577,6 +577,8 @@ def test_one_verify_warnaar_call_shares_its_work(monkeypatch, p, order):
     fm._work.cache_clear()
     horners, horner = [], fm._horner
     monkeypatch.setattr(fm, "_horner", lambda n, terms: horners.append(n) or horner(n, terms))
+    grids, grid_sum = [], fm._grid_sum
+    monkeypatch.setattr(fm, "_grid_sum", lambda *args: grids.append(args[:3]) or grid_sum(*args))
     calls = _warnaar_multi_sums(monkeypatch, p, order)
     assert fm._work.cache_info().misses == 1
     assert len(calls) == 4 * (p + 1)
@@ -589,6 +591,8 @@ def test_one_verify_warnaar_call_shares_its_work(monkeypatch, p, order):
         [(0, 1, 1), (0, 1, 2)],
     ]
     assert all(got is readers[0][1] for readers in by_input.values() for _, got in readers)
+    # the sum over M of each DP input runs in the aux sums' frame, on the grid q^1 from its lowest exponent
+    assert sorted(grids) == sorted((1, fm._frame(readers[0][0], order)[1], order) for readers in by_input.values())
     # one _horner call per M on each chain level and one for the sum
     # over M per DP input; one per M of each kernel built
     dp = sum((p - 2) * fm._frame(readers[0][0], order)[3] + 1 for readers in by_input.values())

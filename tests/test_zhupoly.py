@@ -480,6 +480,85 @@ def test_verify_s_properties(m):
     assert rep.params == {"m": m}
 
 
+# The body verify_s_properties had before it checked the recursion at
+# points: the recursion with its denominators cleared, as two expanded
+# polynomials compared coefficient by coefficient.
+def _polynomial_s_properties(m):
+    r, den = zp.r_poly(m), zp._s_denominator(m)
+    r1, den1 = zp.shift_arg(r, -1), zp.shift_arg(den, -1)
+    r2, den2 = zp.shift_arg(r, -2), zp.shift_arg(den, -2)
+    lhs_w = zp.mul(zp.poly([m, 1]), zp.mul(zp.poly([2 * m + 1, -1]), zp.poly([2 * m + 1, -1])))
+    mid_w = zp.scale(zp.mul(zp.poly([m + 1, -1]), zp.poly([2 * m * m - 2, 2 * m + 2, -1])), 2)
+    last_w = zp.mul(zp.mul(zp.poly([-1, 1]), zp.poly([-1, 1])), zp.poly([3 * m + 2, -1]))
+    lhs = zp.mul(zp.mul(lhs_w, r), zp.mul(den1, den2))
+    rhs = zp.add(zp.mul(zp.mul(mid_w, r1), zp.mul(den, den2)), zp.mul(zp.mul(last_w, r2), zp.mul(den, den1)))
+    order = max(lhs.degree(), rhs.degree(), 0)
+    mismatch = zp._first_difference(lhs, rhs)
+    if mismatch is None:
+        for t in (0, 1):
+            if not r(t) / den(t) < 0:
+                mismatch = (F(t), r(t) / den(t), F(0))
+                break
+    if mismatch is None:
+        mismatch = next(((zp._weight(m, 2 * i + 1), F(0), F(0)) for i in range(m + 1) if r(i) == 0), None)
+    return ("pass" if mismatch is None else "fail"), F(order), mismatch
+
+
+def _recursion_sides(m, r, t):
+    """(lhs, rhs) of the recursion at t for s = r/den."""
+    den = zp._s_denominator(m)
+    s = [r(t - j) / den(t - j) for j in range(3)]
+    lhs = s[0] * (m + t) * (2 * m + 1 - t) ** 2
+    rhs = 2 * (m + 1 - t) * (2 * m * m + 2 * t * m - 2 - t * t + 2 * t) * s[1] + (t - 1) ** 2 * (3 * m + 2 - t) * s[2]
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_s_properties_agrees_with_the_polynomial_oracle(m):
+    rep = zp.verify_s_properties(m)
+    assert (rep.status, rep.order, rep.first_mismatch) == _polynomial_s_properties(m) == ("pass", 6 * m + 1, None)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_s_properties_fails_when_r_moves(monkeypatch, m):
+    # r + t breaks the recursion at every m; r + 1 would be no fault at
+    # m = 1, where r is constant and the recursion is linear in s
+    r_poly = zp.r_poly
+    monkeypatch.setattr(zp, "r_poly", lambda m: zp.add(r_poly(m), zp.poly([0, 1])))
+    r = zp.r_poly(m)
+    rep = zp.verify_s_properties(m)
+    status, order, _ = _polynomial_s_properties(m)
+    assert (rep.status, rep.order) == (status, order) == ("fail", 3 + r.degree() + 4 * m)
+    lhs, rhs = _recursion_sides(m, r, 3 * m + 3)
+    assert lhs != rhs
+    assert rep.first_mismatch == (3 * m + 3, lhs, rhs)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_s_properties_negated_r_fails_only_the_sign(monkeypatch, m):
+    # the recursion is linear in s, so -s satisfies it; s(0) > 0 fails the sign check
+    r_poly = zp.r_poly
+    monkeypatch.setattr(zp, "r_poly", lambda m: zp.scale(r_poly(m), -1))
+    r, den = zp.r_poly(m), zp._s_denominator(m)
+    assert all(lhs == rhs for lhs, rhs in (_recursion_sides(m, r, t) for t in range(3 * m + 3, 9 * m + 5)))
+    rep = zp.verify_s_properties(m)
+    want = ("fail", F(6 * m + 1), (F(0), r(0) / den(0), F(0)))
+    assert (rep.status, rep.order, rep.first_mismatch) == _polynomial_s_properties(m) == want
+    assert r(0) / den(0) > 0
+
+
+def test_s_properties_expands_no_polynomial(monkeypatch):
+    calls = []
+    for name in ("shift_arg", "mul"):
+        original = getattr(zp, name)
+        monkeypatch.setattr(zp, name, lambda *args, _name=name, _f=original: calls.append(_name) or _f(*args))
+    assert zp.verify_s_properties(4).status == "pass"
+    assert calls == []
+    # the spies see the oracle's calls
+    _polynomial_s_properties(4)
+    assert calls.count("shift_arg") == 4 and calls.count("mul") == 14
+
+
 @pytest.mark.parametrize("m", [1, 3])
 def test_zhu_suite_is_phi_identities_then_s_properties(m):
     reports = zp.verify_zhu_suite(m)
