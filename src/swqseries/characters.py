@@ -2,7 +2,7 @@
 modules, irreducible Neveu-Schwarz characters, and the decomposition
 cross-checks between them.  Each character and supercharacter is data,
 a `forms.ThetaForm` from `module_form`, evaluated by `forms.theta_form`;
-the supercharacter lead and the exact rank build the prefix they need."""
+the supercharacter lead builds the prefix it needs."""
 
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ __all__ = [
     "sw_superchar_theta",
     "char_by_decomposition",
     "superchar_leading_shift",
-    "ns_space_exact_rank",
     "verify_character_suite",
 ]
 
@@ -185,29 +184,6 @@ def superchar_leading_shift(module: SWModuleId) -> Fraction:
     two classes, j and k - j, share no exponent, and f2/eta = 1 + O(q)."""
     lead, _ = sw_superchar_theta(module, module_form(module, superchar=True).k).leading()
     return lead - (module_weight(module) - central_data(module.m).c / 24)
-
-
-def ns_space_exact_rank(m: int) -> int:
-    """Exact rank of the 2m+1 characters together with the m functions
-    tau (f/eta) dTheta_{j,(2m+1)/2}, j = 1..m.
-
-    All exponents lie in (1/D)Z for one D, so F + tau G = 0 with F a
-    combination of characters and G one of the products gives, under
-    tau -> tau + D, D G = 0; hence G = 0 and F = 0, and the rank is the
-    rank of the characters plus the rank of the products.  Multiplying
-    by the invertible series f/eta keeps linear (in)dependence, so these
-    are the ranks of the theta combinations of the characters and of
-    the dTheta_{j,(2m+1)/2}, each certified on a prefix of exponents.
-    At k = (2m+1)/2 distinct j have disjoint supports; Theta_{0,k} starts
-    at q^0, dTheta_{0,k} = 0, and for j >= 1 the n = 0 and n = -1 terms, at
-    j^2/4k and (2k-j)^2/4k, give the block [[1, 1], [j, -(2k-j)]] of
-    determinant -2k.  The last of them, Theta_{1,k}'s (2k-1)^2/4k =
-    2m^2/(2m+1), fixes the prefix, whatever order other checks run to."""
-    k = Fraction(2 * m + 1, 2)
-    order = (2 * k - 1) ** 2 / (4 * k)
-    combos = [forms.theta_form(module_form(mod)._replace(powers=()), order) for mod in all_module_ids(m)]
-    dthetas = [forms.theta_form(ThetaForm(0, (), k, ((j, 0, 1),)), order) for j in range(1, m + 1)]
-    return qs.prefix_rank(combos) + qs.prefix_rank(dthetas)
 
 
 def _integrality(s: QSeries) -> tuple[Fraction, tuple[Fraction, Fraction, Fraction] | None]:

@@ -1,36 +1,22 @@
 """Floating-point evaluation of truncated q-expansions on the upper
 half-plane.  This is the one place the package leaves exact arithmetic:
 the S-laws relate values at tau and -1/tau, which no finite q-expansion
-can compare exactly, and the span of characters plus tau-weighted theta
-derivatives is probed by numerical rank.
-
-The rank probe's singular values come from a pure-Python SVD, Householder
-QR with column pivoting followed by one-sided Jacobi rotations (Drmac and
-Veselic, 2008).  On the probe's 3m+1 points (`_rank_taus`, one short
-segment) its rank, the singular values above 1e-6 sigma_max, is short of
-3m+1 from m = 2 on:
-
-    m              2        3        4         5         6
-    SVD rank       6 of 7   7 of 10  8 of 13   9 of 16   9 of 19
-    min_singular   2.23e-6  9.24e-9  1.76e-11  1.54e-14  4.79e-18
-
-(order 300, 200 at m = 6), and from m = 6 on the smallest value also lies
-below rounding noise, about n eps sigma_max (eps = 2.2e-16, n = 3m+1).  So
-min_singular is reported data, and only the exact rank, a function of m
-alone, decides the ns-space-rank check: characters.ns_space_exact_rank
-builds the prefix its proof needs, whatever order the suite runs at."""
+can compare exactly.  The T-laws are checked exactly on the exponents,
+and so is the span of the characters plus the tau-weighted theta
+derivatives: ns_space_rank is an exact rational rank, a function of m
+alone, certified on the prefix of exponents that ends at 2m^2/(2m+1),
+whatever order the suite runs at."""
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
 from fractions import Fraction
 from functools import partial
 
 from . import characters, forms
 from . import qseries as qs
-from .forms import ThetaParams
+from .forms import ThetaForm, ThetaParams
 from .qseries import QSeries, RatLike, VerificationReport
 from .report import value_type
 
@@ -45,16 +31,6 @@ __all__ = [
 
 # Smallest tolerance double-precision residuals can certify.
 _TOL_FLOOR = 1e-13
-
-# Jacobi sweeps stop once every pair of columns has |x_p^H x_q| at most
-# this multiple of |x_p| |x_q|: about 18 double roundings, above the
-# rounding error of an inner product of length 3m+1 <= 37.
-_ORTH = 4e-15
-_MAX_SWEEPS = 30
-# Columns (of a matrix scaled to largest entry 1) whose squared norm is
-# below the smallest normal double are left unrotated: their norms are
-# under 1.5e-154 and their squares have lost precision.
-_TINY = sys.float_info.min
 
 # Integer theta levels checked: 3 and 5 carry the half-integer grids
 # 3/2 and 5/2 (doubling the exponent denominator identifies the two
@@ -204,122 +180,44 @@ def verify_s_t_laws(taus: list[TauPoint], order: RatLike, tol: float) -> list[Ve
     return [qs.run_check(law_id, params, lambda: (order, check())) for law_id, params, check in laws]
 
 
-def _norm2(v: list[complex]) -> float:
-    return sum(z.real * z.real + z.imag * z.imag for z in v)
+def ns_space_rank(m: int) -> int:
+    """Exact rank of the 2m+1 characters together with the m functions
+    tau (f/eta) dTheta_{j,(2m+1)/2}, j = 1..m.
+
+    All exponents lie in (1/D)Z for one D, so F + tau G = 0 with F a
+    combination of characters and G one of the products gives, under
+    tau -> tau + D, D G = 0; hence G = 0 and F = 0, and the rank is the
+    rank of the characters plus the rank of the products.  Multiplying
+    by the invertible series f/eta keeps linear (in)dependence, so these
+    are the ranks of the theta combinations of the characters and of
+    the dTheta_{j,(2m+1)/2}, each certified on a prefix of exponents.
+    At k = (2m+1)/2 distinct j have disjoint supports; Theta_{0,k} starts
+    at q^0, dTheta_{0,k} = 0, and for j >= 1 the n = 0 and n = -1 terms, at
+    j^2/4k and (2k-j)^2/4k, give the block [[1, 1], [j, -(2k-j)]] of
+    determinant -2k.  The last of them, Theta_{1,k}'s (2k-1)^2/4k =
+    2m^2/(2m+1), fixes the prefix, whatever order other checks run to."""
+    k = Fraction(2 * m + 1, 2)
+    order = (2 * k - 1) ** 2 / (4 * k)
+    combos = [
+        forms.theta_form(characters.module_form(mod)._replace(powers=()), order)
+        for mod in characters.all_module_ids(m)
+    ]
+    dthetas = [forms.theta_form(ThetaForm(0, (), k, ((j, 0, 1),)), order) for j in range(1, m + 1)]
+    return qs.prefix_rank(combos) + qs.prefix_rank(dthetas)
 
 
-def _singular_values(cols: list[list[complex]]) -> list[float]:
-    """Singular values, largest first, of the square matrix with these
-    columns, by the preconditioned Jacobi SVD of Drmac and Veselic
-    (SIAM J. Matrix Anal. Appl. 29, 2008): Householder QR with column
-    pivoting, A P = Q R, then one-sided (Hestenes) Jacobi rotations on
-    the columns of R^H until every pair is orthogonal to _ORTH, when the
-    column norms are the singular values.  The pivoting grades the rows
-    of R, so the sweeps converge in a few rounds (every rank-probe matrix
-    up to m = 12 takes three, and a fourth that rotates nothing); a
-    matrix still not orthogonal after _MAX_SWEEPS sweeps raises
-    ArithmeticError."""
-    n = len(cols)
-    # scale by the largest entry, so squared norms neither overflow nor
-    # underflow to zero
-    big = max((abs(z) for c in cols for z in c), default=0.0)
-    if big == 0.0:
-        return [0.0] * n
-    a = [[z / big for z in c] for c in cols]
-    for k in range(n):
-        p = max(range(k, n), key=lambda j: _norm2(a[j][k:]))
-        a[k], a[p] = a[p], a[k]
-        x = a[k][k:]
-        xnorm = math.sqrt(_norm2(x))
-        if xnorm == 0.0:
-            break  # every remaining column is zero from row k down
-        # a subnormal x[0] has an inexact abs(); 2^54 makes it normal, exactly
-        x0 = x[0] if abs(x[0]) >= _TINY else x[0] * 2.0**54
-        alpha = -xnorm * (x0 / abs(x0) if x0 else 1.0)
-        v = [x[0] - alpha, *x[1:]]
-        vv = _norm2(v)
-        for col in a[k + 1 :]:
-            f = 2.0 * sum(vi.conjugate() * ci for vi, ci in zip(v, col[k:])) / vv
-            col[k:] = [ci - f * vi for vi, ci in zip(v, col[k:])]
-        a[k][k:] = [alpha] + [0j] * (n - k - 1)
-    # column i of R^H is the conjugate of row i of R, whose entry j is a[j][i]
-    xs = [[a[j][i].conjugate() for j in range(n)] for i in range(n)]
-    norms = [_norm2(x) for x in xs]
-    for _ in range(_MAX_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                xp, xq = xs[p], xs[q]
-                if norms[p] < _TINY or norms[q] < _TINY:
-                    continue  # a squared norm has underflowed
-                g = sum(u.conjugate() * w for u, w in zip(xp, xq))
-                ag = abs(g)
-                if ag <= _ORTH * math.sqrt(norms[p]) * math.sqrt(norms[q]):
-                    continue
-                rotated = True
-                # rotate x_p and the phase-shifted x_q e^{-i arg g}, whose
-                # inner product |g| is real, by the angle that zeroes it
-                zeta = (norms[q] - norms[p]) / (2.0 * ag)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                e = g.conjugate() / ag
-                xs[p] = [c * u - s * e * w for u, w in zip(xp, xq)]
-                xs[q] = [s * u + c * e * w for u, w in zip(xp, xq)]
-                norms[p], norms[q] = _norm2(xs[p]), _norm2(xs[q])
-        if not rotated:
-            return sorted((big * math.sqrt(v) for v in norms), reverse=True)
-    raise ArithmeticError(f"Jacobi SVD not converged after {_MAX_SWEEPS} sweeps")
-
-
-def _rank_columns(m: int, taus: list[TauPoint], order: Fraction, tol: float) -> list[list[complex]]:
-    """Columns of the rank probe's matrix: the values of the 2m+1
-    characters and of tau (f/eta) dTheta_{j,(2m+1)/2}, j = 1..m, one row
-    per point."""
-    p = 2 * m + 1
-    series = [characters.sw_char(mod, order) for mod in characters.all_module_ids(m)]
-    f_dthetas = [forms.ThetaForm(0, characters.F_OVER_ETA, Fraction(p, 2), ((j, 0, 1),)) for j in range(1, m + 1)]
-    series += [forms.theta_form(form, order) for form in f_dthetas]
-    rows = [[eval_series(s, t, tol)[0] for s in series] for t in taus]
-    return [[t.tau * row[c] if c >= p else row[c] for t, row in zip(taus, rows)] for c in range(len(series))]
-
-
-def ns_space_rank(m: int, taus: list[TauPoint], order: RatLike, tol: float = 1e-8) -> tuple[int, float]:
-    """Numerical rank of the (3m+1) x (3m+1) matrix of values of the
-    2m+1 characters and the m functions tau (f/eta) dTheta_{j,(2m+1)/2},
-    j = 1..m, at 3m+1 distinct points.  Rank counts singular values
-    above 1e-6 times the largest; the smallest is returned alongside.
-    The module docstring says when the smallest is rounding noise.
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    n = 3 * m + 1
-    if len(taus) != n:
-        raise ValueError(f"need {n} tau points")
-    if len(set(taus)) != n:
-        raise ValueError("tau points must be distinct")
-    sv = _singular_values(_rank_columns(m, taus, Fraction(order), tol))
-    return sum(s > 1e-6 * sv[0] for s in sv), sv[-1]
-
-
-def _rank_taus(n: int) -> list[TauPoint]:
-    return [TauPoint(-0.37 + 0.11 * i, 0.83 + 0.05 * i) for i in range(n)]
-
-
-def _rank_report(m: int, order: Fraction, tol: float) -> VerificationReport:
+def _rank_report(m: int, order: Fraction) -> VerificationReport:
     n = 3 * m + 1
     params: dict[str, object] = {"m": m}
 
     def check():
-        # the exact rank decides; the SVD's smallest value is reported as data
-        _, smallest = ns_space_rank(m, _rank_taus(n), order, tol)
-        rank = characters.ns_space_exact_rank(m)
-        params.update(rank=rank, min_singular=float(f"{smallest:.6g}"))
+        rank = ns_space_rank(m)
+        params.update(rank=rank)
         return order, None if rank == n else (Fraction(0), Fraction(rank), Fraction(n))
 
     return qs.run_check("ns-space-rank", params, check)
 
 
 def verify_numeric_suite(m: int, points, order: RatLike, tol: float) -> list[VerificationReport]:
-    """The S/T laws at the (re, im) points, then the ns-space-rank check at its own 3m+1 points."""
-    return [*verify_s_t_laws([TauPoint(*p) for p in points], order, tol), _rank_report(m, order, tol)]
+    """The S/T laws at the (re, im) points, then the exact ns-space-rank check."""
+    return [*verify_s_t_laws([TauPoint(*p) for p in points], order, tol), _rank_report(m, order)]

@@ -129,17 +129,5 @@ def test_criterion_10_numeric_transformation_laws():
 
 
 def test_criterion_11_span_rank_m1_m2():
-    points = {
-        1: REFERENCE_TAUS + [TauPoint(0.17, 0.83)],
-        2: REFERENCE_TAUS
-        + [
-            TauPoint(0.17, 0.83),
-            TauPoint(-0.23, 1.27),
-            TauPoint(0.51, 0.77),
-            TauPoint(-0.11, 1.03),
-        ],
-    }
     for m in (1, 2):
-        rank, smallest = numeric.ns_space_rank(m, points[m], 300)
-        assert rank == 3 * m + 1, (m, rank, smallest)
-        assert smallest > 0.0
+        assert numeric.ns_space_rank(m) == 3 * m + 1

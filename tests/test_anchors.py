@@ -16,9 +16,9 @@ that newly fail, in `verify --suite all --m 2 --order 20` plus
 An empty set is a row no report can see that way.  `_BLIND` lists them,
 and every other row must name at least one id:
 - the supercharacters and f2/eta, which no suite builds (ROADMAP item 1);
-- the exact rank's columns and the rank probe's, whose check sees only a
-  dependent column (`test_duplicated_character_column_fails`), which a
-  moved weight does not make.
+- the exact rank's columns, whose check sees only a dependent column
+  (`test_duplicated_character_column_fails`), which a moved weight does
+  not make.
 """
 
 import functools
@@ -45,18 +45,14 @@ _TABLE = {
         {"char-decomposition", "char-pair-sum", "fermionic-char"},
     ),
     "characters.module_form, superchar": (lambda f: f.powers == ch.F2_OVER_ETA, set()),
-    "characters.ns_space_exact_rank, module_form without f/eta": (
+    "numeric.ns_space_rank, module_form without f/eta": (
         lambda f: not f.powers and _a_and_b(f),
         set(),
     ),
-    "characters.ns_space_exact_rank, dTheta_j": (lambda f: not f.powers and not f.weights[0][1], set()),
+    "numeric.ns_space_rank, dTheta_j": (lambda f: not f.powers and not f.weights[0][1], set()),
     "characters._pair_sum, (f/eta) Theta_{m-i}": (
         lambda f: f.powers == ch.F_OVER_ETA and f.k == _HALF and not f.weights[0][2],
         {"char-pair-sum"},
-    ),
-    "numeric._rank_columns, (f/eta) dTheta_j": (
-        lambda f: f.powers == ch.F_OVER_ETA and f.k == _HALF and not f.weights[0][1],
-        set(),
     ),
     "fermionic.warnaar_rhs": (lambda f: f.powers == ((1, -1),), {"warnaar-v1", "warnaar-v2"}),
     "fermionic aux, (f/eta) dTheta_{1,3/2}": (
@@ -110,9 +106,8 @@ _BUILDERS = {
 # the rows no report sees, for the reasons the module docstring gives
 _BLIND = {
     "characters.module_form, superchar",
-    "characters.ns_space_exact_rank, module_form without f/eta",
-    "characters.ns_space_exact_rank, dTheta_j",
-    "numeric._rank_columns, (f/eta) dTheta_j",
+    "numeric.ns_space_rank, module_form without f/eta",
+    "numeric.ns_space_rank, dTheta_j",
     "forms.eta_quotient, f2/eta",
 }
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import swqseries.qseries as qs
-from swqseries import characters, cli, forms
+from swqseries import characters, cli, forms, numeric
 from swqseries.characters import (
     CentralData,
     SWModuleId,
@@ -22,7 +22,6 @@ from swqseries.characters import (
     module_form,
     module_weight,
     ns_irr_char,
-    ns_space_exact_rank,
     superchar_leading_shift,
     sw_char,
     sw_superchar_theta,
@@ -303,7 +302,7 @@ class TestSuite:
 class TestExactRank:
     def test_full_rank_at_every_m_the_cli_accepts(self):
         ms = range(1, cli._MAX_M + 1)
-        assert [ns_space_exact_rank(m) for m in ms] == [3 * m + 1 for m in ms]
+        assert [numeric.ns_space_rank(m) for m in ms] == [3 * m + 1 for m in ms]
 
     @pytest.mark.parametrize("m", [1, 2, 7, 30])
     def test_prefix_ends_at_the_last_block_exponent(self, monkeypatch, m):
@@ -318,11 +317,11 @@ class TestExactRank:
             return evaluate(form, F(order) - lower)
 
         monkeypatch.setattr(forms, "theta_form", spy)
-        assert ns_space_exact_rank(m) == 3 * m + 1
+        assert numeric.ns_space_rank(m) == 3 * m + 1
         assert len(orders) == 3 * m + 1
         assert max(orders) <= last
         monkeypatch.setattr(forms, "theta_form", partial(spy, lower=F(1, 2 * (2 * m + 1))))
-        assert ns_space_exact_rank(m) == 3 * m
+        assert numeric.ns_space_rank(m) == 3 * m
 
 
 # -- the hand-built bodies that module_form and forms.theta_form replaced ----

@@ -6,7 +6,8 @@ not load qseries, every value type derives from report.value_type,
 `characters` and `fermionic` build no infinite product, no builder
 outside `qseries` truncates a series, only `forms` and numeric's S- and
 T-laws build a theta series, only `forms.eta_quotient` inverts a series,
-and only `numeric`, the one floating-point module, imports cmath."""
+only `numeric`, the one floating-point module, imports cmath, and only
+its S-law checker evaluates a series at a point."""
 
 import ast
 import importlib
@@ -192,7 +193,21 @@ def test_only_eta_quotient_inverts():
 
 
 def test_only_numeric_imports_cmath():
-    # every law outside numeric's S-laws and rank probe is checked exactly
+    # every law outside numeric's S-laws is checked exactly
     sources = sorted((ROOT / "src" / "swqseries").glob("*.py"))
     users = [path.name for path in sources if "cmath" in _absolute_imports(path)]
     assert users == ["numeric.py"]
+
+
+def test_only_the_s_law_checker_evaluates():
+    # floats reach no verdict but an S-law's: the T-laws and the ns-space rank are exact
+    found = []
+    for path in sorted((ROOT / "src" / "swqseries").glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            found += [
+                f"{path.name}:{getattr(top, 'name', top.lineno)}"
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "eval_series"
+            ]
+    assert sorted(set(found)) == ["numeric.py:_law"]
