@@ -81,10 +81,9 @@ _DEFAULT_TAUS = ((0.0, 1.0), (0.3, 1.1), (-0.4, 0.9))
 _CSV_HEADER = ["identity_id", "params", "order", "status", "mismatch_exponent", "lhs", "rhs", "runtime_ms"]
 # Cost preflight: a larger --m, or --m times --order, exits 2 before any work.
 # gm costs about m^4.3 and a q-series suite about c*order^2, with c growing
-# steeply in m (warnaar about m^4 at order 20).  At the corners of the budget,
-# on 2 vCPUs with Python 3.11.7: `gm --m 50` takes 3.7 s, `verify --suite
-# warnaar --m 50 --order 80` 13 s, `verify --m 1 --order 4000` 58 s (64 MB);
-# `gm --m 500` would take hours.
+# steeply in m (warnaar about m^4 at order 20), so a run at the corners of the
+# budget ends within a minute (the README has the timings), where `gm --m 500`
+# would take hours.
 _MAX_M = 50
 _MAX_M_ORDER = 4000
 

@@ -8,8 +8,9 @@ ratio R_k is a product of factors 1 + q^a and divisors 1 - q^b.  A
 last term with no x applies its ratio to the whole sum, so a finite
 product in front of a sum (the Durfee factors) is one more Horner step,
 and a sum whose terms carry another sum as their x is a product of two
-sums.  The D_p sums of one p at one order share one cache, `_work`, kept
-for the last (p, order) asked.  The module multiplies no series: a sum
+sums.  The D_p sums of one p at one order share one cache, `_work`,
+which `verify_warnaar` and `verify_fermionic_chars` clear when they
+return.  The module multiplies no series: a sum
 times an eta quotient is one `forms.eta_product`, every other bosonic
 side an eta quotient or a `forms.ThetaForm`, so the order rule of a
 product lives in `forms` and the module builds no infinite product."""
@@ -146,7 +147,8 @@ def _frame(spec: FermionicSumSpec, order: Fraction) -> tuple:
 
 @lru_cache(maxsize=1)
 def _work(p: int, order: Fraction) -> dict:
-    """What the D_p sums share at one order, kept for the last (p, order) asked: "H", row b
+    """What the D_p sums share at one order, kept for the last (p, order) asked and cleared when
+    `verify_warnaar` or `verify_fermionic_chars` returns: "H", row b
     1/(q;q)_b (b < 2 Ms + sigma - 1) to q^{order - p b(b-2)/4}, as a kernel's term at q^E reads it
     with E + (p-2) d(M) >= p b(b-2)/4, but never past the largest top of a variant-1 (kernel) `_frame`."""
     frames = [(_frame(FermionicSumSpec(p, lam, sigma, 1), order), sigma) for lam in range(p + 1) for sigma in (0, 1)]
@@ -263,7 +265,7 @@ def verify_warnaar(p: int, order: RatLike) -> list[VerificationReport]:
         raise ValueError("p must be at least 3")
     order_f = Fraction(order)
     specs = [FermionicSumSpec(p, lam, sig, variant) for variant in (1, 2) for lam in range(p + 1) for sig in (0, 1)]
-    return [
+    reports = [
         qs.compare_report(
             f"warnaar-v{spec.variant}",
             {"p": p, "lambda": spec.lam, "sigma": spec.sigma},
@@ -272,6 +274,8 @@ def verify_warnaar(p: int, order: RatLike) -> list[VerificationReport]:
         )
         for spec in specs
     ]
+    _work.cache_clear()  # no later suite reads the table, kernels or sums
+    return reports
 
 
 # -- fermionic character forms ---------------------------------------------
@@ -332,7 +336,9 @@ def fermionic_char_report(module: SWModuleId, order: RatLike) -> VerificationRep
 
 def verify_fermionic_chars(m: int, order: RatLike) -> list[VerificationReport]:
     """fermionic_char_report for each of the 2m+1 modules."""
-    return [fermionic_char_report(mid, order) for mid in characters.all_module_ids(m)]
+    reports = [fermionic_char_report(mid, order) for mid in characters.all_module_ids(m)]
+    _work.cache_clear()
+    return reports
 
 
 # -- auxiliary identities ---------------------------------------------------

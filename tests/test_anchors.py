@@ -21,7 +21,6 @@ and every other row must name at least one id:
   not make.
 """
 
-import functools
 import json
 from fractions import Fraction as F
 
@@ -30,6 +29,8 @@ import pytest
 from swqseries import characters as ch
 from swqseries import cli, fermionic, forms
 from swqseries import qseries as qs
+
+from conftest import reset_caches
 
 _HALF = F(5, 2)  # the character level (2m+1)/2 at m = 2
 
@@ -111,22 +112,12 @@ _BLIND = {
     "forms.eta_quotient, f2/eta",
 }
 
-# the cached builders as the package has them, before any test patches them
-_CACHED = [
-    (forms, "eta_quotient", forms.eta_quotient),
-    (ch, "f_over_eta", ch.f_over_eta),
-    (ch, "sw_char", ch.sw_char),
-    (fermionic, "_work", fermionic._work),
-]
-
 
 def _failing(monkeypatch, spies=()):
     """(id, params) of every failing report of suite all and of each suite
     outside it at m = 2, order 20, each (module, name, wrap) of `spies`
     replacing the builder module.name by wrap(builder)."""
-    # caches of their own, so no series built in another run is shared
-    for module, name, build in _CACHED:
-        monkeypatch.setattr(module, name, functools.lru_cache(build.cache_parameters()["maxsize"])(build.__wrapped__))
+    reset_caches()  # no series built in another run is shared, and no spy hides a cache yet
     for module, name, wrap in spies:
         monkeypatch.setattr(module, name, wrap(getattr(module, name)))
     # the rows of `all` in its order, then the rest, as `cli._SUITES` marks them

@@ -29,6 +29,8 @@ from swqseries.characters import (
 )
 from swqseries.forms import ThetaParams, dtheta, theta, theta_form
 
+from conftest import assert_exact_to
+
 
 class TestCentralData:
     def test_m1(self):
@@ -428,12 +430,6 @@ def _hand_ns_irr_char(m, i, n, order):
     weights = ((cd.h(2 * i + 1, 2 * n + 1) + offset, 1), (cd.h(2 * i + 1, -2 * n - 1) + offset, -1))
     top = F(order) + F(1, 16)
     return qs.mul(f_over_eta(F(order)), qs.make_series([(e, s) for e, s in weights if e <= top], top))
-
-
-def assert_exact_to(s, order):
-    """s claims exactly the order and holds no slot beyond it."""
-    assert s.order == order
-    assert not s.vals or F(s.base + (len(s.vals) - 1) * s.stride, s.denom) <= order
 
 
 _MODULES = st.integers(1, 8).flatmap(lambda m: st.sampled_from(all_module_ids(m)))

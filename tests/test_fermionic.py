@@ -568,24 +568,41 @@ def _dp_input(spec) -> tuple:
     return (spec.sigma, int(2 * lin[p - 2]), int(2 * lin[p - 1]), tuple(int(lin[i]) for i in range(p - 3, -1, -1)))
 
 
+def _record_work(monkeypatch) -> list:
+    """(misses of `_work` so far, the dict it holds) as each `_multi_sum`
+    call through the module attribute returns."""
+    works, multi_sum = [], fm._multi_sum
+
+    def recorded(spec, order):
+        got = multi_sum(spec, order)
+        works.append((fm._work.cache_info().misses, fm._work(spec.p, order)))
+        return got
+
+    monkeypatch.setattr(fm, "_multi_sum", recorded)
+    return works
+
+
 @pytest.mark.parametrize("p, order", [(3, F(61, 2)), (6, F(20)), (9, F(25))])
 def test_one_verify_warnaar_call_shares_its_work(monkeypatch, p, order):
-    # One table.  Still one _multi_sum call per spec through the module
-    # attribute (swqbench counts those spans).  One result per DP input:
-    # the two lam = 0 sums are one object.  Per sigma, the p kernels of
-    # variant 1 at lam > 0 and one delta = 0 kernel, each built once.
-    fm._work.cache_clear()
+    # One table, cleared when the call returns.  Still one _multi_sum call
+    # per spec through the module attribute (swqbench counts those spans).
+    # One result per DP input: the two lam = 0 sums are one object.  Per
+    # sigma, the p kernels of variant 1 at lam > 0 and one delta = 0
+    # kernel, each built once.
     horners, horner = [], fm._horner
     monkeypatch.setattr(fm, "_horner", lambda n, terms: horners.append(n) or horner(n, terms))
     grids, grid_sum = [], fm._grid_sum
     monkeypatch.setattr(fm, "_grid_sum", lambda *args: grids.append(args[:3]) or grid_sum(*args))
+    works = _record_work(monkeypatch)
     calls = _warnaar_multi_sums(monkeypatch, p, order)
-    assert fm._work.cache_info().misses == 1
+    assert fm._work.cache_info().currsize == 0
+    assert [misses for misses, _ in works] == [1] * len(calls)
+    assert all(work is works[0][1] for _, work in works)
     assert len(calls) == 4 * (p + 1)
     by_input = {}
     for spec, got in calls:
         by_input.setdefault(_dp_input(spec), []).append((spec, got))
-    assert set(fm._work(p, order)) == {"H", 0, 1} | set(by_input)
+    assert set(works[0][1]) == {"H", 0, 1} | set(by_input)
     assert [[(s.lam, s.sigma, s.variant) for s, _ in r] for r in by_input.values() if len(r) > 1] == [
         [(0, 0, 1), (0, 0, 2)],
         [(0, 1, 1), (0, 1, 2)],
@@ -600,17 +617,16 @@ def test_one_verify_warnaar_call_shares_its_work(monkeypatch, p, order):
     assert len(horners) == dp + kernels
 
 
-def test_fermionic_modules_share_one_table():
+def test_fermionic_modules_share_one_table(monkeypatch):
     # the 2m+1 modules' variant-2 sums at p = 2m+1 and order 2N read one
-    # table and one delta = 0 kernel per sigma, as do the Warnaar sums before them
-    fm._work.cache_clear()
-    fm.verify_fermionic_chars(2, 30)
-    assert fm._work.cache_info().misses == 1
-    assert set(fm._work(5, 60)) - {"H", 0, 1} == {_dp_input(fm.FermionicSumSpec(5, lam, lam % 2, 2)) for lam in range(5)}
-    fm._work.cache_clear()
-    assert all(r.status != "error" for r in fm.verify_warnaar(5, 60))
+    # table and one delta = 0 kernel per sigma, cleared when the call returns
+    works = _record_work(monkeypatch)
     assert all(r.status == "pass" for r in fm.verify_fermionic_chars(2, 30))
-    assert fm._work.cache_info().misses == 1
+    assert fm._work.cache_info().currsize == 0
+    assert [misses for misses, _ in works] == [1] * 5
+    assert all(work is works[0][1] for _, work in works)
+    inputs = {_dp_input(fm.FermionicSumSpec(5, lam, lam % 2, 2)) for lam in range(5)}
+    assert set(works[0][1]) == {"H", 0, 1} | inputs
 
 
 def test_work_is_kept_for_the_last_p_and_order_only():

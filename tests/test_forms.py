@@ -4,8 +4,9 @@ import io
 import math
 import re
 import sys
+from collections import Counter
 from fractions import Fraction as F
-from functools import lru_cache, reduce
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import swqseries.forms as forms
 import swqseries.qseries as qs
-from swqseries import characters, cli
+from swqseries import cli
 from swqseries.characters import F2_OVER_ETA, F_OVER_ETA
 from swqseries.forms import (
     ThetaForm,
@@ -28,6 +29,8 @@ from swqseries.forms import (
     verify_form_identities,
     weber,
 )
+
+from conftest import assert_exact_to
 
 
 def series_terms(s):
@@ -203,9 +206,6 @@ class TestIdentitySuite:
         # eta-half-inverse without inverting at all: every inverse is of eta's
         # O(sqrt(order)) terms, taken inside eta_quotient
         quotient = forms.eta_quotient.__wrapped__
-        for module, name in ((forms, "eta_quotient"), (characters, "f_over_eta"), (characters, "sw_char")):
-            build = getattr(module, name)
-            monkeypatch.setattr(module, name, lru_cache(None)(build.__wrapped__))
         invert, sizes, callers = qs.invert, [], set()
 
         def spy(a):
@@ -331,25 +331,66 @@ def test_identity_sides_are_exact_to_the_order(order):
         assert min(lhs.order, rhs.order) >= order, (identity_id, params)
 
 
-_ROWS = [(identity_id, params) for identity_id, params, _ in _suite(F(10))]
+# -- a term planted at the comparison seam, in every compare-based report ----
+
+_SEAM_ORDER = F(21, 2)
+_FAILS_CLEAN = {"warnaar-v2-p=5-lambda=5-sigma=0", "warnaar-v2-p=5-lambda=5-sigma=1"}  # lambda = p, by design
 
 
-@pytest.mark.parametrize(
-    "row", range(len(_ROWS)), ids=["-".join([i, *(f"{k}={v}" for k, v in p.items())]) for i, p in _ROWS]
-)
-def test_term_planted_on_the_right_fails_every_identity(row):
-    # one term at the last exponent of the right side's grid in the window
-    # (Z for the six dtheta-half-level rows whose sides are both zero) flips
-    # the report there
-    order = F(21, 2)
-    identity_id, params, build = _suite(order)[row]
-    lhs, rhs = build()
-    e = F(rhs.base + (math.floor(order * rhs.denom) - rhs.base) // rhs.stride * rhs.stride, rhs.denom)
-    assert order - F(rhs.stride, rhs.denom) < e <= order
-    planted = qs.add(rhs, qs.make_series([(e, 1)], rhs.order))
-    rep = qs.compare_report(identity_id, params, lambda: (lhs, planted), order)
-    assert (rep.identity_id, rep.params, rep.status) == (identity_id, params, "fail")
-    assert rep.first_mismatch == (e, lhs.coeff(e), rhs.coeff(e) + 1)
+def _report_id(identity_id, params):
+    return "-".join([identity_id, *(f"{k}={v}" for k, v in params.items())])
+
+
+def _planted_run():
+    """Report id -> (suite, clean report, planted report, whether e lies in
+    the window, expected first mismatch) for every report that comes from
+    `qs.compare_report` when each row of `cli._SUITES` runs at m = 2,
+    order 21/2.  Each pair of sides is built once and compared as built,
+    then with 1 added to the right side at e, the last exponent of its grid
+    in the window (Z for the six dtheta-half-level rows whose sides are
+    both zero)."""
+    seen, compare_report, config = {}, qs.compare_report, cli.RunConfig("verify", m=2, order=_SEAM_ORDER)
+
+    def planted(identity_id, params, build, order):
+        lhs, rhs = build()
+        e = F(rhs.base + (math.floor(order * rhs.denom) - rhs.base) // rhs.stride * rhs.stride, rhs.denom)
+        moved = qs.add(rhs, qs.make_series([(e, 1)], rhs.order))
+        clean = compare_report(identity_id, params, lambda: (lhs, rhs), order)
+        report = compare_report(identity_id, params, lambda: (lhs, moved), order)
+        in_window = order - F(rhs.stride, rhs.denom) < e <= order
+        seen[_report_id(identity_id, params)] = (suite, clean, report, in_window, (e, lhs.coeff(e), rhs.coeff(e) + 1))
+        return report
+
+    qs.compare_report = planted
+    try:
+        for suite in cli._SUITES:
+            cli._suite_reports(suite, config)
+    finally:
+        qs.compare_report = compare_report
+    return seen
+
+
+_PLANTED = _planted_run()
+
+
+@pytest.mark.parametrize("key", list(_PLANTED))
+def test_term_planted_on_the_right_fails_every_identity(key):
+    _, clean, report, in_window, mismatch = _PLANTED[key]
+    assert in_window
+    assert clean.status == ("fail" if key in _FAILS_CLEAN else "pass")
+    assert (report.identity_id, report.params, report.status) == (clean.identity_id, clean.params, "fail")
+    if clean.status == "pass":
+        assert report.first_mismatch == mismatch
+
+
+def test_the_seam_sees_every_compare_based_report():
+    # the 48 forms rows and 41 more: 24 Warnaar sums, 8 Durfee and 4 other
+    # aux sums, 3 decompositions and 2 pair sums; fermionic-char and the
+    # laws of zhu, gm and numeric come from run_check alone
+    suites = Counter(suite for suite, *_ in _PLANTED.values())
+    assert suites == {"forms": 48, "characters": 5, "warnaar": 24, "aux": 12}
+    forms_rows = [key for key, (suite, *_) in _PLANTED.items() if suite == "forms"]
+    assert forms_rows == [_report_id(identity_id, params) for identity_id, params, _ in _suite(_SEAM_ORDER)]
 
 
 # -- the inverse-free pairs against their inverting bodies --------------------
@@ -431,12 +472,6 @@ def _margin_theta_form(form, order):
     if form.powers:
         total = qs.mul(eta_quotient(form.powers, n), total)
     return qs.truncate(qs.shift(total, form.shift), order)
-
-
-def assert_exact_to(s, order):
-    """s claims exactly the order and holds no slot beyond it."""
-    assert s.order == order
-    assert not s.vals or F(s.base + (len(s.vals) - 1) * s.stride, s.denom) <= order
 
 
 _POWERS = st.one_of(
