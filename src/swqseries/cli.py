@@ -152,8 +152,9 @@ def _write(format: str, sink: IO[str], payload, header: list[str], rows) -> None
         if format == "json":
             import json
 
-            # json.dumps runs the C encoder; json.dump would run the Python one
-            sink.write(json.dumps(payload, separators=(",", ":")) + "\n")
+            # json.dumps runs the C encoder; json.dump would run the Python one.
+            # A Fraction is written as its "num/den" string.
+            sink.write(json.dumps(payload, separators=(",", ":"), default=str) + "\n")
         else:
             import csv
 
@@ -165,21 +166,15 @@ def _write(format: str, sink: IO[str], payload, header: list[str], rows) -> None
         os.dup2(os.open(os.devnull, os.O_WRONLY), sink.fileno())
 
 
-def _json_value(v):
-    from fractions import Fraction
-
-    return str(v) if isinstance(v, Fraction) else v
-
-
 def _report_payload(r: VerificationReport) -> dict:
     mismatch = None
     if r.first_mismatch is not None:
         e, lhs, rhs = r.first_mismatch
-        mismatch = {"exponent": str(e), "lhs": str(lhs), "rhs": str(rhs)}
+        mismatch = {"exponent": e, "lhs": lhs, "rhs": rhs}
     return {
         "identity_id": r.identity_id,
-        "params": {k: _json_value(v) for k, v in r.params.items()},
-        "order": str(r.order),
+        "params": r.params,
+        "order": r.order,
         "status": r.status,
         "first_mismatch": mismatch,
         "runtime_ms": round(r.runtime_ms, 3),
@@ -245,10 +240,7 @@ def _parse_module(m: int, text: str) -> SWModuleId:
         index = int(index_text)
     except ValueError:
         raise UsageError(f"bad module index {index_text!r}") from None
-    try:
-        return SWModuleId(m, kind, index)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return SWModuleId(m, kind, index)
 
 
 def _parse_tau(text: str) -> tuple[float, float]:
@@ -318,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         config = _config_from_args(ns)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return run(config, sys.stdout)

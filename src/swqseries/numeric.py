@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from . import characters, forms
 from . import qseries as qs
@@ -160,23 +160,29 @@ def verify_s_t_laws(taus: list[TauPoint], order: RatLike, tol: float) -> list[Ve
         p = cmath.sqrt(-1j * t.tau / (2 * k))
         return -t.tau * p if weighted else p
 
-    eta, half = forms.eta(order), Fraction(1, 2)
+    # each list is built inside the first report that reads it, its S-law, and
+    # shared with the T-law after it, so its time counts in that report
+    eta = cache(lambda: [forms.eta(order)])
     laws = [
-        ("eta-s-law", {}, partial(_law, taus, [eta], lambda t: cmath.sqrt(-1j * t.tau), [[1]], tol)),
-        ("eta-t-law", {}, partial(_off_class, [eta], [Fraction(1, 24)], Fraction(1))),
+        ("eta-s-law", {}, lambda: _law(taus, eta(), lambda t: cmath.sqrt(-1j * t.tau), [[1]], tol)),
+        ("eta-t-law", {}, lambda: _off_class(eta(), [Fraction(1, 24)], Fraction(1))),
     ]
-    for k in _S_LEVELS:
-        ths = [forms.theta(ThetaParams(jp, k), order) for jp in range(2 * k)]
-        dths = [forms.dtheta(ThetaParams(jp, k), order) for jp in range(2 * k)]
+
+    def level_laws(k: int) -> list:
+        ths = cache(lambda: [forms.theta(ThetaParams(jp, k), order) for jp in range(2 * k)])
+        dths = cache(lambda: [forms.dtheta(ThetaParams(jp, k), order) for jp in range(2 * k)])
         phases = [[cmath.exp(1j * math.pi * j * jp / k) for jp in range(2 * k)] for j in range(k + 1)]
-        classes = [Fraction(j * j, 4 * k) for j in range(k + 1)]
+        classes, half = [Fraction(j * j, 4 * k) for j in range(k + 1)], Fraction(1, 2)
         c, dc = partial(s_factor, k, False), partial(s_factor, k, True)
-        laws += [
-            ("theta-s-law", {"k": k}, partial(_law, taus, ths, c, phases, tol)),
-            ("dtheta-s-law", {"k": k}, partial(_law, taus, dths, dc, phases, tol)),
-            ("theta-t2-law", {"k": k}, partial(_off_class, ths, classes, half)),
-            ("dtheta-t2-law", {"k": k}, partial(_off_class, dths, classes, half)),
+        return [
+            ("theta-s-law", {"k": k}, lambda: _law(taus, ths(), c, phases, tol)),
+            ("dtheta-s-law", {"k": k}, lambda: _law(taus, dths(), dc, phases, tol)),
+            ("theta-t2-law", {"k": k}, lambda: _off_class(ths(), classes, half)),
+            ("dtheta-t2-law", {"k": k}, lambda: _off_class(dths(), classes, half)),
         ]
+
+    for k in _S_LEVELS:
+        laws += level_laws(k)
     return [qs.run_check(law_id, params, lambda: (order, check())) for law_id, params, check in laws]
 
 

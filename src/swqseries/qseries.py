@@ -330,23 +330,22 @@ def mul(a: QSeries, b: QSeries) -> QSeries:
 
 
 def invert(a: QSeries) -> QSeries:
-    """Multiplicative inverse; order drops to a.order - 2*lead(a)."""
+    """Multiplicative inverse of an integer series (content 1) whose
+    leading coefficient is +1 or -1; order drops to a.order - 2*lead(a)."""
     if a.is_zero():
         raise ValueError("cannot invert the zero series")
+    vals = a.vals
+    v0 = vals[0]
+    if a.content != 1 or v0 not in (1, -1):
+        raise ValueError("invert takes an integer series whose leading coefficient is +1 or -1")
     e0 = Fraction(a.base, a.denom)
     order = a.order - 2 * e0
     span = _span(a)
     top = max(int((order + e0) * a.denom), 0) // span if span else 0
-    # a = c0 q^{e0} (1 + sum_k t_k u^k) with u = q^{span/denom} and
-    # t_k = vals[k] / v0 = w_k / lcd; solve (1 + t) s = 1 through the
-    # integers r_n = s_n lcd^n: r_n = -sum_k w_k lcd^(k-1) r_{n-k}
-    vals = a.vals
-    v0 = vals[0]
-    g = math.gcd(v0, *vals[1 : top + 1])
-    lcd = abs(v0) // g
-    unit = v0 // lcd
-    w = [(k, vals[k] // unit * lcd ** (k - 1)) for k in range(1, min(top, len(vals) - 1) + 1) if vals[k]]
-    r = [1] + [0] * top
+    # slot n of the inverse, r_n, solves sum_k vals[k] r_{n-k} = [n = 0]:
+    # r_0 = v0 and r_n = -v0 sum_{k>=1} vals[k] r_{n-k}, as 1/v0 = v0
+    w = [(k, v0 * vals[k]) for k in range(1, min(top, len(vals) - 1) + 1) if vals[k]]
+    r = [v0] + [0] * top
     for n in range(1, top + 1):
         acc = 0
         for k, x in w:
@@ -354,15 +353,7 @@ def invert(a: QSeries) -> QSeries:
                 break
             acc += x * r[n - k]
         r[n] = -acc
-    # inverse coefficient at slot n: s_n / c0 = r_n a.content / (v0 lcd^n)
-    content = v0 * lcd**top
-    if lcd == 1:
-        out = r if a.content == 1 else [x * a.content for x in r]
-    else:
-        out = [x * a.content * lcd ** (top - n) for n, x in enumerate(r)]
-    if content < 0:
-        out, content = [-x for x in out], -content
-    return QSeries(a.denom, -a.base, a.stride, out, content, order)
+    return QSeries(a.denom, -a.base, a.stride, r, 1, order)
 
 
 def substitute_power(a: QSeries, r: RatLike) -> QSeries:

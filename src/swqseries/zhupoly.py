@@ -265,17 +265,12 @@ def _x_param(m: int) -> RatPoly:
 
 
 def singlet_curve(m: int) -> SingletCurve:
-    """Curve data; the parametrization identity
-    y_param^2 = p_x(x_param) is checked symbolically at construction."""
+    """Curve data, with y_param^2 = p_x(x_param)."""
     if m < 1:
         raise ValueError("m must be positive")
     Cm = Fraction((2 * (2 * m + 1)) ** (2 * m + 1), math.factorial(2 * m + 1) ** 2)
     p_x = scale(from_roots(_weights(m, 2 * m + 1)), Cm)
-    x_param = _x_param(m)
-    y_param = binom_poly(2 * m + 1)
-    if not sub(mul(y_param, y_param), compose(p_x, x_param)).is_zero():
-        raise AssertionError("curve parametrization check failed")
-    return SingletCurve(m, Cm, p_x, x_param, y_param)
+    return SingletCurve(m, Cm, p_x, _x_param(m), binom_poly(2 * m + 1))
 
 
 def f_m_poly(m: int) -> RatPoly:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from swqseries import cli, forms
 from swqseries import numeric as nm
 from swqseries import qseries as qs
+from swqseries.report import run_check
 
 F = Fraction
 
@@ -291,6 +293,28 @@ def test_planted_eta_term_fails_the_t_law(monkeypatch):
     monkeypatch.setattr(forms, "eta", lambda order: _with_term(eta(order), 40))
     reports = nm.verify_s_t_laws(TAUS, 50, 1e-8)
     assert _law_report(reports, "eta-t-law").first_mismatch == (F(40), F(1), F(0))
+
+
+def test_every_series_is_built_inside_a_report(monkeypatch):
+    # eta and each level's Theta and dTheta lists count in the runtime_ms of
+    # the S-law that builds them, and the T-law after it reuses them
+    timed = []
+
+    def spy(build):
+        def call(*args):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not run_check.__code__:
+                frame = frame.f_back
+            timed.append(frame is not None)
+            return build(*args)
+
+        return call
+
+    for name in ("eta", "theta", "dtheta"):
+        monkeypatch.setattr(forms, name, spy(getattr(forms, name)))
+    nm.verify_s_t_laws(TAUS, 50, 1e-8)
+    assert len(timed) == 1 + 2 * sum(2 * k for k in nm._S_LEVELS)
+    assert all(timed)
 
 
 @settings(max_examples=150, deadline=None)

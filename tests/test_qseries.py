@@ -151,10 +151,10 @@ def test_mul_zero_factor_negative_lead_stays_sound():
 
 
 def test_invert_order_rule():
-    a = qs.make_series([(F(1, 2), 3), (1, 1)], 6)
+    a = qs.make_series([(F(1, 2), -1), (1, 3)], 6)
     inv = qs.invert(a)
     assert inv.order == F(6) - 2 * F(1, 2)
-    assert inv.leading() == (F(-1, 2), F(1, 3))
+    assert inv.leading() == (F(-1, 2), F(-1))
     prod = qs.mul(a, inv)
     assert qs.compare(prod, qs.one(prod.order), prod.order) is None
 
@@ -162,6 +162,14 @@ def test_invert_order_rule():
 def test_invert_rejects_zero():
     with pytest.raises(ValueError):
         qs.invert(qs.make_series([], 5))
+
+
+def test_invert_takes_only_unit_lead_integer_series():
+    rule = "^invert takes an integer series whose leading coefficient is \\+1 or -1$"
+    with pytest.raises(ValueError, match=rule):
+        qs.invert(qs.make_series([(0, 3), (1, 1)], 5))
+    with pytest.raises(ValueError, match=rule):
+        qs.invert(qs.make_series([(0, 1), (1, F(2, 5))], 5))
 
 
 def test_compare_refuses_beyond_guarantee():
@@ -238,6 +246,14 @@ def series(draw, max_denom=4, max_terms=5):
     return qs._from_coeffs(d, coeffs, F(order_num, d))
 
 
+def _unit_lead(a, sign):
+    """`a` with its numerators as coefficients and `sign` as its lead: an
+    integer series whose lead is +1 or -1, as `invert` takes."""
+    if a.is_zero():
+        return a
+    return qs.QSeries(a.denom, a.base, a.stride, (sign, *a.vals[1:]), 1, a.order)
+
+
 def equal_upto_common(a, b):
     o = min(a.order, b.order)
     return qs.compare(a, b, o) is None
@@ -270,10 +286,11 @@ def test_distributes(a, b, c):
 
 
 @settings(max_examples=60, deadline=None)
-@given(series())
-def test_invert_round_trip(a):
+@given(series(), st.sampled_from([1, -1]))
+def test_invert_round_trip(a, sign):
     if a.is_zero():
         return
+    a = _unit_lead(a, sign)
     prod = qs.mul(a, qs.invert(a))
     if prod.order >= 0:
         assert qs.compare(prod, qs.one(prod.order), prod.order) is None
@@ -313,7 +330,8 @@ def _built_twice(a, b, r, e):
         ),
     ]
     if not a.is_zero():
-        pairs.append((qs.invert(a), qs.invert(qs._from_coeffs(a.denom, a.coeffs, a.order))))
+        u = _unit_lead(a, 1 if r > 0 else -1)
+        pairs.append((qs.invert(u), qs.invert(qs._from_coeffs(u.denom, u.coeffs, u.order))))
     return pairs
 
 
@@ -662,13 +680,15 @@ def test_unpack_reads_signed_digits_below_any_high_part(width_digits, high):
 
 
 @settings(max_examples=200, deadline=None)
-@given(kernel_series(grids=(1, 2, 3, 12, 16), max_order=5, big=False))
-@example(_series(12, F(7, 2), {-3: F(3, 7), 1: F(-2, 5), 9: 2**64 + 1}))
-@example(_series(1, F(-3, 2), {0: 1}))
-@example(_series(2, F(61, 2), {1: 1, 3: -1, 4: -1}))
-def test_invert_matches_dict_kernel(a):
+@given(kernel_series(), st.sampled_from([1, -1]))
+@example(_series(12, F(7, 2), {-3: 1, 1: -2, 9: 2**64 + 1}), 1)
+@example(_series(48, 3, {-5: -1, 7: 2**130, 48: -(2**63)}), -1)
+@example(_series(1, F(-3, 2), {0: 1}), 1)
+@example(_series(2, F(61, 2), {1: 1, 3: -1, 4: -1}), 1)
+def test_invert_matches_dict_kernel(a, sign):
     if a.is_zero():
         return
+    a = _unit_lead(a, sign)
     assert_identical(qs.invert(a), _dict_invert(a))
 
 
